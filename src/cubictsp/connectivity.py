@@ -103,72 +103,80 @@ def component_cut_structure(inst: Instance, comp: UComponent, cap: int = 10):
     labelled structure.
 
     Returns (pairs2, triples3): ``pairs2`` holds every disconnecting edge
-    pair with its two vertex sides; ``triples3`` holds every edge triple
-    whose removal splits off a side of at most ``cap`` vertices.
+    pair with its two vertex sides; ``triples3`` holds an entry
+    ``(e, f, h, X)`` for every connected vertex set X of at most ``cap``
+    vertices whose boundary inside the component is exactly the three edges
+    e < f < h.  Entries are sorted by their triple; when both sides of one
+    triple fit under ``cap``, the side holding ``inst.eu[e]`` comes first.
     """
     key = _component_key(inst, comp)
     hit = _CUT_STRUCTURE_CACHE.get(key)
     if hit is not None:
         return hit
     pairs2 = component_pairs2(inst, comp)
-    # Edge triples splitting off a small piece arise two ways: a known
-    # disconnecting pair plus a bridge of the remainder, or one edge whose
-    # removal exposes a new disconnecting pair.
-    triples3 = []
-    seen_triples = set()
     verts = sorted(comp.vertices)
-
-    def record(e, f, h):
-        key3 = tuple(sorted((e, f, h)))
-        if key3 in seen_triples:
-            return
-        seen_triples.add(key3)
-        for root in inst.endpoints(key3[0]):
-            piece = _piece_in_component(inst, comp, key3, root, cap)
-            if piece is not None:
-                triples3.append(key3 + (piece,))
-
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
-    for e in comp.edges:
-        u, v = idx[inst.eu[e]], idx[inst.ev[e]]
-        nbr[u].append((e, v))
-        nbr[v].append((e, u))
-    for a, b, _, _ in pairs2:
-        for h in _local_bridges_arrays(nbr, (a, b)):
-            record(a, b, h)
-    for e in comp.edges:
-        # candidates only; the driver's exact boundary test filters them
-        for f, g in _cut_pairs_arrays(nbr, skip=e, verify=False):
-            record(e, f, g)
-    triples3.sort()
+    found = _small_three_cuts(_local_adjacency(inst, verts, comp.edges), cap)
+    triples3 = sorted(
+        (cut + (frozenset(verts[i] for i in xs),) for cut, xs in found),
+        key=lambda t: (t[:3], inst.eu[t[0]] not in t[3]),
+    )
     out = (pairs2, triples3)
     if len(_CUT_STRUCTURE_CACHE) < _CACHE_LIMIT:
         _CUT_STRUCTURE_CACHE[key] = out
     return out
 
 
-def _piece_in_component(inst: Instance, comp: UComponent, removed, root, cap):
-    """BFS piece around ``root`` avoiding ``removed`` edges; None once it
-    outgrows ``cap``."""
-    piece = {root}
-    stack = [root]
-    eu, ev, forced = inst.eu, inst.ev, inst.eforced
-    verts = comp.vertices
-    while stack:
-        v = stack.pop()
-        for e in inst.adj[v]:
-            if forced[e] or e in removed:
+def _small_three_cuts(nbr, cap: int):
+    """(sorted boundary triple, X) for every connected X of at most ``cap``
+    local indices whose boundary is exactly three edges.
+
+    X is grown from its smallest index r, so indices below r stay outside.
+    Each step takes the pending neighbour with the most edges into X and
+    either adds it or bans it, which turns those edges into boundary; every
+    connected X is reached once.  A branch dies once its boundary passes
+    three edges, or once the pending vertices that cannot all fit under
+    ``cap`` would push it past three when banned.
+    """
+    found = []
+
+    def grow(r, xs, cut, pending, banned):
+        # cut counts boundary edges so far; pending maps each undecided
+        # neighbour of xs to its number of edges into xs
+        if not pending:
+            if cut == 3:
+                found.append(xs)
+            return
+        room = 3 - cut
+        spill = len(pending) + len(xs) - cap
+        if spill > 0 and (spill > room or sum(sorted(pending.values())[:spill]) > room):
+            return
+        w = max(pending, key=pending.get)
+        rest = dict(pending)
+        into = rest.pop(w)
+        if len(xs) < cap:
+            add(r, xs, w, cut, rest, banned)
+        if into <= room:
+            grow(r, xs, cut + into, rest, banned | {w})
+
+    def add(r, xs, w, cut, pending, banned):
+        xs = xs | {w}
+        pending = dict(pending)
+        for _, y in nbr[w]:
+            if y in xs:
                 continue
-            w = eu[e]
-            if w == v:
-                w = ev[e]
-            if w in verts and w not in piece:
-                if len(piece) >= cap:
-                    return None
-                piece.add(w)
-                stack.append(w)
-    return frozenset(piece)
+            if y < r or y in banned:
+                cut += 1
+            else:
+                pending[y] = pending.get(y, 0) + 1
+        if cut <= 3:
+            grow(r, xs, cut, pending, banned)
+
+    for r in range(len(nbr)):
+        add(r, frozenset(), r, 0, {}, frozenset())
+    return [
+        (tuple(sorted(e for v in xs for e, y in nbr[v] if y not in xs)), xs)
+        for xs in found
+    ]
 
 
 def _subgraph_pieces(inst, vertices, edges, removed) -> list[frozenset]:
@@ -212,32 +220,27 @@ def _edge_fingerprint(e: int) -> int:
     return _mix64(e) | (_mix64(e ^ 0x5851F42D4C957F2D) << 64)
 
 
-def _cut_pairs_of(inst: Instance, vertices, edges) -> list[tuple[int, int]]:
-    """Minimal disconnecting edge pairs of one connected subgraph (pairs in
-    which neither edge is a bridge by itself)."""
-    verts = list(vertices)
-    if len(verts) <= 1 or not edges:
-        return []
+def _local_adjacency(inst: Instance, verts, edges) -> list[list[tuple[int, int]]]:
+    """(edge id, neighbour index) lists of a subgraph, indexed by the
+    position of each vertex in ``verts``."""
     idx = {v: i for i, v in enumerate(verts)}
     nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
     for e in edges:
         u, v = idx[inst.eu[e]], idx[inst.ev[e]]
         nbr[u].append((e, v))
         nbr[v].append((e, u))
-    return _cut_pairs_arrays(nbr, skip=-1)
+    return nbr
 
 
-def _cut_pairs_arrays(nbr, skip: int, verify: bool = True) -> list[tuple[int, int]]:
-    """Core of the pair search on local-index adjacency, ignoring edge id
-    ``skip``.
+def _cut_pairs_arrays(nbr) -> list[tuple[int, int]]:
+    """Minimal disconnecting edge pairs (neither edge a bridge by itself) of
+    a connected subgraph given by local-index adjacency.
 
     A pair of tree edges separates iff the same back edges cover both, and a
     (tree, back) pair iff that back edge is the tree edge's only cover; cover
     sets are compared by 128-bit XOR fingerprints (never missing a pair,
     since equal sets hash equally).  (tree, back) matches are exact outright;
-    with ``verify`` the tree-pair groups are also confirmed exactly, else a
-    fingerprint collision is accepted as a once-in-the-universe false
-    positive (callers then filter candidates through an exact cut test).
+    tree-pair groups are confirmed exactly by a bridge sweep.
     """
     n = len(nbr)
     num = [-1] * n
@@ -255,8 +258,6 @@ def _cut_pairs_arrays(nbr, skip: int, verify: bool = True) -> list[tuple[int, in
         v, it = stack[-1]
         advanced = False
         for e, w in it:
-            if e == skip:
-                continue
             if e == tree_edge[v] and not tree_seen[v]:
                 tree_seen[v] = True  # a parallel copy is still a back edge
                 continue
@@ -309,27 +310,15 @@ def _cut_pairs_arrays(nbr, skip: int, verify: bool = True) -> list[tuple[int, in
     # settles a whole group: the true partners of edge r are exactly the
     # bridges of the subgraph minus r.  Rejected members (possible only via a
     # fingerprint collision) are regrouped and retried.
-    def partners(rep, members):
-        bset = _local_bridges_arrays(nbr, (rep, skip))
-        good = [m for m in members if m in bset]
-        bad = [m for m in members if m not in bset]
-        return good, bad
-
     for h, group in multis.items():
-        if not verify:
-            group.sort()
-            for i, a in enumerate(group):
-                for m in group[i + 1 :]:
-                    out.append((a, m))
-            continue
         pending = sorted(group)
         while len(pending) > 1:
-            rep = pending[0]
-            verified, rest = partners(rep, pending[1:])
-            for i, a in enumerate([rep] + verified):
-                for m in ([rep] + verified)[i + 1 :]:
+            bset = _local_bridges_arrays(nbr, (pending[0],))
+            verified = [pending[0]] + [m for m in pending[1:] if m in bset]
+            for i, a in enumerate(verified):
+                for m in verified[i + 1 :]:
                     out.append((a, m))
-            pending = rest
+            pending = [m for m in pending[1:] if m not in bset]
     return sorted(set(out))
 
 
@@ -403,7 +392,7 @@ def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
     hit = _BRIDGE_PAIR_CACHE.get(key)
     if hit is not None:
         return hit
-    out = _cut_pairs_of(inst, sorted(comp.vertices), comp.edges)
+    out = _cut_pairs_arrays(_local_adjacency(inst, sorted(comp.vertices), comp.edges))
     if len(_BRIDGE_PAIR_CACHE) < _CACHE_LIMIT:
         _BRIDGE_PAIR_CACHE[key] = out
     return out

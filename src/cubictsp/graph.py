@@ -369,7 +369,10 @@ def parse_instance(text: str) -> Instance:
                 raise GraphError(f"line {lineno}: duplicate p line")
             if len(parts) != 4 or parts[1] != "ftsp":
                 raise GraphError(f"line {lineno}: want 'p ftsp <n> <m>'")
-            n, m = int(parts[2]), int(parts[3])
+            try:
+                n, m = int(parts[2]), int(parts[3])
+            except ValueError:
+                raise GraphError(f"line {lineno}: bad number in {line!r}") from None
             if n < 2:
                 raise GraphError(f"line {lineno}: need at least 2 vertices")
             for _ in range(n):
@@ -379,7 +382,11 @@ def parse_instance(text: str) -> Instance:
                 raise GraphError(f"line {lineno}: edge before p line")
             if len(parts) not in (4, 5):
                 raise GraphError(f"line {lineno}: want 'e <u> <v> <w> [F]'")
-            u, v = int(parts[1]) - 1, int(parts[2]) - 1
+            try:
+                u, v = int(parts[1]) - 1, int(parts[2]) - 1
+                w = parse_weight(parts[3])
+            except (ValueError, ZeroDivisionError):
+                raise GraphError(f"line {lineno}: bad number in {line!r}") from None
             if not (0 <= u < n and 0 <= v < n):
                 raise GraphError(f"line {lineno}: vertex out of range")
             forced = False
@@ -389,7 +396,7 @@ def parse_instance(text: str) -> Instance:
                 forced = True
             if u == v:
                 raise GraphError(f"line {lineno}: self-loop")
-            inst.add_edge(u, v, parse_weight(parts[3]), forced)
+            inst.add_edge(u, v, w, forced)
             edges_seen += 1
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")

@@ -781,9 +781,11 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 # At this stage the instance is cubic, every component is 2-edge-connected, the
 # boundary parity of every component is even and no cut-forced edge remains.
 # Any 3-edge boundary then has 2 or 3 unforced edges, all in one component:
-# with 2 they disconnect that component (so lie on one circuit), with 3 two of
-# them plus the third still witness it via a bridge of the component minus the
-# pair.  That restricts the search to per-component edge pairs.
+# with 2 they disconnect that component (so lie on one circuit) and the set
+# is a side of that pair closed across one forced edge; with 3 the set meets
+# the component in a connected piece whose component boundary is exactly
+# those 3 edges, closed across no forced edge.  The component's cut structure
+# lists both kinds of piece.
 
 
 def _forced_neighbors_graph(inst: Instance):
@@ -876,7 +878,7 @@ def _closure_to_one(inst: Instance, comps, node_of, piece, other_piece, cap=10):
                 if other_node not in seen:
                     seen.add(other_node)
                     stack.append(other_node)
-        if not okflag or ("P" in (a0, b0)) and False:
+        if not okflag:
             continue
         if not (a0 in seen) ^ (b0 in seen):
             continue  # removing e0 did not separate its own ends

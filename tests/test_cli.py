@@ -58,6 +58,24 @@ def test_solve_bad_instance_exit_code(capsys, tmp_path):
     assert code == 2
 
 
+@pytest.mark.parametrize(
+    "text",
+    [
+        "p ftsp 2 3\ne 1 2 1\ne 1 2 1\ne 1 2 1/0\n",
+        "p ftsp x 3\ne 1 2 1\ne 1 2 1\ne 1 2 1\n",
+        "p ftsp 2 3\ne 1 2 1\ne 1 2 1\ne 1 2 x\n",
+        "p ftsp 2 3\ne 1 2 1\ne 1 2 1\ne 1 2 1.5\n",
+    ],
+)
+def test_solve_bad_number_exit_code(capsys, tmp_path, text):
+    path = tmp_path / "bad.ftsp"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: line ") and err.count("\n") == 1
+
+
 def test_solve_simple_strategy(capsys, prism_file):
     code, out, _ = run_cli(capsys, "solve", prism_file, "--strategy", "simple")
     assert code == 0 and out.startswith("OPTIMAL 6")

@@ -1,3 +1,4 @@
+import itertools
 import random
 
 import pytest
@@ -20,7 +21,12 @@ from cubictsp.connectivity import (
 from cubictsp.generators import GeneratorSpec, generate
 from cubictsp.graph import GraphError
 
-from conftest import build, cycle_instance, six_cycle_with_pendants
+from conftest import (
+    build,
+    cycle_instance,
+    random_degree3_multigraph,
+    six_cycle_with_pendants,
+)
 
 
 def the_component(inst, v=0):
@@ -117,6 +123,72 @@ def test_blocks_cut_is_consecutive_edge_pair(rng):
                     expect = {circuit.edges[i], circuit.edges[(i + 1) % p]}
                     assert set(cu) == expect
                     assert len(cf) == block.cut_forced
+
+
+def brute_small_three_cuts(inst, comp, cap):
+    """Every vertex subset of at most ``cap`` vertices that is connected in
+    the component and has exactly three component edges leaving it."""
+    verts = sorted(comp.vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    ends = [(e, idx[inst.eu[e]], idx[inst.ev[e]]) for e in comp.edges]
+    out = set()
+    for size in range(1, min(cap, len(verts)) + 1):
+        for chosen in itertools.combinations(range(len(verts)), size):
+            mask = sum(1 << i for i in chosen)
+            cut = [e for e, a, b in ends if (mask >> a ^ mask >> b) & 1]
+            if len(cut) != 3:
+                continue
+            reach = 1 << chosen[0]
+            while True:
+                grown = reach
+                for _, a, b in ends:
+                    if mask >> a & mask >> b & 1 and (reach >> a | reach >> b) & 1:
+                        grown |= 1 << a | 1 << b
+                if grown == reach:
+                    break
+                reach = grown
+            if reach == mask:
+                out.add(tuple(cut) + (frozenset(verts[i] for i in chosen),))
+    return out
+
+
+def test_small_three_cuts_match_brute_force():
+    rng = random.Random(3)
+    shapes = {"degree2": 0, "parallel": 0}
+    checked = 0
+    for trial in range(160):
+        n = rng.choice([6, 8, 10, 12, 14, 16])
+        if trial % 2:
+            inst = random_degree3_multigraph(rng, n)
+        else:
+            inst = generate(
+                GeneratorSpec(kind="random_cubic", n=n, seed=trial, allow_parallel=True)
+            )
+            for e in list(inst.alive_edges()):
+                if rng.random() < 0.15:
+                    u, v = inst.endpoints(e)
+                    if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                        inst.include_edge(e)
+        for comp in inst.u_components():
+            if comp.trivial or not is_2_edge_connected(inst, comp):
+                continue
+            if any(inst.degrees(v)[2] == 2 for v in comp.vertices):
+                shapes["degree2"] += 1
+            if len({tuple(sorted(inst.endpoints(e))) for e in comp.edges}) < len(
+                comp.edges
+            ):
+                shapes["parallel"] += 1
+            for cap in (4, 10) if len(comp.vertices) <= 12 else (10,):
+                conn.clear_caches()
+                got = conn.component_cut_structure(inst, comp, cap)[1]
+                assert len(got) == len(set(got))
+                assert set(got) == brute_small_three_cuts(inst, comp, cap)
+                # sorted by triple; the side holding eu of the first edge first
+                order = [(e, f, h, inst.eu[e] not in xs) for e, f, h, xs in got]
+                assert order == sorted(order)
+                checked += 1
+    assert checked >= 60
+    assert shapes["degree2"] >= 30 and shapes["parallel"] >= 20
 
 
 def test_six_cycle_blocks_all_trivial():
