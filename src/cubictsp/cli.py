@@ -41,12 +41,7 @@ def cmd_solve(args) -> int:
     audit = analysis.MeasureAudit() if (args.audit or args.stats) else None
     if args.trace_reductions:
         audit = _TracingAudit()
-    result = search.solve(
-        inst,
-        strategy=args.strategy,
-        audit=audit,
-        fourcycle_bruteforce=args.fourcycle_bruteforce,
-    )
+    result = search.solve(inst, strategy=args.strategy, audit=audit)
     if args.stats:
         sys.stdout.write(connectivity.dump_structure(inst))
     if result.optimal:
@@ -73,7 +68,6 @@ def cmd_audit(args) -> int:
     args.audit = True
     args.stats = False
     args.trace_reductions = False
-    args.fourcycle_bruteforce = False
     return cmd_solve(args)
 
 
@@ -116,13 +110,14 @@ def cmd_gen(args) -> int:
 
 
 def _bench_one(path: str):
+    name = os.path.basename(path)
     t0 = time.perf_counter()
+    audit = analysis.MeasureAudit()
     try:
         inst = parse_instance(Path(path).read_text())
-    except (GraphError, OSError) as exc:
-        return (os.path.basename(path), None, f"error: {exc}", time.perf_counter() - t0)
-    audit = analysis.MeasureAudit()
-    result = search.solve(inst, audit=audit)
+        result = search.solve(inst, audit=audit)
+    except (GraphError, OSError, analysis.AuditViolation) as exc:
+        return (name, None, f"error: {exc}", time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     rep = audit.report()
     row = {
@@ -134,13 +129,14 @@ def _bench_one(path: str):
         "mu0": rep["mu0"],
         "bound": rep["leaf_bound"],
     }
-    return (os.path.basename(path), row, None, elapsed)
+    return (name, row, None, elapsed)
 
 
 def cmd_bench(args) -> int:
-    files = sorted(
-        str(p) for p in Path(args.dir).iterdir() if p.is_file()
-    )
+    try:
+        files = sorted(str(p) for p in Path(args.dir).iterdir() if p.is_file())
+    except OSError as exc:
+        raise GraphError(f"cannot read {args.dir}: {exc}")
     rows = []
     if args.jobs > 1:
         with ProcessPoolExecutor(max_workers=args.jobs) as pool:
@@ -177,7 +173,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--stats", action="store_true", help="dump circuit/block structure")
     p.add_argument("--audit", action="store_true", help="print the measure report")
     p.add_argument("--trace-reductions", action="store_true")
-    p.add_argument("--fourcycle-bruteforce", action="store_true")
     p.set_defaults(func=cmd_solve)
 
     p = sub.add_parser("audit", help="solve with the full measure report")

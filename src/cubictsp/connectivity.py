@@ -5,34 +5,51 @@ whose joint removal disconnects the component form an equivalence relation;
 its classes are the *circuits*.  The connected pieces left between two
 consecutive circuit edges are the *blocks*.  Branching and the deterministic
 propagation of include/delete decisions both walk this structure.
+
+One module-level cache, keyed on a component's labelled unforced edges,
+shares results across search-tree siblings that did not touch the
+component.  It may hold only facts of those labelled edges: bridges, cut
+pairs with their sides, small 3-cuts and the circuit partition.  Anything
+that reads forced edges, such as a block's forced boundary, is recomputed.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .graph import GraphError, Instance, UComponent
 
-# Structural results depend only on the labelled unforced subgraph, so they
-# can be shared across search-tree siblings that did not touch the component.
-_PARTITION_CACHE: dict = {}
-_BRIDGE_PAIR_CACHE: dict = {}
-_PAIRS2_CACHE: dict = {}
-_CUT_STRUCTURE_CACHE: dict = {}
-_UBRIDGE_CACHE: dict = {}
+# Largest side, in vertices, that the small-cut searches and rewrites
+# consider; read at call time.
+SMALL_SIDE = 10
+
+# labelled unforced edges of a component -> {function name: result}
+_CACHE: dict = {}
 _CACHE_LIMIT = 200_000
 
 
 def clear_caches() -> None:
-    _PARTITION_CACHE.clear()
-    _BRIDGE_PAIR_CACHE.clear()
-    _PAIRS2_CACHE.clear()
-    _CUT_STRUCTURE_CACHE.clear()
-    _UBRIDGE_CACHE.clear()
+    _CACHE.clear()
 
 
-def _component_key(inst: Instance, comp: UComponent):
-    return tuple((e, inst.eu[e], inst.ev[e]) for e in comp.edges)
+def _cached(fn):
+    """Memoize ``fn(inst, comp)`` in the component's entry of the cache."""
+    name = fn.__name__
+
+    @wraps(fn)
+    def lookup(inst: Instance, comp: UComponent):
+        key = tuple((e, inst.eu[e], inst.ev[e]) for e in comp.edges)
+        entry = _CACHE.get(key)
+        if entry is None:
+            entry = {}
+            if len(_CACHE) < _CACHE_LIMIT:
+                _CACHE[key] = entry
+        if name not in entry:
+            entry[name] = fn(inst, comp)
+        return entry[name]
+
+    return lookup
 
 
 @dataclass(frozen=True)
@@ -40,7 +57,6 @@ class Block:
     """Piece of a component between two consecutive circuit edges."""
 
     vertices: frozenset
-    endpoints: tuple  # (vertex meeting edges[i], vertex meeting edges[i+1])
     cut_forced: int
 
     @property
@@ -67,63 +83,50 @@ def is_2_edge_connected(inst: Instance, comp: UComponent) -> bool:
     return not _unforced_bridges(inst, comp)
 
 
-def _unforced_bridges(inst: Instance, comp: UComponent) -> list[int]:
-    key = _component_key(inst, comp)
-    hit = _UBRIDGE_CACHE.get(key)
-    if hit is not None:
-        return hit
+def _edge_mask(inst: Instance, edges) -> list[bool]:
     ok = [False] * len(inst.ealive)
-    for e in comp.edges:
+    for e in edges:
         ok[e] = True
-    bridges = [e for e in inst.bridges(edge_ok=ok) if ok[e]]
-    if len(_UBRIDGE_CACHE) < _CACHE_LIMIT:
-        _UBRIDGE_CACHE[key] = bridges
-    return bridges
+    return ok
 
 
+@_cached
+def _unforced_bridges(inst: Instance, comp: UComponent) -> list[int]:
+    ok = _edge_mask(inst, comp.edges)
+    return inst.bridges(edge_ok=ok, roots=(inst.eu[comp.edges[0]],))
+
+
+@_cached
 def component_pairs2(inst: Instance, comp: UComponent):
-    """Disconnecting edge pairs of a component with their two vertex sides,
-    cached on the component's labelled structure."""
-    key = _component_key(inst, comp)
-    hit = _PAIRS2_CACHE.get(key)
-    if hit is not None:
-        return hit
+    """Disconnecting edge pairs of a component with their two vertex sides."""
     pairs2 = []
     for e, f in two_cut_pairs(inst, comp):
         pieces = _subgraph_pieces(inst, comp.vertices, comp.edges, {e, f})
         if len(pieces) == 2:
             pairs2.append((e, f, pieces[0], pieces[1]))
-    if len(_PAIRS2_CACHE) < _CACHE_LIMIT:
-        _PAIRS2_CACHE[key] = pairs2
     return pairs2
 
 
-def component_cut_structure(inst: Instance, comp: UComponent, cap: int = 10):
-    """Small-cut skeleton of one 2-edge-connected component, cached on its
-    labelled structure.
+@_cached
+def component_cut_structure(inst: Instance, comp: UComponent):
+    """Small-cut skeleton of one 2-edge-connected component.
 
     Returns (pairs2, triples3): ``pairs2`` holds every disconnecting edge
     pair with its two vertex sides; ``triples3`` holds an entry
-    ``(e, f, h, X)`` for every connected vertex set X of at most ``cap``
-    vertices whose boundary inside the component is exactly the three edges
-    e < f < h.  Entries are sorted by their triple; when both sides of one
-    triple fit under ``cap``, the side holding ``inst.eu[e]`` comes first.
+    ``(e, f, h, X)`` for every connected vertex set X of at most
+    ``SMALL_SIDE`` vertices whose boundary inside the component is exactly
+    the three edges e < f < h.  Entries are sorted by their triple; when
+    both sides of one triple fit, the side holding ``inst.eu[e]`` comes
+    first.  The cached list assumes ``SMALL_SIDE`` has not changed since
+    the last ``clear_caches()``.
     """
-    key = _component_key(inst, comp)
-    hit = _CUT_STRUCTURE_CACHE.get(key)
-    if hit is not None:
-        return hit
-    pairs2 = component_pairs2(inst, comp)
     verts = sorted(comp.vertices)
-    found = _small_three_cuts(_local_adjacency(inst, verts, comp.edges), cap)
+    found = _small_three_cuts(_local_adjacency(inst, verts, comp.edges), SMALL_SIDE)
     triples3 = sorted(
         (cut + (frozenset(verts[i] for i in xs),) for cut, xs in found),
         key=lambda t: (t[:3], inst.eu[t[0]] not in t[3]),
     )
-    out = (pairs2, triples3)
-    if len(_CUT_STRUCTURE_CACHE) < _CACHE_LIMIT:
-        _CUT_STRUCTURE_CACHE[key] = out
-    return out
+    return component_pairs2(inst, comp), triples3
 
 
 def _small_three_cuts(nbr, cap: int):
@@ -232,9 +235,10 @@ def _local_adjacency(inst: Instance, verts, edges) -> list[list[tuple[int, int]]
     return nbr
 
 
-def _cut_pairs_arrays(nbr) -> list[tuple[int, int]]:
-    """Minimal disconnecting edge pairs (neither edge a bridge by itself) of
-    a connected subgraph given by local-index adjacency.
+@_cached
+def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
+    """All unforced edge pairs whose removal disconnects the component and
+    of which neither edge is a bridge by itself.
 
     A pair of tree edges separates iff the same back edges cover both, and a
     (tree, back) pair iff that back edge is the tree edge's only cover; cover
@@ -242,6 +246,8 @@ def _cut_pairs_arrays(nbr) -> list[tuple[int, int]]:
     since equal sets hash equally).  (tree, back) matches are exact outright;
     tree-pair groups are confirmed exactly by a bridge sweep.
     """
+    verts = sorted(comp.vertices)
+    nbr = _local_adjacency(inst, verts, comp.edges)
     n = len(nbr)
     num = [-1] * n
     tree_edge = [-1] * n
@@ -310,10 +316,13 @@ def _cut_pairs_arrays(nbr) -> list[tuple[int, int]]:
     # settles a whole group: the true partners of edge r are exactly the
     # bridges of the subgraph minus r.  Rejected members (possible only via a
     # fingerprint collision) are regrouped and retried.
+    ok = _edge_mask(inst, comp.edges)
     for h, group in multis.items():
         pending = sorted(group)
         while len(pending) > 1:
-            bset = _local_bridges_arrays(nbr, (pending[0],))
+            ok[pending[0]] = False
+            bset = set(inst.bridges(edge_ok=ok, roots=(verts[0],)))
+            ok[pending[0]] = True
             verified = [pending[0]] + [m for m in pending[1:] if m in bset]
             for i, a in enumerate(verified):
                 for m in verified[i + 1 :]:
@@ -322,82 +331,7 @@ def _cut_pairs_arrays(nbr) -> list[tuple[int, int]]:
     return sorted(set(out))
 
 
-def _local_bridges_arrays(nbr, skip=()) -> set:
-    """Bridge edge ids of a small subgraph on local-index adjacency lists,
-    ignoring edge ids in ``skip``.  Iterative lowpoint DFS over every piece."""
-    n = len(nbr)
-    num = [-1] * n
-    low = [0] * n
-    out: set[int] = set()
-    counter = 0
-    for root in range(n):
-        if num[root] != -1:
-            continue
-        num[root] = low[root] = counter
-        counter += 1
-        stack = [(root, -1, iter(nbr[root]))]
-        while stack:
-            v, pe, it = stack[-1]
-            advanced = False
-            lv = low[v]
-            for e, w in it:
-                if e == pe or e in skip:
-                    continue
-                nw = num[w]
-                if nw == -1:
-                    low[v] = lv
-                    num[w] = low[w] = counter
-                    counter += 1
-                    stack.append((w, e, iter(nbr[w])))
-                    advanced = True
-                    break
-                if nw < lv:
-                    lv = nw
-            if advanced:
-                continue
-            low[v] = lv
-            stack.pop()
-            if stack:
-                u = stack[-1][0]
-                if lv < low[u]:
-                    low[u] = lv
-                if lv > num[u]:
-                    out.add(pe)
-    return out
-
-
-def _disconnects(inst: Instance, verts, eset, a, b) -> bool:
-    start = verts[0]
-    seen = {start}
-    stack = [start]
-    eu, ev = inst.eu, inst.ev
-    while stack:
-        v = stack.pop()
-        for e in inst.adj[v]:
-            if e == a or e == b or e not in eset:
-                continue
-            w = eu[e]
-            if w == v:
-                w = ev[e]
-            if w not in seen:
-                seen.add(w)
-                stack.append(w)
-    return len(seen) != len(verts)
-
-
-def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
-    """All unforced edge pairs whose removal disconnects the component.
-    Cached on the component's labelled structure."""
-    key = _component_key(inst, comp)
-    hit = _BRIDGE_PAIR_CACHE.get(key)
-    if hit is not None:
-        return hit
-    out = _cut_pairs_arrays(_local_adjacency(inst, sorted(comp.vertices), comp.edges))
-    if len(_BRIDGE_PAIR_CACHE) < _CACHE_LIMIT:
-        _BRIDGE_PAIR_CACHE[key] = out
-    return out
-
-
+@_cached
 def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
     """Partition the component's edges into circuits.
 
@@ -410,11 +344,6 @@ def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
         raise GraphError("component is trivial")
     if not is_2_edge_connected(inst, comp):
         raise GraphError("component is not 2-edge-connected")
-    key = _component_key(inst, comp)
-    hit = _PARTITION_CACHE.get(key)
-    if hit is not None:
-        return hit
-
     parent = {e: e for e in comp.edges}
 
     def find(x):
@@ -438,10 +367,8 @@ def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
         if len(group) == 1:
             circuits.append(Circuit((group[0],), True))
             continue
-        circuits.append(Circuit(_order_circuit(inst, comp, group), False))
+        circuits.append(Circuit(_circuit_cycle(inst, comp, group)[0], False))
     circuits.sort(key=lambda c: c.edges[0])
-    if len(_PARTITION_CACHE) < _CACHE_LIMIT:
-        _PARTITION_CACHE[key] = circuits
     return circuits
 
 
@@ -487,10 +414,6 @@ def _circuit_cycle(inst: Instance, comp: UComponent, group) -> tuple:
     return tuple(order_edges), [pieces[i] for i in order_pieces]
 
 
-def _order_circuit(inst: Instance, comp: UComponent, group: list[int]) -> tuple:
-    return _circuit_cycle(inst, comp, group)[0]
-
-
 def blocks_along(inst: Instance, comp: UComponent, circuit: Circuit) -> list[Block]:
     """Ordered blocks, block i sitting between edges i and i+1 (cyclic)."""
     if circuit.trivial:
@@ -499,19 +422,13 @@ def blocks_along(inst: Instance, comp: UComponent, circuit: Circuit) -> list[Blo
     if order != circuit.edges:
         raise GraphError("circuit edges out of normalized order")
     blocks = []
-    p = len(order)
-    for i in range(p):
-        piece = pieces[i]
-        e = order[i]
-        f = order[(i + 1) % p]
-        end_e = inst.eu[e] if inst.eu[e] in piece else inst.ev[e]
-        end_f = inst.eu[f] if inst.eu[f] in piece else inst.ev[f]
+    for piece in pieces:
         cf = 0
         for v in piece:
             for g in inst.adj[v]:
                 if inst.eforced[g] and inst.other_end(g, v) not in piece:
                     cf += 1
-        blocks.append(Block(piece, (end_e, end_f), cf))
+        blocks.append(Block(piece, cf))
     return blocks
 
 
@@ -525,25 +442,13 @@ def classify_block(inst: Instance, block: Block) -> str:
     return NORMAL
 
 
-def _unforced_inside(inst: Instance, verts) -> list[int]:
+def _edges_inside(inst: Instance, verts, forced: bool) -> list[int]:
+    """Edges with both ends in ``verts`` and the given forced mark."""
     out = []
     seen = set()
     for v in verts:
         for e in inst.adj[v]:
-            if e in seen or inst.eforced[e]:
-                continue
-            seen.add(e)
-            if inst.other_end(e, v) in verts:
-                out.append(e)
-    return out
-
-
-def _forced_inside(inst: Instance, verts) -> list[int]:
-    out = []
-    seen = set()
-    for v in verts:
-        for e in inst.adj[v]:
-            if e in seen or not inst.eforced[e]:
+            if e in seen or inst.eforced[e] != forced:
                 continue
             seen.add(e)
             if inst.other_end(e, v) in verts:
@@ -554,7 +459,7 @@ def _forced_inside(inst: Instance, verts) -> list[int]:
 def _is_cycle_shape(inst: Instance, verts, length: int) -> bool:
     if len(verts) != length:
         return False
-    inner = _unforced_inside(inst, verts)
+    inner = _edges_inside(inst, verts, False)
     if len(inner) != length:
         return False
     deg = {v: 0 for v in verts}
@@ -574,7 +479,7 @@ def _is_six_cycle_extension(inst: Instance, verts) -> bool:
     vertices leaves two vertices joined by three paths, one of length 3."""
     if len(verts) != 8:
         return False
-    inner = _unforced_inside(inst, verts)
+    inner = _edges_inside(inst, verts, False)
     if len(inner) != 9:
         return False
     deg = {v: 0 for v in verts}
@@ -616,25 +521,21 @@ def _is_six_cycle_extension(inst: Instance, verts) -> bool:
     return len(lengths) == 3 and 3 in lengths and sum(lengths) == 9
 
 
-def _is_two_pendent_critical(inst: Instance, verts) -> bool:
-    cf, cu = inst.cut(verts)
-    if len(cu) != 2 or len(cf) != 4:
-        return False
-    if _forced_inside(inst, verts):
+def _is_critical_shape(inst: Instance, verts) -> bool:
+    """Chordless 6-cycle or 6-cycle extension with no forced edge inside."""
+    if _edges_inside(inst, verts, True):
         return False
     return _is_cycle_shape(inst, verts, 6) or _is_six_cycle_extension(inst, verts)
+
+
+def _is_two_pendent_critical(inst: Instance, verts) -> bool:
+    cf, cu = inst.cut(verts)
+    return len(cu) == 2 and len(cf) == 4 and _is_critical_shape(inst, verts)
 
 
 def is_critical_component(inst: Instance, comp: UComponent) -> bool:
     """Chordless 6-cycle or 6-cycle extension with six forced boundary edges."""
-    if comp.trivial:
-        return False
-    if comp.boundary_forced != 6:
-        return False
-    verts = comp.vertices
-    if _forced_inside(inst, verts):
-        return False
-    return _is_cycle_shape(inst, verts, 6) or _is_six_cycle_extension(inst, verts)
+    return comp.boundary_forced == 6 and _is_critical_shape(inst, comp.vertices)
 
 
 def is_standard_four_cycle(inst: Instance, comp: UComponent) -> bool:
@@ -657,7 +558,7 @@ def is_four_cycle_shape(inst: Instance, comp: UComponent) -> bool:
 
 
 def _standalone_component(inst: Instance, verts) -> UComponent:
-    edges = tuple(sorted(_unforced_inside(inst, verts)))
+    edges = tuple(sorted(_edges_inside(inst, verts, False)))
     boundary = 0
     for v in verts:
         for e in inst.adj[v]:

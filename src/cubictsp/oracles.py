@@ -5,15 +5,31 @@
 edges and forced-edge containment are handled exactly.  Both work on the
 same exact rational weights as the main solver: weights are scaled to a
 common integer denominator first.
+
+The slow references that tests hold the solver's own primitives against
+live here too: ``brute_force_4cycles`` for the 4-cycle base case,
+``replay`` for the reduction log and ``_disconnects`` for cut pairs.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from math import gcd
+from typing import Optional
 
+from . import connectivity as conn
 from .graph import GraphError, Instance
-from .search import INFEASIBLE_RESULT, OPTIMAL, TourResult
+from .reductions import (
+    ContractPath,
+    DeleteEdge,
+    FourCut,
+    IncludeEdge,
+    ReductionLog,
+    ThreeCut,
+    reduce_3cut,
+    reduce_4cut,
+)
+from .search import INFEASIBLE_RESULT, OPTIMAL, TourResult, _four_cycle_matchings
 
 try:  # the integer DP table is 100x faster through numpy when it fits
     import numpy as _np
@@ -212,3 +228,90 @@ def exhaustive_forced(inst: Instance) -> TourResult:
     if best[0] is None:
         return INFEASIBLE_RESULT
     return TourResult(OPTIMAL, best[0][0], frozenset(best[0][1]))
+
+
+# -- references for the solver's own primitives ------------------------------
+
+
+def brute_force_4cycles(inst: Instance, limit: int = 20) -> TourResult:
+    """Reference solver: try all opposite-pair combinations."""
+    four_cycles = [
+        comp
+        for comp in inst.u_components()
+        if not comp.trivial
+    ]
+    for comp in four_cycles:
+        if not conn.is_four_cycle_shape(inst, comp):
+            raise GraphError("component is not a 4-cycle")
+    if len(four_cycles) > limit:
+        raise GraphError(f"too many 4-cycles for brute force ({len(four_cycles)})")
+    forced = inst.forced_edges()
+    if not four_cycles:
+        if inst.is_tour(forced):
+            return TourResult(OPTIMAL, inst.tour_cost(forced), frozenset(forced))
+        return INFEASIBLE_RESULT
+    pairs = [_four_cycle_matchings(inst, comp) for comp in four_cycles]
+    best: Optional[TourResult] = None
+    for mask in range(1 << len(four_cycles)):
+        edges = list(forced)
+        for i, (m0, m1) in enumerate(pairs):
+            edges.extend(m1 if mask >> i & 1 else m0)
+        if inst.is_tour(edges):
+            cost = inst.tour_cost(edges)
+            if best is None or cost < best.cost:
+                best = TourResult(OPTIMAL, cost, frozenset(edges))
+    return best if best is not None else INFEASIBLE_RESULT
+
+
+def replay(log: ReductionLog, inst: Instance) -> Instance:
+    """Re-apply the log forward on a copy of the original instance; ids of
+    created vertices/edges must come out identical."""
+    out = inst.copy()
+    scratch = ReductionLog()
+    for entry in log.entries:
+        if isinstance(entry, IncludeEdge):
+            out.include_edge(entry.eid)
+        elif isinstance(entry, DeleteEdge):
+            out.delete_edge(entry.eid)
+        elif isinstance(entry, ContractPath):
+            for e in entry.path_edges:
+                out.delete_edge(e)
+            for v in entry.inner_vertices:
+                out.remove_vertex(v)
+            new_e = out.add_edge(
+                entry.u, entry.v, sum((inst.ew[e] for e in entry.path_edges), Fraction(0)), True
+            )
+            if new_e != entry.new_edge:
+                raise GraphError("replay id drift")
+        elif isinstance(entry, ThreeCut):
+            reduce_3cut(out, scratch, entry.x_vertices)
+            if scratch.entries[-1].new_edges != entry.new_edges:
+                raise GraphError("replay id drift")
+        elif isinstance(entry, FourCut):
+            anchors = entry.anchors
+            xs = set(entry.removed_vertices) | set(anchors)
+            reduce_4cut(out, scratch, xs)
+            if scratch.entries[-1].new_edges != entry.new_edges:
+                raise GraphError("replay id drift")
+        else:
+            raise GraphError(f"unknown log entry {entry!r}")
+    return out
+
+
+def _disconnects(inst: Instance, verts, eset, a, b) -> bool:
+    start = verts[0]
+    seen = {start}
+    stack = [start]
+    eu, ev = inst.eu, inst.ev
+    while stack:
+        v = stack.pop()
+        for e in inst.adj[v]:
+            if e == a or e == b or e not in eset:
+                continue
+            w = eu[e]
+            if w == v:
+                w = ev[e]
+            if w not in seen:
+                seen.add(w)
+                stack.append(w)
+    return len(seen) != len(verts)

@@ -19,7 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import connectivity as conn
-from .graph import GraphError, Instance, UComponent
+from .graph import GraphError, Instance
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
 INFEASIBLE = "infeasible"
@@ -376,27 +376,13 @@ def eliminate_bridges(inst: Instance, log: ReductionLog):
             return changed, None
         u = inst.eu[bridge]
         comp = inst.component_of(u)
-        side = _bridge_side(inst, comp, bridge, u)
+        pieces = conn._subgraph_pieces(inst, comp.vertices, comp.edges, {bridge})
+        side = pieces[0] if u in pieces[0] else pieces[1]
         action = determine_eliminable(inst, side)
         st = apply_decision(inst, log, bridge, action)
         changed = True
         if st.infeasible:
             return True, ReduceOutcome(st)
-
-
-def _bridge_side(inst: Instance, comp: UComponent, bridge: int, root: int):
-    side = {root}
-    stack = [root]
-    while stack:
-        v = stack.pop()
-        for e in inst.adj[v]:
-            if inst.eforced[e] or e == bridge:
-                continue
-            w = inst.other_end(e, v)
-            if w in comp.vertices and w not in side:
-                side.add(w)
-                stack.append(w)
-    return side
 
 
 # -- reducible circuits ------------------------------------------------------------
@@ -673,7 +659,7 @@ def is_4cut_reducible(inst: Instance, x_vertices) -> bool:
     """True iff the vertex set sits behind four forced edges with distinct
     attachments and at least one of the three pairings has no solution."""
     xs = frozenset(x_vertices)
-    if len(xs) > 10:
+    if len(xs) > conn.SMALL_SIDE:
         return False
     cf, cu = inst.cut(xs)
     if len(cf) != 4 or cu:
@@ -803,13 +789,13 @@ def _forced_neighbors_graph(inst: Instance):
     return comps, node_of, arcs
 
 
-def _closure_to_zero(inst: Instance, comps, node_of, start_verts, banned_verts, cap=10):
+def _closure_to_zero(inst: Instance, comps, node_of, start_verts, banned_verts):
     """Grow a vertex set by absorbing whole components across forced edges
-    until no forced edge leaves it.  Fails when it exceeds the cap or touches
-    a banned vertex."""
+    until no forced edge leaves it.  Fails when it exceeds ``SMALL_SIDE`` or
+    touches a banned vertex."""
     xs = set(start_verts)
     while True:
-        if len(xs) > cap:
+        if len(xs) > conn.SMALL_SIDE:
             return None
         grow = None
         for v in xs:
@@ -832,7 +818,7 @@ def _closure_to_zero(inst: Instance, comps, node_of, start_verts, banned_verts, 
     # unreachable
 
 
-def _closure_to_one(inst: Instance, comps, node_of, piece, other_piece, cap=10):
+def _closure_to_one(inst: Instance, comps, node_of, piece, other_piece):
     """Vertex sets containing the piece whose forced boundary is exactly one
     edge: sides of bridges in the component graph with the piece contracted in
     and the other piece kept out."""
@@ -862,6 +848,7 @@ def _closure_to_one(inst: Instance, comps, node_of, piece, other_piece, cap=10):
     if "P" not in adj:
         return []
     # try removing each forced arc: the P-side must be cut off exactly there
+    cap = conn.SMALL_SIDE
     out = []
     for e0, a0, b0 in sorted(arcs):
         seen = {"P"}
@@ -898,8 +885,9 @@ def _closure_to_one(inst: Instance, comps, node_of, piece, other_piece, cap=10):
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
     """First applicable small-cut rewrite: ('3cut', X) with |boundary| = 3,
-    else ('4cut', X) for a 4-cut-reducible X, else None.  X has at most 10
-    vertices and at least 2; sets in ``rejected`` are skipped."""
+    else ('4cut', X) for a 4-cut-reducible X, else None.  X has at most
+    ``SMALL_SIDE`` vertices and at least 2; sets in ``rejected`` are skipped."""
+    cap = conn.SMALL_SIDE
     comps, node_of, arcs = _forced_neighbors_graph(inst)
     # a rewrite needs 2 <= |X|, and a lone-vertex complement is allowed
     # only for a tiny X (the terminal triangle-against-vertex case);
@@ -913,7 +901,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
         # two unforced boundary edges plus one forced
         for e, f, p1, p2 in pairs2:
             for piece, other in ((p1, p2), (p2, p1)):
-                if len(piece) > 10:
+                if len(piece) > cap:
                     continue
                 for xs in _closure_to_one(inst, comps, node_of, piece, other):
                     if xs in rejected:
@@ -941,7 +929,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
         cg_adj[a].add(b)
         cg_adj[b].add(a)
     for subset in sorted(
-        _connected_subsets(cg_adj, [len(c.vertices) for c in comps], 10),
+        _connected_subsets(cg_adj, [len(c.vertices) for c in comps], cap),
         key=sorted,
     ):
         if len(subset) == 1:
@@ -951,7 +939,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
                 # polynomial base case owns these
                 continue
         xs = frozenset().union(*(comps[i].vertices for i in subset))
-        if len(xs) < 2 or len(xs) > 10 or xs in rejected:
+        if len(xs) < 2 or len(xs) > cap or xs in rejected:
             continue
         if len(xs) == inst.n_alive():
             continue
@@ -1179,38 +1167,3 @@ def expand_solution(log: ReductionLog, tour_edges, cost: Fraction):
         else:
             raise GraphError(f"unknown log entry {entry!r}")
     return frozenset(edges), cost
-
-
-def replay(log: ReductionLog, inst: Instance) -> Instance:
-    """Re-apply the log forward on a copy of the original instance; ids of
-    created vertices/edges must come out identical."""
-    out = inst.copy()
-    scratch = ReductionLog()
-    for entry in log.entries:
-        if isinstance(entry, IncludeEdge):
-            out.include_edge(entry.eid)
-        elif isinstance(entry, DeleteEdge):
-            out.delete_edge(entry.eid)
-        elif isinstance(entry, ContractPath):
-            for e in entry.path_edges:
-                out.delete_edge(e)
-            for v in entry.inner_vertices:
-                out.remove_vertex(v)
-            new_e = out.add_edge(
-                entry.u, entry.v, sum((inst.ew[e] for e in entry.path_edges), Fraction(0)), True
-            )
-            if new_e != entry.new_edge:
-                raise GraphError("replay id drift")
-        elif isinstance(entry, ThreeCut):
-            reduce_3cut(out, scratch, entry.x_vertices)
-            if scratch.entries[-1].new_edges != entry.new_edges:
-                raise GraphError("replay id drift")
-        elif isinstance(entry, FourCut):
-            anchors = entry.anchors
-            xs = set(entry.removed_vertices) | set(anchors)
-            reduce_4cut(out, scratch, xs)
-            if scratch.entries[-1].new_edges != entry.new_edges:
-                raise GraphError("replay id drift")
-        else:
-            raise GraphError(f"unknown log entry {entry!r}")
-    return out

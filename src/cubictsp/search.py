@@ -257,36 +257,6 @@ def solve_all_4cycles(inst: Instance) -> TourResult:
     return TourResult(OPTIMAL, inst.tour_cost(edges), edges)
 
 
-def brute_force_4cycles(inst: Instance, limit: int = 20) -> TourResult:
-    """Reference solver: try all opposite-pair combinations."""
-    four_cycles = [
-        comp
-        for comp in inst.u_components()
-        if not comp.trivial
-    ]
-    for comp in four_cycles:
-        if not conn.is_four_cycle_shape(inst, comp):
-            raise GraphError("component is not a 4-cycle")
-    if len(four_cycles) > limit:
-        raise GraphError(f"too many 4-cycles for brute force ({len(four_cycles)})")
-    forced = inst.forced_edges()
-    if not four_cycles:
-        if inst.is_tour(forced):
-            return TourResult(OPTIMAL, inst.tour_cost(forced), frozenset(forced))
-        return INFEASIBLE_RESULT
-    pairs = [_four_cycle_matchings(inst, comp) for comp in four_cycles]
-    best: Optional[TourResult] = None
-    for mask in range(1 << len(four_cycles)):
-        edges = list(forced)
-        for i, (m0, m1) in enumerate(pairs):
-            edges.extend(m1 if mask >> i & 1 else m0)
-        if inst.is_tour(edges):
-            cost = inst.tour_cost(edges)
-            if best is None or cost < best.cost:
-                best = TourResult(OPTIMAL, cost, frozenset(edges))
-    return best if best is not None else INFEASIBLE_RESULT
-
-
 def _base_case_ready(inst: Instance) -> bool:
     for comp in inst.u_components():
         if comp.trivial:
@@ -299,19 +269,14 @@ def _base_case_ready(inst: Instance) -> bool:
 # -- recursive driver ------------------------------------------------------------
 
 
-def solve(
-    inst: Instance,
-    strategy: str = "full",
-    audit=None,
-    fourcycle_bruteforce: bool = False,
-) -> TourResult:
+def solve(inst: Instance, strategy: str = "full", audit=None) -> TourResult:
     """Exact minimum tour (or infeasibility) of a forced-TSP instance."""
     if strategy not in ("full", "simple"):
         raise GraphError(f"unknown strategy {strategy!r}")
     conn.clear_caches()
     if audit is not None:
         audit.start(inst)
-    result, _ = _solve_rec(inst.copy(), strategy, audit, fourcycle_bruteforce)
+    result, _ = _solve_rec(inst.copy(), strategy, audit)
     if audit is not None:
         audit.finish(result)
     if result.optimal:
@@ -321,7 +286,7 @@ def solve(
     return result
 
 
-def _solve_rec(inst: Instance, strategy, audit, fourcycle_bruteforce):
+def _solve_rec(inst: Instance, strategy, audit):
     """Returns (result, measure of this node's reduced instance)."""
     if audit is not None:
         audit.enter_node()
@@ -342,9 +307,7 @@ def _solve_rec(inst: Instance, strategy, audit, fourcycle_bruteforce):
     if _base_case_ready(inst):
         if audit is not None:
             audit.leaf()
-        base = (
-            brute_force_4cycles(inst) if fourcycle_bruteforce else solve_all_4cycles(inst)
-        )
+        base = solve_all_4cycles(inst)
         if not base.optimal:
             return INFEASIBLE_RESULT, mu
         edges, cost = red.expand_solution(log, base.edges, base.cost)
@@ -368,7 +331,7 @@ def _solve_rec(inst: Instance, strategy, audit, fourcycle_bruteforce):
                 audit.enter_node()
                 audit.leaf()
             continue
-        sub, child_mu = _solve_rec(child, strategy, audit, fourcycle_bruteforce)
+        sub, child_mu = _solve_rec(child, strategy, audit)
         child_mus.append(child_mu)
         if sub.optimal:
             edges, cost = red.expand_solution(clog, sub.edges, sub.cost)

@@ -26,8 +26,8 @@ from cubictsp.analysis import (
 )
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import Instance
-from cubictsp.oracles import exhaustive_forced, held_karp
-from cubictsp.search import brute_force_4cycles, solve, solve_all_4cycles
+from cubictsp.oracles import _disconnects, brute_force_4cycles, exhaustive_forced, held_karp
+from cubictsp.search import solve, solve_all_4cycles
 
 PASS_FORMAT = "ACCEPTANCE {num} ({name}): PASS"
 
@@ -198,7 +198,7 @@ def _naive_circuit_partition(inst, comp):
     verts = sorted(comp.vertices)
     for i, a in enumerate(comp.edges):
         for b in comp.edges[i + 1 :]:
-            if conn._disconnects(inst, verts, eset, a, b):
+            if _disconnects(inst, verts, eset, a, b):
                 ra, rb = find(a), find(b)
                 if ra != rb:
                     parent[ra] = rb

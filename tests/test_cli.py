@@ -4,9 +4,11 @@ import sys
 
 import pytest
 
+import cubictsp.search as search
+from cubictsp.analysis import AuditViolation
 from cubictsp.cli import main
 from cubictsp.generators import GeneratorSpec, generate
-from cubictsp.graph import format_instance
+from cubictsp.graph import GraphError, format_instance
 
 
 @pytest.fixture
@@ -167,6 +169,38 @@ def test_bench_empty_directory(capsys, tmp_path):
     empty.mkdir()
     code, out, _ = run_cli(capsys, "bench", str(empty))
     assert code == 0
+
+
+@pytest.mark.parametrize("kind", ["missing", "file"])
+def test_bench_unreadable_directory(capsys, tmp_path, kind):
+    target = tmp_path / "nope"
+    if kind == "file":
+        target.write_text("")
+    code, out, err = run_cli(capsys, "bench", str(target))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+@pytest.mark.parametrize("exc", [GraphError, AuditViolation])
+def test_bench_solver_error_is_one_row(capsys, tmp_path, monkeypatch, exc):
+    for name, kind in [("a", "k4"), ("b", "prism")]:
+        p = tmp_path / f"{name}.ftsp"
+        p.write_text(format_instance(generate(GeneratorSpec(kind="named", name=kind))))
+    real_solve = search.solve
+
+    def solve(inst, **kwargs):
+        if inst.n_alive() == 6:
+            raise exc("boom")
+        return real_solve(inst, **kwargs)
+
+    monkeypatch.setattr(search, "solve", solve)
+    code, out, _ = run_cli(capsys, "bench", str(tmp_path))
+    assert code == 0
+    rows = out.strip().splitlines()
+    assert rows[1].startswith("a.ftsp\t4\toptimal\t4\t")
+    assert rows[2].startswith("b.ftsp\t-\terror: boom\t")
+    assert rows[3].startswith("aggregate max leaves")
 
 
 def test_console_entry_point():

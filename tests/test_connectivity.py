@@ -20,6 +20,7 @@ from cubictsp.connectivity import (
 )
 from cubictsp.generators import GeneratorSpec, generate
 from cubictsp.graph import GraphError
+from cubictsp.oracles import _disconnects
 
 from conftest import (
     build,
@@ -58,7 +59,7 @@ def test_k4_has_only_trivial_circuits():
     verts = sorted(comp.vertices)
     for i, a in enumerate(comp.edges):
         for b in comp.edges[i + 1 :]:
-            assert not conn._disconnects(inst, verts, eset, a, b)
+            assert not _disconnects(inst, verts, eset, a, b)
     circuits = circuit_partition(inst, comp)
     assert len(circuits) == 6
     assert all(c.trivial for c in circuits)
@@ -152,7 +153,7 @@ def brute_small_three_cuts(inst, comp, cap):
     return out
 
 
-def test_small_three_cuts_match_brute_force():
+def test_small_three_cuts_match_brute_force(monkeypatch):
     rng = random.Random(3)
     shapes = {"degree2": 0, "parallel": 0}
     checked = 0
@@ -179,8 +180,9 @@ def test_small_three_cuts_match_brute_force():
             ):
                 shapes["parallel"] += 1
             for cap in (4, 10) if len(comp.vertices) <= 12 else (10,):
+                monkeypatch.setattr(conn, "SMALL_SIDE", cap)
                 conn.clear_caches()
-                got = conn.component_cut_structure(inst, comp, cap)[1]
+                got = conn.component_cut_structure(inst, comp)[1]
                 assert len(got) == len(set(got))
                 assert set(got) == brute_small_three_cuts(inst, comp, cap)
                 # sorted by triple; the side holding eu of the first edge first
@@ -189,6 +191,24 @@ def test_small_three_cuts_match_brute_force():
                 checked += 1
     assert checked >= 60
     assert shapes["degree2"] >= 30 and shapes["parallel"] >= 20
+
+
+def test_cache_shares_no_forced_edge_facts():
+    # one labelled unforced 6-cycle; its forced edges sit at 0, 1 in a and
+    # at 2, 3 in b, so the two disagree on every forced block boundary
+    ring = [(i, (i + 1) % 6) for i in range(6)]
+    a = build(8, ring + [(0, 6), (1, 7)], forced=(6, 7))
+    b = build(8, ring + [(2, 6), (3, 7)], forced=(6, 7))
+    conn.clear_caches()
+    comp_a, comp_b = a.component_of(0), b.component_of(0)
+    (circuit,) = circuit_partition(a, comp_a)
+    blocks_a = blocks_along(a, comp_a, circuit)
+    assert circuit_partition(b, comp_b) is circuit_partition(a, comp_a)
+    blocks_b = blocks_along(b, comp_b, circuit)
+    for block in blocks_b:
+        assert block.cut_forced == len(b.cut(block.vertices)[0])
+    kinds_a = [classify_block(a, x) for x in blocks_a]
+    assert kinds_a != [classify_block(b, x) for x in blocks_b]
 
 
 def test_six_cycle_blocks_all_trivial():

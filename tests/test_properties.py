@@ -90,7 +90,8 @@ def test_circuits_partition_component_edges(seed):
 @given(seed=seeds, k=st.integers(1, 6))
 def test_four_cycle_assembly_equals_bruteforce(seed, k):
     from cubictsp.graph import Instance
-    from cubictsp.search import brute_force_4cycles, solve_all_4cycles
+    from cubictsp.oracles import brute_force_4cycles
+    from cubictsp.search import solve_all_4cycles
 
     rng = random.Random(seed)
     inst = Instance()

@@ -8,7 +8,7 @@ import cubictsp.reductions as red
 from cubictsp.analysis import DEFAULT_CONFIG, measure
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance
-from cubictsp.oracles import exhaustive_forced
+from cubictsp.oracles import exhaustive_forced, replay
 from cubictsp.reductions import (
     ReductionLog,
     check_feasibility,
@@ -21,7 +21,6 @@ from cubictsp.reductions import (
     reduce_4cut,
     reduce_parallel,
     reduce_to_fixpoint,
-    replay,
     solve_internal_paths,
 )
 from cubictsp.search import solve

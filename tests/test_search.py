@@ -7,9 +7,8 @@ import cubictsp.connectivity as conn
 import cubictsp.reductions as red
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance
-from cubictsp.oracles import exhaustive_forced, held_karp
+from cubictsp.oracles import brute_force_4cycles, exhaustive_forced, held_karp
 from cubictsp.search import (
-    brute_force_4cycles,
     circuit_procedure,
     select_branch_circuit,
     select_branch_circuit_simple,
@@ -331,12 +330,6 @@ def test_moebius_kantor_matches_dp():
     want = held_karp(inst)
     got = solve(inst)
     assert got.status == want.status and got.cost == want.cost
-
-
-def test_fourcycle_bruteforce_flag():
-    inst = generate(GeneratorSpec(kind="named", name="prism"))
-    got = solve(inst, fourcycle_bruteforce=True)
-    assert got.optimal and got.cost == 6
 
 
 def test_strategies_agree_on_random_corpus(rng):
