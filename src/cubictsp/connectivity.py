@@ -6,16 +6,22 @@ its classes are the *circuits*.  The connected pieces left between two
 consecutive circuit edges are the *blocks*.  Branching and the deterministic
 propagation of include/delete decisions both walk this structure.
 
+Cut pairs, their sides, and every circuit's cyclic order and blocks come
+from one depth-first tree per component: a circuit's tree edges lie on one
+root path, so each of its blocks is at most three slices of the preorder.
+
 One module-level cache, keyed on a component's labelled unforced edges,
 shares results across search-tree siblings that did not touch the
-component.  It may hold only facts of those labelled edges: bridges, cut
-pairs with their sides, small 3-cuts and the circuit partition.  Anything
-that reads forced edges, such as a block's forced boundary, is recomputed.
+component.  It may hold only facts of those labelled edges: bridges, the
+DFS tree, cut pairs with their sides, small 3-cuts and the circuit
+partition.  A cached circuit carries its blocks' preorder slices, which are
+facts of the labelled unforced edges only; anything that reads forced
+edges, such as a block's ``cut_forced``, is recomputed on every call.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import wraps
 
 from .graph import GraphError, Instance, UComponent
@@ -64,10 +70,15 @@ class Block:
         return self.cut_forced % 2 == 1
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)  # cached, up to one per component edge
 class Circuit:
     edges: tuple  # ordered edge ids; cyclic when nontrivial
     trivial: bool
+    # nontrivial only: the component's vertices in DFS preorder, shared by
+    # all its circuits, and per block the flat (lo, hi, ...) bounds of the
+    # preorder slices it is made of
+    preorder: tuple = field(default=(), compare=False, repr=False)
+    slices: tuple = field(default=(), compare=False, repr=False)
 
 
 TRIVIAL = "trivial"
@@ -98,12 +109,26 @@ def _unforced_bridges(inst: Instance, comp: UComponent) -> list[int]:
 
 @_cached
 def component_pairs2(inst: Instance, comp: UComponent):
-    """Disconnecting edge pairs of a component with their two vertex sides."""
+    """Disconnecting edge pairs of a component with their two vertex sides,
+    the side holding the component's lowest vertex first.
+
+    Both tree edges of a pair lie on one root path, so the inner side is
+    sub(top) minus sub(low), or all of sub(top) when the partner is the
+    back edge that alone covers the tree edge above ``top``.
+    """
+    pre, _, tree_edge, size, _ = _dfs_tree(inst, comp)
+    n = len(pre)
+    child = {e: i for i, e in enumerate(tree_edge) if i}
     pairs2 = []
     for e, f in two_cut_pairs(inst, comp):
-        pieces = _subgraph_pieces(inst, comp.vertices, comp.edges, {e, f})
-        if len(pieces) == 2:
-            pairs2.append((e, f, pieces[0], pieces[1]))
+        top, *low = sorted(child[x] for x in (e, f) if x in child)
+        top_end = top + size[top]
+        if low:
+            lo, lo_end = low[0], low[0] + size[low[0]]
+            inner, outer = (top, lo, lo_end, top_end), (0, top, lo, lo_end, top_end, n)
+        else:
+            inner, outer = (top, top_end), (0, top, top_end, n)
+        pairs2.append((e, f, _gather(pre, outer), _gather(pre, inner)))
     return pairs2
 
 
@@ -236,6 +261,62 @@ def _local_adjacency(inst: Instance, verts, edges) -> list[list[tuple[int, int]]
 
 
 @_cached
+def _dfs_tree(inst: Instance, comp: UComponent):
+    """Depth-first spanning tree of a component, rooted at its lowest vertex.
+
+    Returns (pre, parent, tree_edge, size, back), indexed by preorder
+    position: ``pre`` is the tuple of vertices in preorder, node i > 0 hangs
+    from ``parent[i]`` by ``tree_edge[i]``, and its subtree sub(i) is the
+    slice ``pre[i:i + size[i]]``.  ``back`` lists every other edge as (edge
+    id, ancestor position, descendant position); of a parallel bundle, the
+    first copy walked is the tree edge and the rest are back edges.
+    """
+    verts = sorted(comp.vertices)
+    nbr = _local_adjacency(inst, verts, comp.edges)
+    n = len(nbr)
+    num = [-1] * n
+    num[0] = 0
+    pre = [verts[0]]
+    parent = [-1]
+    tree_edge = [-1]
+    back = []
+    stack = [(0, iter(nbr[0]))]
+    while stack:
+        v, it = stack[-1]
+        i = num[v]
+        for e, w in it:
+            j = num[w]
+            if j == -1:
+                num[w] = len(pre)
+                pre.append(verts[w])
+                parent.append(i)
+                tree_edge.append(e)
+                stack.append((w, iter(nbr[w])))
+                break
+            if j < i and e != tree_edge[i]:
+                back.append((e, j, i))
+        else:
+            stack.pop()
+    if len(pre) != n:
+        raise GraphError("subgraph is not connected")
+    size = [1] * n
+    for i in range(n - 1, 0, -1):
+        size[parent[i]] += size[i]
+    return tuple(pre), parent, tree_edge, size, back
+
+
+def _gather(pre: tuple, bounds: tuple) -> frozenset:
+    """Vertices of the preorder slices [bounds[0], bounds[1]), [bounds[2],
+    bounds[3]), ..."""
+    verts = set()
+    for j in range(0, len(bounds), 2):
+        verts.update(pre[bounds[j] : bounds[j + 1]])
+    # copied from a set, a frozenset's table is sized to its members; built
+    # from a sequence it keeps up to twice that, and pairs2 caches many
+    return frozenset(verts)
+
+
+@_cached
 def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
     """All unforced edge pairs whose removal disconnects the component and
     of which neither edge is a bridge by itself.
@@ -246,63 +327,33 @@ def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
     since equal sets hash equally).  (tree, back) matches are exact outright;
     tree-pair groups are confirmed exactly by a bridge sweep.
     """
-    verts = sorted(comp.vertices)
-    nbr = _local_adjacency(inst, verts, comp.edges)
-    n = len(nbr)
-    num = [-1] * n
-    tree_edge = [-1] * n
-    tree_seen = [False] * n
-    parent = [-1] * n
-    order = []
+    pre, parent, tree_edge, _, back = _dfs_tree(inst, comp)
+    n = len(pre)
     xor_acc = [0] * n
     cnt_acc = [0] * n
-    back_val: dict[int, int] = {}
-    num[0] = 0
-    order.append(0)
-    stack = [(0, iter(nbr[0]))]
-    while stack:
-        v, it = stack[-1]
-        advanced = False
-        for e, w in it:
-            if e == tree_edge[v] and not tree_seen[v]:
-                tree_seen[v] = True  # a parallel copy is still a back edge
-                continue
-            if num[w] == -1:
-                num[w] = len(order)
-                order.append(w)
-                tree_edge[w] = e
-                tree_seen[w] = False
-                parent[w] = v
-                stack.append((w, iter(nbr[w])))
-                advanced = True
-                break
-            if num[w] < num[v]:
-                val = _edge_fingerprint(e)
-                back_val[e] = val
-                xor_acc[v] ^= val
-                xor_acc[w] ^= val
-                cnt_acc[v] += 1
-                cnt_acc[w] -= 1
-        if not advanced:
-            stack.pop()
-    if len(order) != n:
-        raise GraphError("subgraph is not connected")
-    for v in reversed(order[1:]):
-        p = parent[v]
-        xor_acc[p] ^= xor_acc[v]
-        cnt_acc[p] += cnt_acc[v]
-    val_to_back = {val: e for e, val in back_val.items()}
+    val_to_back: dict[int, int] = {}
+    for e, a, d in back:
+        val = _edge_fingerprint(e)
+        val_to_back[val] = e
+        xor_acc[a] ^= val
+        xor_acc[d] ^= val
+        cnt_acc[a] -= 1
+        cnt_acc[d] += 1
+    for i in range(n - 1, 0, -1):
+        p = parent[i]
+        xor_acc[p] ^= xor_acc[i]
+        cnt_acc[p] += cnt_acc[i]
     out = []
     singles: dict[int, list[int]] = {}
     multis: dict[int, list[int]] = {}
-    for v in order[1:]:
-        if cnt_acc[v] == 0:
+    for i in range(1, n):
+        if cnt_acc[i] == 0:
             continue  # bridge; not part of any minimal pair
-        h = xor_acc[v]
-        if cnt_acc[v] == 1:
-            singles.setdefault(h, []).append(tree_edge[v])
+        h = xor_acc[i]
+        if cnt_acc[i] == 1:
+            singles.setdefault(h, []).append(tree_edge[i])
         else:
-            multis.setdefault(h, []).append(tree_edge[v])
+            multis.setdefault(h, []).append(tree_edge[i])
     # a single cover fingerprints to exactly that back edge, so these matches
     # and the pairs inside one singles group are exact outright
     for h, group in singles.items():
@@ -321,7 +372,7 @@ def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
         pending = sorted(group)
         while len(pending) > 1:
             ok[pending[0]] = False
-            bset = set(inst.bridges(edge_ok=ok, roots=(verts[0],)))
+            bset = set(inst.bridges(edge_ok=ok, roots=(pre[0],)))
             ok[pending[0]] = True
             verified = [pending[0]] + [m for m in pending[1:] if m in bset]
             for i, a in enumerate(verified):
@@ -361,68 +412,65 @@ def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
     for e in comp.edges:
         groups.setdefault(find(e), []).append(e)
 
+    pre, _, tree_edge, size, _ = _dfs_tree(inst, comp)
+    child = {e: i for i, e in enumerate(tree_edge) if i}
     circuits = []
     for group in groups.values():
         group.sort()
         if len(group) == 1:
             circuits.append(Circuit((group[0],), True))
-            continue
-        circuits.append(Circuit(_circuit_cycle(inst, comp, group)[0], False))
+        else:
+            circuits.append(_cyclic_circuit(group, pre, child, size))
     circuits.sort(key=lambda c: c.edges[0])
     return circuits
 
 
-def _circuit_cycle(inst: Instance, comp: UComponent, group) -> tuple:
-    """Traverse the alternating edge/piece cycle of a circuit.
+def _cyclic_circuit(group, pre: tuple, child: dict, size: list) -> Circuit:
+    """Order a nontrivial circuit and slice its blocks out of the DFS tree.
 
-    The pieces of the component minus the circuit edges each touch exactly
-    two circuit edges; edges and pieces alternate around one cycle.  Returns
-    (ordered edge ids, ordered piece vertex sets), normalized to start at the
-    lowest edge id and run toward the lower-id neighbouring edge, with piece
-    i lying between edges i and i+1 (cyclically).
+    Its tree edges share one cover set, so their children c_1 < ... < c_k
+    (by preorder) lie on one root path; the cycle runs c_1, ..., c_k and
+    closes through the circuit's back edge, if it has one.  The block after
+    c_j is sub(c_j) - sub(c_{j+1}).  With a back edge, the block after c_k
+    is sub(c_k) and the block after the back edge is the outside of
+    sub(c_1); without one, the block after c_k is the outside plus sub(c_k).
     """
-    group = sorted(group)
-    removed = set(group)
-    pieces = _subgraph_pieces(inst, comp.vertices, comp.edges, removed)
-    piece_of = {}
-    for idx, piece in enumerate(pieces):
-        for v in piece:
-            piece_of[v] = idx
-    incid: dict[int, list[int]] = {i: [] for i in range(len(pieces))}
-    for e in group:
-        pu, pv = piece_of[inst.eu[e]], piece_of[inst.ev[e]]
-        if pu == pv:
-            raise GraphError("circuit edge inside one piece")
-        incid[pu].append(e)
-        incid[pv].append(e)
-    if any(len(es) != 2 for es in incid.values()):
-        raise GraphError("circuit pieces must touch exactly two circuit edges")
-    start = group[0]
-    pa, pb = piece_of[inst.eu[start]], piece_of[inst.ev[start]]
-    second = min(e for p in {pa, pb} for e in incid[p] if e != start)
-    first_piece = min(p for p in (pa, pb) if second in incid[p])
-    order_edges = [start]
-    order_pieces = [first_piece]
-    prev_edge, cur_piece = start, first_piece
-    while len(order_edges) < len(group):
-        nxt = next(e for e in incid[cur_piece] if e != prev_edge)
-        pu, pv = piece_of[inst.eu[nxt]], piece_of[inst.ev[nxt]]
-        cur_piece = pv if pu == cur_piece else pu
-        order_edges.append(nxt)
-        order_pieces.append(cur_piece)
-        prev_edge = nxt
-    return tuple(order_edges), [pieces[i] for i in order_pieces]
+    n = len(pre)
+    tree = sorted((child[e], e) for e in group if e in child)
+    closing = [e for e in group if e not in child]
+    edges = [e for _, e in tree] + closing
+    subs = [(c, c + size[c]) for c, _ in tree]
+    blocks = [(a, b, b_end, a_end) for (a, a_end), (b, b_end) in zip(subs, subs[1:])]
+    (top, top_end), (low, low_end) = subs[0], subs[-1]
+    if closing:
+        blocks += [(low, low_end), (0, top, top_end, n)]
+    else:
+        blocks.append((0, top, low, low_end, top_end, n))
+    # start at the lowest edge id and run toward its lower-id neighbour; a
+    # 2-edge circuit instead puts the last block, which holds the root, first
+    m = len(edges)
+    s = edges.index(min(edges))
+    if m == 2:
+        forward = s == 1
+    else:
+        forward = edges[(s + 1) % m] < edges[s - 1]
+    if forward:
+        idx = [(s + t) % m for t in range(m)]
+        slices = [blocks[i] for i in idx]
+    else:
+        idx = [(s - t) % m for t in range(m)]
+        slices = [blocks[i - 1] for i in idx]
+    return Circuit(tuple(edges[i] for i in idx), False, pre, tuple(slices))
 
 
 def blocks_along(inst: Instance, comp: UComponent, circuit: Circuit) -> list[Block]:
-    """Ordered blocks, block i sitting between edges i and i+1 (cyclic)."""
+    """Ordered blocks of a circuit of ``comp``, block i sitting between
+    edges i and i+1 (cyclic)."""
     if circuit.trivial:
         raise GraphError("trivial circuit has no block decomposition")
-    order, pieces = _circuit_cycle(inst, comp, circuit.edges)
-    if order != circuit.edges:
-        raise GraphError("circuit edges out of normalized order")
     blocks = []
-    for piece in pieces:
+    for bounds in circuit.slices:
+        piece = _gather(circuit.preorder, bounds)
         cf = 0
         for v in piece:
             for g in inst.adj[v]:
@@ -567,11 +615,9 @@ def _standalone_component(inst: Instance, verts) -> UComponent:
     return UComponent(frozenset(verts), edges, boundary)
 
 
-def _has_normal_subblock(inst: Instance, verts, depth: int = 0) -> bool:
-    """Recursively scan a block as a standalone 2-edge-connected piece for
-    any inner block that would itself deserve branching."""
-    if depth > 32:
-        raise GraphError("block nesting too deep")
+def _has_normal_subblock(inst: Instance, verts) -> bool:
+    """Scan a block as a standalone 2-edge-connected piece for any inner
+    block that would itself deserve branching."""
     sub = _standalone_component(inst, verts)
     if sub.trivial or len(sub.vertices) < 2:
         return False
@@ -591,7 +637,8 @@ def _has_normal_subblock(inst: Instance, verts, depth: int = 0) -> bool:
 
 def find_minimal_normal_block(inst: Instance, comp: UComponent):
     """A normal block containing no nested normal block, with the circuit it
-    lies on.  Preference: fewest vertices, then lexicographic vertex ids."""
+    lies on.  Preference: fewest vertices, then lexicographic vertex ids;
+    when every normal block nests another, the first by that order."""
     candidates = []
     for circuit in circuit_partition(inst, comp):
         if circuit.trivial:
@@ -601,12 +648,11 @@ def find_minimal_normal_block(inst: Instance, comp: UComponent):
                 candidates.append((circuit, block))
     if not candidates:
         raise GraphError("no normal block in component")
-    minimal = [
-        (c, b) for c, b in candidates if not _has_normal_subblock(inst, b.vertices)
-    ]
-    pool = minimal if minimal else candidates
-    pool.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
-    return pool[0]
+    candidates.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
+    return next(
+        (cb for cb in candidates if not _has_normal_subblock(inst, cb[1].vertices)),
+        candidates[0],
+    )
 
 
 def dump_structure(inst: Instance) -> str:

@@ -162,7 +162,7 @@ class Instance:
         xs = set(xset)
         if not xs:
             raise GraphError("empty vertex set")
-        if all(self.valive[v] and v in xs for v in self.alive_vertices()):
+        if sum(1 for v in xs if self.valive[v]) == self.n_alive():
             raise GraphError("vertex set must be proper")
         cf: list[int] = []
         cu: list[int] = []

@@ -8,7 +8,8 @@ common integer denominator first.
 
 The slow references that tests hold the solver's own primitives against
 live here too: ``brute_force_4cycles`` for the 4-cycle base case,
-``replay`` for the reduction log and ``_disconnects`` for cut pairs.
+``replay`` for the reduction log, ``_disconnects`` for cut pairs and
+``_circuit_cycle``, a flood fill per circuit, for circuit order and blocks.
 """
 
 from __future__ import annotations
@@ -18,7 +19,8 @@ from math import gcd
 from typing import Optional
 
 from . import connectivity as conn
-from .graph import GraphError, Instance
+from .connectivity import _subgraph_pieces
+from .graph import GraphError, Instance, UComponent
 from .reductions import (
     ContractPath,
     DeleteEdge,
@@ -315,3 +317,45 @@ def _disconnects(inst: Instance, verts, eset, a, b) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) != len(verts)
+
+
+def _circuit_cycle(inst: Instance, comp: UComponent, group) -> tuple:
+    """Traverse the alternating edge/piece cycle of a circuit.
+
+    The pieces of the component minus the circuit edges each touch exactly
+    two circuit edges; edges and pieces alternate around one cycle.  Returns
+    (ordered edge ids, ordered piece vertex sets), normalized to start at the
+    lowest edge id and run toward the lower-id neighbouring edge, with piece
+    i lying between edges i and i+1 (cyclically).
+    """
+    group = sorted(group)
+    removed = set(group)
+    pieces = _subgraph_pieces(inst, comp.vertices, comp.edges, removed)
+    piece_of = {}
+    for idx, piece in enumerate(pieces):
+        for v in piece:
+            piece_of[v] = idx
+    incid: dict[int, list[int]] = {i: [] for i in range(len(pieces))}
+    for e in group:
+        pu, pv = piece_of[inst.eu[e]], piece_of[inst.ev[e]]
+        if pu == pv:
+            raise GraphError("circuit edge inside one piece")
+        incid[pu].append(e)
+        incid[pv].append(e)
+    if any(len(es) != 2 for es in incid.values()):
+        raise GraphError("circuit pieces must touch exactly two circuit edges")
+    start = group[0]
+    pa, pb = piece_of[inst.eu[start]], piece_of[inst.ev[start]]
+    second = min(e for p in {pa, pb} for e in incid[p] if e != start)
+    first_piece = min(p for p in (pa, pb) if second in incid[p])
+    order_edges = [start]
+    order_pieces = [first_piece]
+    prev_edge, cur_piece = start, first_piece
+    while len(order_edges) < len(group):
+        nxt = next(e for e in incid[cur_piece] if e != prev_edge)
+        pu, pv = piece_of[inst.eu[nxt]], piece_of[inst.ev[nxt]]
+        cur_piece = pv if pu == cur_piece else pu
+        order_edges.append(nxt)
+        order_pieces.append(cur_piece)
+        prev_edge = nxt
+    return tuple(order_edges), [pieces[i] for i in order_pieces]

@@ -20,7 +20,7 @@ from cubictsp.connectivity import (
 )
 from cubictsp.generators import GeneratorSpec, generate
 from cubictsp.graph import GraphError
-from cubictsp.oracles import _disconnects
+from cubictsp.oracles import _circuit_cycle, _disconnects
 
 from conftest import (
     build,
@@ -415,3 +415,117 @@ def test_dump_structure_mentions_circuits():
     inst = six_cycle_with_pendants()
     text = conn.dump_structure(inst)
     assert "circuit" in text and "block" in text and "parity" in text
+
+
+def _pairs2_by_flood_fill(inst, comp):
+    out = []
+    for e, f in two_cut_pairs(inst, comp):
+        pieces = conn._subgraph_pieces(inst, comp.vertices, comp.edges, {e, f})
+        if len(pieces) == 2:
+            out.append((e, f, pieces[0], pieces[1]))
+    return out
+
+
+def test_tree_slices_match_flood_fill_reference():
+    rng = random.Random(11)
+    seen = {"two_edge": 0, "longer": 0, "degree2": 0, "parallel": 0, "pairs2": 0}
+    for trial in range(300):
+        n = rng.choice([6, 8, 10, 14, 18, 24])
+        if trial % 2:
+            inst = random_degree3_multigraph(rng, n)
+        else:
+            inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=trial))
+            for e in list(inst.alive_edges()):
+                if rng.random() < 0.15:
+                    u, v = inst.endpoints(e)
+                    if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                        inst.include_edge(e)
+        conn.clear_caches()
+        for comp in inst.u_components():
+            if comp.trivial:
+                continue
+            if any(inst.degrees(v)[2] == 2 for v in comp.vertices):
+                seen["degree2"] += 1
+            if len({frozenset(inst.endpoints(e)) for e in comp.edges}) < len(comp.edges):
+                seen["parallel"] += 1
+            pairs2 = conn.component_pairs2(inst, comp)
+            assert pairs2 == _pairs2_by_flood_fill(inst, comp)
+            seen["pairs2"] += len(pairs2)
+            if not is_2_edge_connected(inst, comp):
+                continue
+            for circuit in circuit_partition(inst, comp):
+                if circuit.trivial:
+                    continue
+                order, pieces = _circuit_cycle(inst, comp, circuit.edges)
+                assert circuit.edges == order
+                blocks = blocks_along(inst, comp, circuit)
+                assert [b.vertices for b in blocks] == pieces
+                for block in blocks:
+                    assert block.cut_forced == len(inst.cut(block.vertices)[0])
+                seen["two_edge" if len(order) == 2 else "longer"] += 1
+    assert seen["two_edge"] >= 100 and seen["longer"] >= 40
+    assert seen["degree2"] >= 30 and seen["parallel"] >= 10 and seen["pairs2"] >= 300
+
+
+def nested_block_instance():
+    """Two 4-vertex normal blocks on one 2-edge circuit: X = {0..3} is K4
+    minus an edge, which nests the normal block {0, 1, 3}; Z = {4..7} is a
+    4-cycle with a forced chord, which nests none.  X sorts first."""
+    return build(
+        8,
+        [
+            (0, 1), (0, 2), (0, 3), (1, 2), (1, 3),  # X
+            (2, 4), (3, 6),  # the circuit
+            (4, 5), (5, 6), (6, 7), (7, 4), (5, 7),  # Z and its chord
+        ],
+        forced=(11,),
+    )
+
+
+def _eager_minimal_normal_block(inst, comp):
+    """Filter every normal candidate, then sort; None without candidates."""
+    candidates = [
+        (circuit, block)
+        for circuit in circuit_partition(inst, comp)
+        if not circuit.trivial
+        for block in blocks_along(inst, comp, circuit)
+        if classify_block(inst, block) == NORMAL
+    ]
+    minimal = [
+        (c, b) for c, b in candidates if not conn._has_normal_subblock(inst, b.vertices)
+    ]
+    pool = minimal if minimal else candidates
+    pool.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
+    return pool[0] if pool else None
+
+
+def test_minimal_normal_block_matches_eager_rule():
+    inst = nested_block_instance()
+    comp = inst.component_of(0)
+    circuit, block = find_minimal_normal_block(inst, comp)
+    assert block.vertices == frozenset({4, 5, 6, 7}) and set(circuit.edges) == {5, 6}
+    assert conn._has_normal_subblock(inst, frozenset({0, 1, 2, 3}))
+    assert (circuit, block) == _eager_minimal_normal_block(inst, comp)
+
+    rng = random.Random(7)
+    seen = {"minimal": 0, "all_nested": 0}
+    for trial in range(200):
+        n = rng.choice([12, 16, 20, 24])
+        inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=500 + trial))
+        for e in list(inst.alive_edges()):
+            if rng.random() < 0.15:
+                u, v = inst.endpoints(e)
+                if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                    inst.include_edge(e)
+        for comp in inst.u_components():
+            if comp.trivial or not is_2_edge_connected(inst, comp):
+                continue
+            want = _eager_minimal_normal_block(inst, comp)
+            if want is None:
+                with pytest.raises(GraphError):
+                    find_minimal_normal_block(inst, comp)
+                continue
+            assert find_minimal_normal_block(inst, comp) == want
+            nested = conn._has_normal_subblock(inst, want[1].vertices)
+            seen["all_nested" if nested else "minimal"] += 1
+    assert seen["minimal"] >= 20 and seen["all_nested"] >= 20

@@ -30,6 +30,21 @@ def test_cut_rejects_empty_and_full():
         inst.cut({0, 1, 2, 3})
 
 
+def test_cut_properness_ignores_dead_vertices():
+    # 6-cycle whose vertex 5 is cut out: 0..4 become a path, 5 is dead
+    inst = cycle_instance(6)
+    inst.delete_edge(4)
+    inst.delete_edge(5)
+    inst.remove_vertex(5)
+    for xs in ({0, 1, 2, 3, 4}, {0, 1, 2, 3, 4, 5}):
+        with pytest.raises(GraphError, match="proper"):
+            inst.cut(xs)
+    assert inst.cut({0, 1, 2, 3}) == ([], [3])
+    assert inst.cut({0, 1, 2, 3, 5}) == ([], [3])
+    inst.include_edge(0)
+    assert inst.cut({1, 2, 3, 4}) == ([0], [])
+
+
 def test_degrees_fresh_cubic_and_forced():
     inst = generate(GeneratorSpec(kind="named", name="k4"))
     assert inst.degrees(0) == (3, 0, 3)
