@@ -5,7 +5,8 @@ measure mu.  Reductions must never raise mu, each branch child must strictly
 lower it, and the number of search-tree leaves is bounded by 2^(0.3 * mu0).
 The audit collects exact rational evidence for all three claims, plus the
 reference table of branching vectors whose recurrence roots certify the
-exponent 2^(3/10).
+exponent 2^(3/10).  A solve reports its events to an ``Observer``; the
+default one does nothing, ``MeasureAudit`` checks the measure.
 """
 
 from __future__ import annotations
@@ -263,7 +264,50 @@ class StepStat:
             self.max_delta = delta
 
 
-class MeasureAudit:
+class Observer:
+    """The events of one solve, ignored: ``measure_of`` measures nothing and
+    every other hook does nothing.  ``MeasureAudit`` overrides them all."""
+
+    def measure_of(self, inst: Instance, outcome=None) -> Optional[Fraction]:
+        return None
+
+    def _ignore(self, *args, **kwargs) -> None:
+        pass
+
+    start = enter_node = leaf = step = reducible_circuit = settle_cascade = branch = _ignore
+
+
+NO_OBSERVER = Observer()
+
+
+def _lemma8_hypothesis(inst: Instance, red_edge: int) -> bool:
+    """Exactly one pinned-free single-vertex block along the cut-forced
+    edge's circuit, inside a triangle-free component."""
+    comp = inst.component_of(inst.eu[red_edge])
+    if comp.trivial or not conn.is_2_edge_connected(inst, comp):
+        return False
+    adj: dict[int, set] = {v: set() for v in comp.vertices}
+    for e in comp.edges:
+        u, v = inst.endpoints(e)
+        adj[u].add(v)
+        adj[v].add(u)
+    for v in comp.vertices:
+        for a in adj[v]:
+            if adj[v] & adj[a]:
+                return False
+    circuit = next(
+        (c for c in conn.circuit_partition(inst, comp) if red_edge in c.edges), None
+    )
+    if circuit is None or circuit.trivial:
+        return False
+    blocks = conn.blocks_along(inst, comp, circuit)
+    reducible = sum(
+        1 for b in blocks if conn.classify_block(inst, b) == conn.REDUCIBLE
+    )
+    return reducible == 1
+
+
+class MeasureAudit(Observer):
     """Collects mu evidence across one solve run.
 
     Hard checks raise: a reduction step must not raise mu, and every branch
@@ -313,6 +357,10 @@ class MeasureAudit:
             )
             raise AuditViolation(self.violations[-1])
 
+    def reducible_circuit(self, inst: Instance, red_edge: int, mu_before) -> None:
+        if _lemma8_hypothesis(inst, red_edge):
+            self.mark_cascade(mu_before)
+
     def mark_cascade(self, mu_before: Fraction) -> None:
         """Open a deferred check: a cut-forced circuit with exactly one
         pinned-free single-vertex block in a triangle-free component must,
@@ -348,9 +396,6 @@ class MeasureAudit:
             self.warnings.append(
                 f"branch vector load {load:.6f} > 1 (children {child_mus}, parent {mu_parent})"
             )
-
-    def finish(self, result) -> None:
-        pass
 
     # reporting
 

@@ -2,7 +2,8 @@
 
 Subcommands: solve, oracle, gen, bench, audit.  ``solve`` prints either
 ``OPTIMAL <cost>`` followed by the tour's edges (one ``u v`` pair per line,
-1-indexed, sorted) or ``INFEASIBLE``; exit code 0 / 1, or 2 on input errors.
+1-indexed, sorted) or ``INFEASIBLE``; exit code 0 / 1, or 2 with one
+``error:`` line on input errors and failed measure audits.
 """
 
 from __future__ import annotations
@@ -38,9 +39,11 @@ def _tour_lines(inst, edges) -> list[str]:
 
 def cmd_solve(args) -> int:
     inst = _read_instance(args.file)
-    audit = analysis.MeasureAudit() if (args.audit or args.stats) else None
+    audit = None
     if args.trace_reductions:
         audit = _TracingAudit()
+    elif args.audit:
+        audit = analysis.MeasureAudit()
     result = search.solve(inst, strategy=args.strategy, audit=audit)
     if args.stats:
         sys.stdout.write(connectivity.dump_structure(inst))
@@ -50,7 +53,7 @@ def cmd_solve(args) -> int:
             print(line)
     else:
         print("INFEASIBLE")
-    if audit is not None and (args.audit or args.trace_reductions):
+    if args.audit or args.trace_reductions:
         sys.stdout.write(audit.format_report())
     return 0 if result.optimal else 1
 
@@ -208,7 +211,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.func(args)
-    except GraphError as exc:
+    except (GraphError, analysis.AuditViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

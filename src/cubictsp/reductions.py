@@ -19,6 +19,7 @@ from fractions import Fraction
 from typing import Optional
 
 from . import connectivity as conn
+from .analysis import NO_OBSERVER
 from .graph import GraphError, Instance
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
@@ -512,8 +513,7 @@ def solve_internal_paths(inst: Instance, x_vertices, pairs):
                     forced_needed.add(e)
     best: list = [None]
 
-    endpoints_ok = all(a in verts and b in verts for a, b in pairs)
-    if not endpoints_ok:
+    if not all(a in verts and b in verts for a, b in pairs):
         raise GraphError("path endpoints must lie inside the set")
 
     a0, b0 = pairs[0]
@@ -559,6 +559,11 @@ def solve_internal_paths(inst: Instance, x_vertices, pairs):
     return best[0]
 
 
+def _internal_edges(inst: Instance, xs) -> list[int]:
+    """Sorted ids of the edges, forced or not, with both ends in ``xs``."""
+    return sorted(conn._edges_inside(inst, xs, False) + conn._edges_inside(inst, xs, True))
+
+
 # -- 3-cut replacement ----------------------------------------------------------------
 
 
@@ -583,19 +588,13 @@ def reduce_3cut(inst: Instance, log: ReductionLog, x_vertices):
         sols.append(solve_internal_paths(inst, xs, [pair]))
     feas = [i for i in range(3) if sols[i] is not None]
 
-    internal_edges = []
-    seen = set()
-    for v in xs:
-        for e in inst.adj[v]:
-            if e not in seen and inst.other_end(e, v) in xs:
-                seen.add(e)
-                internal_edges.append(e)
+    internal_edges = _internal_edges(inst, xs)
     old_w = [inst.ew[e] for e, _, _ in b_info]
     old_sign = [inst.eforced[e] for e, _, _ in b_info]
 
     for e, _, _ in b_info:
         inst.delete_edge(e)
-    for e in sorted(internal_edges):
+    for e in internal_edges:
         inst.delete_edge(e)
     for v in sorted(xs):
         inst.remove_vertex(v)
@@ -632,7 +631,7 @@ def reduce_3cut(inst: Instance, log: ReductionLog, x_vertices):
     log.append(
         ThreeCut(
             tuple(sorted(xs)),
-            tuple(sorted(internal_edges)),
+            tuple(internal_edges),
             tuple(b_info),
             x,
             new_edges,
@@ -646,13 +645,23 @@ def reduce_3cut(inst: Instance, log: ReductionLog, x_vertices):
 # -- 4-cut replacement ----------------------------------------------------------------
 
 
-def _four_cut_problems(inst: Instance, xs, anchors):
+def _four_cut_anchors(inst: Instance, xs, forced_cut) -> list[int]:
+    """The vertex of ``xs`` each forced boundary edge attaches to, in edge
+    order."""
+    anchors = []
+    for e in sorted(forced_cut):
+        u, v = inst.endpoints(e)
+        anchors.append(u if u in xs else v)
+    return anchors
+
+
+def _four_cut_problems(anchors):
     """The three disjoint-path pairings for a 4-forced-edge boundary."""
-    x1, x2, x3, x4 = anchors
-    probs = []
-    for i, (j1, j2) in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1))):
-        probs.append([(anchors[i], x4), (anchors[j1], anchors[j2])])
-    return probs
+    x4 = anchors[3]
+    return [
+        [(anchors[i], x4), (anchors[j1], anchors[j2])]
+        for i, (j1, j2) in ((0, (1, 2)), (1, (0, 2)), (2, (0, 1)))
+    ]
 
 
 def is_4cut_reducible(inst: Instance, x_vertices) -> bool:
@@ -664,13 +673,10 @@ def is_4cut_reducible(inst: Instance, x_vertices) -> bool:
     cf, cu = inst.cut(xs)
     if len(cf) != 4 or cu:
         return False
-    anchors = []
-    for e in sorted(cf):
-        u, v = inst.endpoints(e)
-        anchors.append(u if u in xs else v)
+    anchors = _four_cut_anchors(inst, xs, cf)
     if len(set(anchors)) != 4:
         return False
-    for pairs in _four_cut_problems(inst, xs, anchors):
+    for pairs in _four_cut_problems(anchors):
         if solve_internal_paths(inst, xs, pairs) is None:
             return True
     return False
@@ -683,32 +689,23 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
     cf, cu = inst.cut(xs)
     if len(cf) != 4 or cu:
         raise GraphError("not a pure forced 4-cut")
-    anchors = []
-    for e in sorted(cf):
-        u, v = inst.endpoints(e)
-        anchors.append(u if u in xs else v)
+    anchors = _four_cut_anchors(inst, xs, cf)
     if len(set(anchors)) != 4:
         raise GraphError("attachments not distinct")
-    probs = _four_cut_problems(inst, xs, anchors)
+    probs = _four_cut_problems(anchors)
     sols = [solve_internal_paths(inst, xs, p) for p in probs]
     feas = [i for i in range(3) if sols[i] is not None]
     if len(feas) >= 3:
         raise GraphError("subgraph is not 4-cut reducible")
 
-    internal_edges = []
-    seen = set()
-    for v in xs:
-        for e in inst.adj[v]:
-            if e not in seen and inst.other_end(e, v) in xs:
-                seen.add(e)
-                internal_edges.append(e)
+    internal_edges = _internal_edges(inst, xs)
     inner_vertices = sorted(xs - set(anchors))
-    for e in sorted(internal_edges):
+    for e in internal_edges:
         inst.delete_edge(e)
     for v in inner_vertices:
         inst.remove_vertex(v)
 
-    x1, x2, x3, x4 = anchors
+    x4 = anchors[3]
     new_edges: tuple = ()
     solutions: tuple = ()
     if len(feas) == 1:
@@ -754,7 +751,7 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
         FourCut(
             tuple(anchors),
             tuple(inner_vertices),
-            tuple(sorted(internal_edges)),
+            tuple(internal_edges),
             len(feas),
             new_edges,
             solutions,
@@ -986,130 +983,81 @@ def _connected_subsets(adjacency: dict, weights: list, cap: int):
 
 def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit=None):
     """Apply every reduction until none fires.  Returns (instance, log,
-    outcome); the instance is mutated in place."""
+    outcome); the instance is mutated in place and ``audit`` (an
+    ``analysis.Observer``) sees every step."""
     if log is None:
         log = ReductionLog()
+    if audit is None:
+        audit = NO_OBSERVER
     inst, log, outcome = _reduce_loop(inst, log, audit)
-    if audit is not None:
-        audit.settle_cascade(inst, outcome)
+    audit.settle_cascade(inst, outcome)
     return inst, log, outcome
 
 
-def _lemma8_hypothesis(inst: Instance, red_edge: int) -> bool:
-    """Exactly one pinned-free single-vertex block along the cut-forced
-    edge's circuit, inside a triangle-free component."""
-    comp = inst.component_of(inst.eu[red_edge])
-    if comp.trivial or not conn.is_2_edge_connected(inst, comp):
-        return False
-    adj: dict[int, set] = {v: set() for v in comp.vertices}
-    for e in comp.edges:
-        u, v = inst.endpoints(e)
-        adj[u].add(v)
-        adj[v].add(u)
-    for v in comp.vertices:
-        for a in adj[v]:
-            if adj[v] & adj[a]:
-                return False
-    circuit = next(
-        (c for c in conn.circuit_partition(inst, comp) if red_edge in c.edges), None
-    )
-    if circuit is None or circuit.trivial:
-        return False
-    blocks = conn.blocks_along(inst, comp, circuit)
-    reducible = sum(
-        1 for b in blocks if conn.classify_block(inst, b) == conn.REDUCIBLE
-    )
-    return reducible == 1
-
-
 def _reduce_loop(inst: Instance, log: ReductionLog, audit):
-
-    def snapshot():
-        return audit.measure_of(inst) if audit is not None else None
-
     while True:
         feas = check_feasibility(inst, full=False)
         if feas.infeasible:
             return inst, log, ReduceOutcome(feas)
         if inst.n_alive() == 2:
-            outcome = solve_two_vertices(inst)
-            return inst, log, outcome
+            return inst, log, solve_two_vertices(inst)
 
-        before = snapshot()
-        changed, outcome = saturation_and_contraction(inst, log)
-        if outcome is not None:
-            if audit is not None:
-                audit.step("contract", before, inst, outcome)
-            return inst, log, outcome
+        # Built per pass, not at import, so that rules replaced on the module
+        # (by a tracer, say) are the ones called.  Each rule returns
+        # (changed, outcome) and reports changed whenever it has an outcome.
+        local_rules = (
+            ("contract", saturation_and_contraction),
+            ("parallel", reduce_parallel),
+            ("normalize", eliminate_bridges),
+        )
+        for kind, rule in local_rules:
+            before = audit.measure_of(inst)
+            changed, outcome = rule(inst, log)
+            if changed:
+                audit.step(kind, before, inst, outcome)
+                break
         if changed:
-            if audit is not None:
-                audit.step("contract", before, inst, None)
-            continue
-
-        before = snapshot()
-        changed, outcome = reduce_parallel(inst, log)
-        if outcome is not None:
-            if audit is not None:
-                audit.step("parallel", before, inst, outcome)
-            return inst, log, outcome
-        if changed:
-            if audit is not None:
-                audit.step("parallel", before, inst, None)
-            continue
-
-        before = snapshot()
-        changed, outcome = eliminate_bridges(inst, log)
-        if outcome is not None:
-            if audit is not None:
-                audit.step("normalize", before, inst, outcome)
-            return inst, log, outcome
-        if changed:
-            if audit is not None:
-                audit.step("normalize", before, inst, None)
+            if outcome is not None:
+                return inst, log, outcome
             continue
 
         red = find_reducible_edge(inst)
         if red is not None:
-            before = snapshot()
-            if audit is not None and _lemma8_hypothesis(inst, red):
-                audit.mark_cascade(before)
+            before = audit.measure_of(inst)
+            audit.reducible_circuit(inst, red, before)
             feas = process_reducible_circuit(inst, log, red)
-            if feas.infeasible:
-                if audit is not None:
-                    audit.step("reducible_circuit", before, inst, ReduceOutcome(feas))
-                return inst, log, ReduceOutcome(feas)
-            if audit is not None:
-                audit.step("reducible_circuit", before, inst, None)
+            outcome = ReduceOutcome(feas) if feas.infeasible else None
+            audit.step("reducible_circuit", before, inst, outcome)
+            if outcome is not None:
+                return inst, log, outcome
             continue
 
         feas = check_feasibility(inst, full=True)
         if feas.infeasible:
             return inst, log, ReduceOutcome(feas)
+        if not _apply_small_cut(inst, log, audit):
+            return inst, log, ReduceOutcome(OK)
 
-        applied = False
-        rejected: set = set()
-        while True:
-            cand = find_small_cut_candidate(inst, rejected)
-            if cand is None:
-                break
-            kind, xs = cand
-            before = snapshot()
-            if kind == "3cut":
-                if not _measure_safe_3cut(inst, xs):
-                    rejected.add(xs)
-                    continue
-                reduce_3cut(inst, log, xs)
-            else:
-                reduce_4cut(inst, log, xs)
-            if audit is not None:
-                audit.step(kind, before, inst, None, detail=len(xs))
-            applied = True
-            break
-        if applied:
-            continue
-        break
 
-    return inst, log, ReduceOutcome(OK)
+def _apply_small_cut(inst: Instance, log: ReductionLog, audit) -> bool:
+    """Apply the first small-cut rewrite that does not raise the measure;
+    False when there is none."""
+    rejected: set = set()
+    while True:
+        cand = find_small_cut_candidate(inst, rejected)
+        if cand is None:
+            return False
+        kind, xs = cand
+        before = audit.measure_of(inst)
+        if kind == "3cut":
+            if not _measure_safe_3cut(inst, xs):
+                rejected.add(xs)
+                continue
+            reduce_3cut(inst, log, xs)
+        else:
+            reduce_4cut(inst, log, xs)
+        audit.step(kind, before, inst, None, detail=len(xs))
+        return True
 
 
 def _measure_safe_3cut(inst: Instance, xs) -> bool:

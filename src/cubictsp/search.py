@@ -16,6 +16,7 @@ from typing import Optional
 
 from . import connectivity as conn
 from . import reductions as red
+from .analysis import NO_OBSERVER
 from .graph import GraphError, Instance, UComponent
 
 OPTIMAL = "optimal"
@@ -270,15 +271,15 @@ def _base_case_ready(inst: Instance) -> bool:
 
 
 def solve(inst: Instance, strategy: str = "full", audit=None) -> TourResult:
-    """Exact minimum tour (or infeasibility) of a forced-TSP instance."""
+    """Exact minimum tour (or infeasibility) of a forced-TSP instance.
+    ``audit``, an ``analysis.Observer``, sees every node, step and branch."""
     if strategy not in ("full", "simple"):
         raise GraphError(f"unknown strategy {strategy!r}")
+    if audit is None:
+        audit = NO_OBSERVER
     conn.clear_caches()
-    if audit is not None:
-        audit.start(inst)
+    audit.start(inst)
     result, _ = _solve_rec(inst.copy(), strategy, audit)
-    if audit is not None:
-        audit.finish(result)
     if result.optimal:
         expect = inst.tour_cost(result.edges)
         if expect != result.cost or not inst.is_tour(result.edges):
@@ -288,25 +289,21 @@ def solve(inst: Instance, strategy: str = "full", audit=None) -> TourResult:
 
 def _solve_rec(inst: Instance, strategy, audit):
     """Returns (result, measure of this node's reduced instance)."""
-    if audit is not None:
-        audit.enter_node()
+    audit.enter_node()
     log = red.ReductionLog()
     inst, log, outcome = red.reduce_to_fixpoint(inst, log, audit)
-    mu = audit.measure_of(inst, outcome) if audit is not None else None
+    mu = audit.measure_of(inst, outcome)
     if outcome.infeasible:
-        if audit is not None:
-            audit.leaf()
+        audit.leaf()
         return INFEASIBLE_RESULT, mu
     if outcome.solved:
-        if audit is not None:
-            audit.leaf()
+        audit.leaf()
         edges, cost = red.expand_solution(
             log, outcome.solution.edges, outcome.solution.cost
         )
         return TourResult(OPTIMAL, cost, edges), mu
     if _base_case_ready(inst):
-        if audit is not None:
-            audit.leaf()
+        audit.leaf()
         base = solve_all_4cycles(inst)
         if not base.optimal:
             return INFEASIBLE_RESULT, mu
@@ -327,9 +324,8 @@ def _solve_rec(inst: Instance, strategy, audit):
         if feas.infeasible:
             results.append(INFEASIBLE_RESULT)
             child_mus.append(Fraction(0))
-            if audit is not None:
-                audit.enter_node()
-                audit.leaf()
+            audit.enter_node()
+            audit.leaf()
             continue
         sub, child_mu = _solve_rec(child, strategy, audit)
         child_mus.append(child_mu)
@@ -337,8 +333,7 @@ def _solve_rec(inst: Instance, strategy, audit):
             edges, cost = red.expand_solution(clog, sub.edges, sub.cost)
             sub = TourResult(OPTIMAL, cost, edges)
         results.append(sub)
-    if audit is not None:
-        audit.branch(mu, child_mus)
+    audit.branch(mu, child_mus)
 
     best = None
     for sub in results:

@@ -2,6 +2,7 @@ from fractions import Fraction
 
 import pytest
 
+import cubictsp.analysis as analysis
 import cubictsp.connectivity as conn
 import cubictsp.reductions as red
 import cubictsp.search as search
@@ -335,3 +336,46 @@ def test_reducible_cascade_soft_check():
         clean = MeasureAudit()
         search.solve(probe, audit=clean)
         assert not any("cascade" in w for w in clean.warnings)
+
+
+def _reducible_circuit_corpus():
+    for seed in range(8):
+        base = generate(
+            GeneratorSpec(kind="random_cubic", n=14, seed=600 + seed, weights="random")
+        )
+        yield inject_forced(base, count=seed % 4, seed=seed)
+
+
+def test_default_observer_runs_no_audit_code(monkeypatch):
+    # the same corpus reaches the lemma-8 check under an audit ...
+    lemma8_calls = []
+    real_lemma8 = analysis._lemma8_hypothesis
+
+    def lemma8(*args):
+        lemma8_calls.append(args)
+        return real_lemma8(*args)
+
+    monkeypatch.setattr(analysis, "_lemma8_hypothesis", lemma8)
+    for inst in _reducible_circuit_corpus():
+        search.solve(inst, audit=MeasureAudit())
+    assert lemma8_calls
+
+    # ... and without one never touches the check or any MeasureAudit method
+    def boom(*args, **kwargs):
+        raise AssertionError("audit code ran without an audit")
+
+    monkeypatch.setattr(analysis, "_lemma8_hypothesis", boom)
+    for name, attr in list(vars(MeasureAudit).items()):
+        if callable(attr):
+            monkeypatch.setattr(MeasureAudit, name, boom)
+    fired = []
+    real_process = red.process_reducible_circuit
+
+    def process(*args):
+        fired.append(args[2])
+        return real_process(*args)
+
+    monkeypatch.setattr(red, "process_reducible_circuit", process)
+    for inst in _reducible_circuit_corpus():
+        search.solve(inst)
+    assert fired

@@ -211,3 +211,43 @@ def test_console_entry_point():
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
+
+
+# Graph 5 of perfbench's audit-n30 corpus at seed 103 (unit weights): one
+# bridge-normalisation step of its solve raises the measure by 19/300.
+AUDIT_FAILURE = "p ftsp 30 45\n" + "".join(
+    f"e {u} {v} 1\n"
+    for u, v in [
+        (2, 12), (7, 30), (10, 19), (6, 8), (17, 19), (28, 29), (4, 15), (20, 23),
+        (13, 14), (25, 26), (9, 11), (5, 11), (16, 30), (1, 17), (9, 12), (3, 24),
+        (22, 28), (10, 22), (1, 27), (6, 10), (3, 18), (2, 3), (4, 21), (15, 27),
+        (16, 20), (4, 29), (2, 5), (7, 9), (8, 19), (14, 26), (8, 15), (13, 21),
+        (23, 29), (7, 21), (20, 25), (5, 30), (12, 17), (14, 22), (6, 26), (11, 23),
+        (13, 18), (24, 28), (24, 27), (16, 18), (1, 25),
+    ]
+)
+
+
+@pytest.fixture
+def audit_failure_file(tmp_path):
+    path = tmp_path / "audit_failure.ftsp"
+    path.write_text(AUDIT_FAILURE)
+    return str(path)
+
+
+def test_stats_runs_no_audit(capsys, audit_failure_file):
+    code, plain, _ = run_cli(capsys, "solve", audit_failure_file)
+    assert code == 0 and plain.startswith("OPTIMAL 30\n")
+    code, out, err = run_cli(capsys, "solve", audit_failure_file, "--stats")
+    assert code == 0 and err == ""
+    assert out.endswith(plain)
+    assert "mu0:" not in out
+
+
+@pytest.mark.parametrize(
+    "args", [("solve", "--audit"), ("solve", "--trace-reductions"), ("audit",)]
+)
+def test_audit_violation_is_one_error_line(capsys, audit_failure_file, args):
+    code, _, err = run_cli(capsys, args[0], audit_failure_file, *args[1:])
+    assert code == 2
+    assert err == "error: step normalize: measure rose by 19/300 (from 1981/300)\n"

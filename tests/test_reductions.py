@@ -586,6 +586,19 @@ def test_replay_reproduces_reduction():
     assert again.valive == reduced.valive
 
 
+def test_fixpoint_appends_to_the_callers_log():
+    # an empty log is falsy; it must still be the log that gets the entries
+    inst = inject_forced(
+        generate(GeneratorSpec(kind="random_cubic", n=12, seed=5, weights="random")), 2, seed=1
+    )
+    log = ReductionLog()
+    _, returned, _ = reduce_to_fixpoint(inst, log)
+    assert returned is log and len(log) > 0
+    first = list(log.entries)
+    _, returned, _ = reduce_to_fixpoint(inst.copy(), log)
+    assert returned is log and log.entries[: len(first)] == first
+
+
 def test_expand_solution_empty_log_is_identity():
     log = ReductionLog()
     edges, cost = expand_solution(log, {1, 2, 3}, Fraction(5))
