@@ -21,8 +21,8 @@ from .graph import GraphError, format_instance, format_weight, parse_instance
 
 def _read_instance(path: str):
     try:
-        text = Path(path).read_text()
-    except OSError as exc:
+        text = Path(path).read_text(encoding="utf-8")
+    except (OSError, UnicodeDecodeError) as exc:
         raise GraphError(f"cannot read {path}: {exc}")
     return parse_instance(text)
 
@@ -117,9 +117,9 @@ def _bench_one(path: str):
     t0 = time.perf_counter()
     audit = analysis.MeasureAudit()
     try:
-        inst = parse_instance(Path(path).read_text())
+        inst = _read_instance(path)
         result = search.solve(inst, audit=audit)
-    except (GraphError, OSError, analysis.AuditViolation) as exc:
+    except (GraphError, analysis.AuditViolation) as exc:
         return (name, None, f"error: {exc}", time.perf_counter() - t0)
     elapsed = time.perf_counter() - t0
     rep = audit.report()

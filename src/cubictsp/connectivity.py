@@ -6,21 +6,27 @@ its classes are the *circuits*.  The connected pieces left between two
 consecutive circuit edges are the *blocks*.  Branching and the deterministic
 propagation of include/delete decisions both walk this structure.
 
-Cut pairs, their sides, and every circuit's cyclic order and blocks come
-from one depth-first tree per component: a circuit's tree edges lie on one
-root path, so each of its blocks is at most three slices of the preorder.
+Cut pairs, their sides, small 3-cuts, and every circuit's cyclic order
+and blocks come from one depth-first tree per component.  Labelling every
+edge over that tree by the XOR of random words of the fundamental cycles
+through it makes the labels of any edge cut XOR to 0, so cut pairs are
+edges of one label and 3-cut candidates are label triples (a, b, a ^ b);
+both are then confirmed exactly.  A circuit's tree edges lie on one root
+path, so each of its blocks is at most three slices of the preorder.
 
 One module-level cache, keyed on a component's labelled unforced edges,
 shares results across search-tree siblings that did not touch the
 component.  It may hold only facts of those labelled edges: bridges, the
-DFS tree, cut pairs with their sides, small 3-cuts and the circuit
-partition.  A cached circuit carries its blocks' preorder slices, which are
-facts of the labelled unforced edges only; anything that reads forced
-edges, such as a block's ``cut_forced``, is recomputed on every call.
+DFS tree and its cover labels, cut pairs with their sides, small 3-cuts
+and the circuit partition.  A cached circuit carries its blocks' preorder
+slices, which are facts of the labelled unforced edges only; anything that
+reads forced edges, such as a block's ``cut_forced``, is recomputed on
+every call.
 """
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from functools import wraps
 
@@ -143,68 +149,69 @@ def component_cut_structure(inst: Instance, comp: UComponent):
     the three edges e < f < h.  Entries are sorted by their triple; when
     both sides of one triple fit, the side holding ``inst.eu[e]`` comes
     first.  The cached list assumes ``SMALL_SIDE`` has not changed since
-    the last ``clear_caches()``.
+    the last ``clear_caches()``.  A component with a bridge raises
+    ``GraphError``.
+
+    The labels of a cut XOR to 0 (see ``_cover_labels``), and in a
+    2-edge-connected component only a fingerprint collision gives an edge
+    label 0 or two cut edges one label.  So every boundary triple is found
+    as three distinct label classes (a, b, a ^ b), or, after a collision,
+    as one class twice and class 0 once, or class 0 thrice; each candidate
+    is then checked exactly by ``_small_sides``.
     """
-    verts = sorted(comp.vertices)
-    found = _small_three_cuts(_local_adjacency(inst, verts, comp.edges), SMALL_SIDE)
-    triples3 = sorted(
-        (cut + (frozenset(verts[i] for i in xs),) for cut, xs in found),
-        key=lambda t: (t[:3], inst.eu[t[0]] not in t[3]),
-    )
+    if not is_2_edge_connected(inst, comp):
+        raise GraphError("component is not 2-edge-connected")
+    label = _cover_labels(inst, comp)[0]
+    classes: dict[int, list[int]] = {}
+    for e in comp.edges:
+        classes.setdefault(label[e], []).append(e)
+    keys = sorted(classes)
+    triples3 = []
+    # each multiset a <= b <= c of classes once; a == b forces c == 0
+    for i, a in enumerate(keys):
+        for b in keys[i:]:
+            c = a ^ b
+            if c < b or c not in classes:
+                continue
+            ea, eb, ec = classes[a], classes[b], classes[c]
+            if a == c:  # class 0 thrice
+                cands = itertools.combinations(ea, 3)
+            elif b == c:  # class 0 once, class b twice
+                cands = ((e, f, h) for e in ea for f, h in itertools.combinations(eb, 2))
+            else:
+                cands = itertools.product(ea, eb, ec)
+            for cut in cands:
+                triples3 += _small_sides(inst, tuple(sorted(cut)))
+    triples3.sort(key=lambda t: (t[:3], inst.eu[t[0]] not in t[3]))
     return component_pairs2(inst, comp), triples3
 
 
-def _small_three_cuts(nbr, cap: int):
-    """(sorted boundary triple, X) for every connected X of at most ``cap``
-    local indices whose boundary is exactly three edges.
-
-    X is grown from its smallest index r, so indices below r stay outside.
-    Each step takes the pending neighbour with the most edges into X and
-    either adds it or bans it, which turns those edges into boundary; every
-    connected X is reached once.  A branch dies once its boundary passes
-    three edges, or once the pending vertices that cannot all fit under
-    ``cap`` would push it past three when banned.
-    """
-    found = []
-
-    def grow(r, xs, cut, pending, banned):
-        # cut counts boundary edges so far; pending maps each undecided
-        # neighbour of xs to its number of edges into xs
-        if not pending:
-            if cut == 3:
-                found.append(xs)
-            return
-        room = 3 - cut
-        spill = len(pending) + len(xs) - cap
-        if spill > 0 and (spill > room or sum(sorted(pending.values())[:spill]) > room):
-            return
-        w = max(pending, key=pending.get)
-        rest = dict(pending)
-        into = rest.pop(w)
-        if len(xs) < cap:
-            add(r, xs, w, cut, rest, banned)
-        if into <= room:
-            grow(r, xs, cut + into, rest, banned | {w})
-
-    def add(r, xs, w, cut, pending, banned):
-        xs = xs | {w}
-        pending = dict(pending)
-        for _, y in nbr[w]:
-            if y in xs:
-                continue
-            if y < r or y in banned:
-                cut += 1
-            else:
-                pending[y] = pending.get(y, 0) + 1
-        if cut <= 3:
-            grow(r, xs, cut, pending, banned)
-
-    for r in range(len(nbr)):
-        add(r, frozenset(), r, 0, {}, frozenset())
-    return [
-        (tuple(sorted(e for v in xs for e, y in nbr[v] if y not in xs)), xs)
-        for xs in found
-    ]
+def _small_sides(inst: Instance, cut: tuple) -> list[tuple]:
+    """``cut + (X,)`` for each side X of at most ``SMALL_SIDE`` vertices,
+    grown from an end of ``cut[0]`` over the other unforced edges, whose
+    boundary inside the component is exactly the three edges of ``cut``."""
+    cap = SMALL_SIDE
+    eu, ev, eforced = inst.eu, inst.ev, inst.eforced
+    sides = []
+    for root in (eu[cut[0]], ev[cut[0]]):
+        xs = {root}
+        stack = [root]
+        while stack and len(xs) <= cap:
+            v = stack.pop()
+            for g in inst.adj[v]:
+                if eforced[g] or g in cut:
+                    continue
+                w = eu[g] if ev[g] == v else ev[g]
+                if w not in xs:
+                    xs.add(w)
+                    stack.append(w)
+        if len(xs) > cap:
+            continue
+        # xs is closed under the other edges, so its boundary is the edges
+        # of cut with exactly one end inside
+        if all((eu[g] in xs) != (ev[g] in xs) for g in cut):
+            sides.append(cut + (frozenset(xs),))
+    return sides
 
 
 def _subgraph_pieces(inst, vertices, edges, removed) -> list[frozenset]:
@@ -248,18 +255,6 @@ def _edge_fingerprint(e: int) -> int:
     return _mix64(e) | (_mix64(e ^ 0x5851F42D4C957F2D) << 64)
 
 
-def _local_adjacency(inst: Instance, verts, edges) -> list[list[tuple[int, int]]]:
-    """(edge id, neighbour index) lists of a subgraph, indexed by the
-    position of each vertex in ``verts``."""
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
-    for e in edges:
-        u, v = idx[inst.eu[e]], idx[inst.ev[e]]
-        nbr[u].append((e, v))
-        nbr[v].append((e, u))
-    return nbr
-
-
 @_cached
 def _dfs_tree(inst: Instance, comp: UComponent):
     """Depth-first spanning tree of a component, rooted at its lowest vertex.
@@ -272,7 +267,12 @@ def _dfs_tree(inst: Instance, comp: UComponent):
     first copy walked is the tree edge and the rest are back edges.
     """
     verts = sorted(comp.vertices)
-    nbr = _local_adjacency(inst, verts, comp.edges)
+    idx = {v: i for i, v in enumerate(verts)}
+    nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
+    for e in comp.edges:
+        u, v = idx[inst.eu[e]], idx[inst.ev[e]]
+        nbr[u].append((e, v))
+        nbr[v].append((e, u))
     n = len(nbr)
     num = [-1] * n
     num[0] = 0
@@ -317,48 +317,73 @@ def _gather(pre: tuple, bounds: tuple) -> frozenset:
 
 
 @_cached
-def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
-    """All unforced edge pairs whose removal disconnects the component and
-    of which neither edge is a bridge by itself.
+def _cover_labels(inst: Instance, comp: UComponent):
+    """Cycle-space labels of a component's edges over its DFS tree.
 
-    A pair of tree edges separates iff the same back edges cover both, and a
-    (tree, back) pair iff that back edge is the tree edge's only cover; cover
-    sets are compared by 128-bit XOR fingerprints (never missing a pair,
-    since equal sets hash equally).  (tree, back) matches are exact outright;
-    tree-pair groups are confirmed exactly by a bridge sweep.
+    A back edge is labelled with its own ``_edge_fingerprint``, a tree edge
+    with the XOR of those of the back edges covering it (whose fundamental
+    cycle runs through it).  A label is a linear image of the edge's cover
+    set, so the labels of any edge cut XOR to exactly 0, and edges with
+    different cover sets share a label only by a fingerprint collision
+    (Pritchard and Thurimella's cycle space sampling).
+
+    Returns (label, covers, cover): ``label`` maps edge id to label; for a
+    preorder position i > 0, ``covers[i]`` counts the back edges covering
+    ``tree_edge[i]`` (0 for a bridge) and ``cover[i]`` is the XOR of their
+    ids, which is that back edge itself when it is the only one.
     """
     pre, parent, tree_edge, _, back = _dfs_tree(inst, comp)
     n = len(pre)
     xor_acc = [0] * n
     cnt_acc = [0] * n
-    val_to_back: dict[int, int] = {}
+    id_acc = [0] * n
+    label = {}
     for e, a, d in back:
-        val = _edge_fingerprint(e)
-        val_to_back[val] = e
+        val = label[e] = _edge_fingerprint(e)
         xor_acc[a] ^= val
         xor_acc[d] ^= val
+        id_acc[a] ^= e
+        id_acc[d] ^= e
         cnt_acc[a] -= 1
         cnt_acc[d] += 1
+    # children follow their parent in preorder, so position i is complete
+    # once every later position has been folded in
     for i in range(n - 1, 0, -1):
         p = parent[i]
+        label[tree_edge[i]] = xor_acc[i]
         xor_acc[p] ^= xor_acc[i]
+        id_acc[p] ^= id_acc[i]
         cnt_acc[p] += cnt_acc[i]
+    return label, cnt_acc, id_acc
+
+
+@_cached
+def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
+    """All unforced edge pairs whose removal disconnects the component and
+    of which neither edge is a bridge by itself.
+
+    A pair of tree edges separates iff the same back edges cover both, and a
+    (tree, back) pair iff that back edge is the tree edge's only cover.  A
+    lone cover is known exactly, so those pairs are exact outright; larger
+    cover sets are compared by their labels (``_cover_labels``), which never
+    misses a pair, and each group of equal labels is confirmed exactly by a
+    bridge sweep.
+    """
+    pre, _, tree_edge, _, _ = _dfs_tree(inst, comp)
+    label, covers, cover = _cover_labels(inst, comp)
     out = []
     singles: dict[int, list[int]] = {}
     multis: dict[int, list[int]] = {}
-    for i in range(1, n):
-        if cnt_acc[i] == 0:
+    for i in range(1, len(pre)):
+        if covers[i] == 0:
             continue  # bridge; not part of any minimal pair
-        h = xor_acc[i]
-        if cnt_acc[i] == 1:
-            singles.setdefault(h, []).append(tree_edge[i])
+        e = tree_edge[i]
+        if covers[i] == 1:
+            singles.setdefault(cover[i], []).append(e)
         else:
-            multis.setdefault(h, []).append(tree_edge[i])
-    # a single cover fingerprints to exactly that back edge, so these matches
-    # and the pairs inside one singles group are exact outright
-    for h, group in singles.items():
-        b = val_to_back.get(h)
-        members = sorted(group + ([b] if b is not None else []))
+            multis.setdefault(label[e], []).append(e)
+    for b, group in singles.items():
+        members = sorted(group + [b])
         for i, a in enumerate(members):
             for m in members[i + 1 :]:
                 out.append((a, m))

@@ -1002,6 +1002,10 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
         if inst.n_alive() == 2:
             return inst, log, solve_two_vertices(inst)
 
+        # A pass ends at the first rule that changes the instance, and no
+        # rule or check touches it without reporting a change (a rejected
+        # 3-cut only probes a copy), so one reading of mu serves the pass.
+        before = audit.measure_of(inst)
         # Built per pass, not at import, so that rules replaced on the module
         # (by a tracer, say) are the ones called.  Each rule returns
         # (changed, outcome) and reports changed whenever it has an outcome.
@@ -1011,7 +1015,6 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
             ("normalize", eliminate_bridges),
         )
         for kind, rule in local_rules:
-            before = audit.measure_of(inst)
             changed, outcome = rule(inst, log)
             if changed:
                 audit.step(kind, before, inst, outcome)
@@ -1023,7 +1026,6 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
 
         red = find_reducible_edge(inst)
         if red is not None:
-            before = audit.measure_of(inst)
             audit.reducible_circuit(inst, red, before)
             feas = process_reducible_circuit(inst, log, red)
             outcome = ReduceOutcome(feas) if feas.infeasible else None
@@ -1035,20 +1037,20 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
         feas = check_feasibility(inst, full=True)
         if feas.infeasible:
             return inst, log, ReduceOutcome(feas)
-        if not _apply_small_cut(inst, log, audit):
+        if not _apply_small_cut(inst, log, audit, before):
             return inst, log, ReduceOutcome(OK)
 
 
-def _apply_small_cut(inst: Instance, log: ReductionLog, audit) -> bool:
+def _apply_small_cut(inst: Instance, log: ReductionLog, audit, before) -> bool:
     """Apply the first small-cut rewrite that does not raise the measure;
-    False when there is none."""
+    False when there is none.  ``before`` is the observer's reading of mu
+    for ``inst``."""
     rejected: set = set()
     while True:
         cand = find_small_cut_candidate(inst, rejected)
         if cand is None:
             return False
         kind, xs = cand
-        before = audit.measure_of(inst)
         if kind == "3cut":
             if not _measure_safe_3cut(inst, xs):
                 rejected.add(xs)

@@ -78,6 +78,23 @@ def test_solve_bad_number_exit_code(capsys, tmp_path, text):
     assert err.startswith("error: line ") and err.count("\n") == 1
 
 
+@pytest.mark.parametrize("command", ["solve", "audit", "oracle", "bench"])
+def test_non_utf8_file_is_one_error(capsys, tmp_path, command):
+    path = tmp_path / "bad.txt"
+    path.write_bytes(b"\xff\xfe p ftsp\n")
+    if command == "bench":
+        code, out, err = run_cli(capsys, "bench", str(tmp_path))
+        assert code == 0 and err == ""
+        rows = out.strip().splitlines()
+        assert rows[1].startswith("bad.txt\t-\terror: cannot read ")
+        assert rows[2].startswith("aggregate max leaves")
+        return
+    code, out, err = run_cli(capsys, command, str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
 def test_solve_simple_strategy(capsys, prism_file):
     code, out, _ = run_cli(capsys, "solve", prism_file, "--strategy", "simple")
     assert code == 0 and out.startswith("OPTIMAL 6")

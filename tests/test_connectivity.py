@@ -193,6 +193,68 @@ def test_small_three_cuts_match_brute_force(monkeypatch):
     assert shapes["degree2"] >= 30 and shapes["parallel"] >= 20
 
 
+def cut_search_family(seed=3, trials=160):
+    """The graph families of test_small_three_cuts_match_brute_force."""
+    rng = random.Random(seed)
+    for trial in range(trials):
+        n = rng.choice([6, 8, 10, 12, 14, 16])
+        if trial % 2:
+            yield random_degree3_multigraph(rng, n)
+            continue
+        inst = generate(
+            GeneratorSpec(kind="random_cubic", n=n, seed=trial, allow_parallel=True)
+        )
+        for e in list(inst.alive_edges()):
+            if rng.random() < 0.15:
+                u, v = inst.endpoints(e)
+                if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                    inst.include_edge(e)
+        yield inst
+
+
+def test_fingerprint_collisions_cost_no_answer(monkeypatch):
+    # a 2-bit fingerprint makes labels collide all the time, and gives every
+    # fourth back edge label 0; both label users must stay exact
+    monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+    conn.clear_caches()
+    zero_labels = checked = bridged = 0
+    for inst in cut_search_family():
+        for comp in inst.u_components():
+            if comp.trivial:
+                continue
+            verts, eset = sorted(comp.vertices), set(comp.edges)
+            alone = {e for e in comp.edges if _disconnects(inst, verts, eset, e, e)}
+            expect = [
+                (a, b)
+                for a, b in itertools.combinations(comp.edges, 2)
+                if a not in alone and b not in alone
+                and _disconnects(inst, verts, eset, a, b)
+            ]
+            assert two_cut_pairs(inst, comp) == expect
+            if alone:
+                with pytest.raises(GraphError):
+                    conn.component_cut_structure(inst, comp)
+                bridged += 1
+                continue
+            zero_labels += 0 in conn._cover_labels(inst, comp)[0].values()
+            got = conn.component_cut_structure(inst, comp)[1]
+            assert len(got) == len(set(got))
+            assert set(got) == brute_small_three_cuts(inst, comp, conn.SMALL_SIDE)
+            order = [(e, f, h, inst.eu[e] not in xs) for e, f, h, xs in got]
+            assert order == sorted(order)
+            checked += 1
+    assert checked >= 45 and zero_labels >= 30 and bridged >= 100
+    conn.clear_caches()
+
+
+def test_cut_structure_rejects_a_bridge():
+    # two triangles joined by an unforced bridge
+    inst = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
+    conn.clear_caches()
+    with pytest.raises(GraphError):
+        conn.component_cut_structure(inst, inst.component_of(0))
+
+
 def test_cache_shares_no_forced_edge_facts():
     # one labelled unforced 6-cycle; its forced edges sit at 0, 1 in a and
     # at 2, 3 in b, so the two disagree on every forced block boundary
