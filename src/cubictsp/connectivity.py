@@ -6,22 +6,24 @@ its classes are the *circuits*.  The connected pieces left between two
 consecutive circuit edges are the *blocks*.  Branching and the deterministic
 propagation of include/delete decisions both walk this structure.
 
-Cut pairs, their sides, small 3-cuts, and every circuit's cyclic order
-and blocks come from one depth-first tree per component.  Labelling every
-edge over that tree by the XOR of random words of the fundamental cycles
-through it makes the labels of any edge cut XOR to 0, so cut pairs are
-edges of one label and 3-cut candidates are label triples (a, b, a ^ b);
-both are then confirmed exactly.  A circuit's tree edges lie on one root
-path, so each of its blocks is at most three slices of the preorder.
+Cut classes (the circuits' edge sets), cut pairs, their sides, small
+3-cuts, and every circuit's cyclic order and blocks come from one
+depth-first tree per component; cut classes also from one of the whole
+graph, for reducible circuits.  Labelling every edge over that tree by the
+XOR of random words of the fundamental cycles through it makes the labels
+of any edge cut XOR to 0, so cut classes are edges of one label and 3-cut
+candidates are label triples (a, b, a ^ b); both are then confirmed
+exactly.  A circuit's tree edges lie on one root path, so each of its
+blocks is at most three slices of the preorder.
 
-One module-level cache, keyed on a component's labelled unforced edges,
-shares results across search-tree siblings that did not touch the
-component.  It may hold only facts of those labelled edges: bridges, the
-DFS tree and its cover labels, cut pairs with their sides, small 3-cuts
-and the circuit partition.  A cached circuit carries its blocks' preorder
-slices, which are facts of the labelled unforced edges only; anything that
-reads forced edges, such as a block's ``cut_forced``, is recomputed on
-every call.
+One module-level cache, keyed on labelled edges (a component's unforced
+edges, or all alive edges of the whole graph), shares results across
+search-tree siblings that did not touch them.  It may hold only facts of
+those labelled edges, none of which reads a forced mark: bridges, the DFS
+tree and its cover labels, cut classes, cut pairs with their sides, small
+3-cuts and the circuit partition.  A cached circuit carries its blocks'
+preorder slices; anything that reads forced edges, such as a block's
+``cut_forced``, is recomputed on every call.
 """
 
 from __future__ import annotations
@@ -358,20 +360,20 @@ def _cover_labels(inst: Instance, comp: UComponent):
 
 
 @_cached
-def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
-    """All unforced edge pairs whose removal disconnects the component and
-    of which neither edge is a bridge by itself.
+def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
+    """Nontrivial circuits of a connected edge set, each as a sorted tuple
+    of edge ids, sorted by lowest edge: the classes of edges that are not
+    bridges by themselves and of which any two disconnect the set.
 
     A pair of tree edges separates iff the same back edges cover both, and a
     (tree, back) pair iff that back edge is the tree edge's only cover.  A
-    lone cover is known exactly, so those pairs are exact outright; larger
+    lone cover is known exactly, so those classes are exact outright; larger
     cover sets are compared by their labels (``_cover_labels``), which never
-    misses a pair, and each group of equal labels is confirmed exactly by a
-    bridge sweep.
+    splits a class, and each group of equal labels is confirmed exactly by a
+    bridge sweep.  No forced mark is read.
     """
     pre, _, tree_edge, _, _ = _dfs_tree(inst, comp)
     label, covers, cover = _cover_labels(inst, comp)
-    out = []
     singles: dict[int, list[int]] = {}
     multis: dict[int, list[int]] = {}
     for i in range(1, len(pre)):
@@ -382,29 +384,32 @@ def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
             singles.setdefault(cover[i], []).append(e)
         else:
             multis.setdefault(label[e], []).append(e)
-    for b, group in singles.items():
-        members = sorted(group + [b])
-        for i, a in enumerate(members):
-            for m in members[i + 1 :]:
-                out.append((a, m))
+    classes = [tuple(sorted(group + [b])) for b, group in singles.items()]
 
     # Equal covers form an equivalence, so one sweep against a representative
     # settles a whole group: the true partners of edge r are exactly the
     # bridges of the subgraph minus r.  Rejected members (possible only via a
     # fingerprint collision) are regrouped and retried.
     ok = _edge_mask(inst, comp.edges)
-    for h, group in multis.items():
+    for group in multis.values():
         pending = sorted(group)
         while len(pending) > 1:
             ok[pending[0]] = False
             bset = set(inst.bridges(edge_ok=ok, roots=(pre[0],)))
             ok[pending[0]] = True
             verified = [pending[0]] + [m for m in pending[1:] if m in bset]
-            for i, a in enumerate(verified):
-                for m in verified[i + 1 :]:
-                    out.append((a, m))
+            if len(verified) > 1:
+                classes.append(tuple(verified))
             pending = [m for m in pending[1:] if m not in bset]
-    return sorted(set(out))
+    classes.sort()
+    return classes
+
+
+def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:
+    """All unforced edge pairs whose removal disconnects the component and
+    of which neither edge is a bridge by itself: the pairs inside each of
+    ``cut_classes``."""
+    return sorted(p for cls in cut_classes(inst, comp) for p in itertools.combinations(cls, 2))
 
 
 @_cached
@@ -420,32 +425,12 @@ def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
         raise GraphError("component is trivial")
     if not is_2_edge_connected(inst, comp):
         raise GraphError("component is not 2-edge-connected")
-    parent = {e: e for e in comp.edges}
-
-    def find(x):
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for e, f in two_cut_pairs(inst, comp):
-        re, rf = find(e), find(f)
-        if re != rf:
-            parent[re] = rf
-
-    groups: dict[int, list[int]] = {}
-    for e in comp.edges:
-        groups.setdefault(find(e), []).append(e)
-
     pre, _, tree_edge, size, _ = _dfs_tree(inst, comp)
     child = {e: i for i, e in enumerate(tree_edge) if i}
-    circuits = []
-    for group in groups.values():
-        group.sort()
-        if len(group) == 1:
-            circuits.append(Circuit((group[0],), True))
-        else:
-            circuits.append(_cyclic_circuit(group, pre, child, size))
+    classes = cut_classes(inst, comp)
+    circuits = [_cyclic_circuit(cls, pre, child, size) for cls in classes]
+    paired = {e for cls in classes for e in cls}
+    circuits += [Circuit((e,), True) for e in comp.edges if e not in paired]
     circuits.sort(key=lambda c: c.edges[0])
     return circuits
 

@@ -7,9 +7,10 @@ The fixpoint driver applies, in a fixed priority:
   parallel edges -> unforced-bridge determination -> reducible circuits ->
   3-cut replacement -> 4-cut replacement
 
-until nothing applies.  Every rewrite appends a log entry; ``expand_solution``
-replays the log backwards to translate edge ids and re-insert replaced
-subgraphs.
+until nothing applies.  Reducible circuits are read off the whole graph's
+cut classes (``connectivity.cut_classes``).  Every rewrite appends a log
+entry; ``expand_solution`` replays the log backwards to translate edge ids
+and re-insert replaced subgraphs.
 """
 
 from __future__ import annotations
@@ -20,7 +21,7 @@ from typing import Optional
 
 from . import connectivity as conn
 from .analysis import NO_OBSERVER
-from .graph import GraphError, Instance
+from .graph import GraphError, Instance, UComponent
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
 INFEASIBLE = "infeasible"
@@ -155,16 +156,12 @@ def check_feasibility(inst: Instance, full: bool = True) -> Feasibility:
 
 def _forced_cycle_scan(inst: Instance):
     """Classify the forced subgraph: None, 'spanning' (a forced cycle through
-    every vertex) or 'partial' (a forced cycle missing some vertex)."""
+    every vertex) or 'partial' (a forced cycle missing some vertex).  No
+    vertex may carry more than two forced edges; both callers reject that
+    first."""
     forced = inst.forced_edges()
     if not forced:
         return None
-    deg: dict[int, int] = {}
-    for e in forced:
-        deg[inst.eu[e]] = deg.get(inst.eu[e], 0) + 1
-        deg[inst.ev[e]] = deg.get(inst.ev[e], 0) + 1
-    if any(d > 2 for d in deg.values()):
-        return "partial"
     seen: set[int] = set()
     for e in forced:
         if e in seen:
@@ -232,20 +229,17 @@ def saturation_and_contraction(inst: Instance, log: ReductionLog):
     becomes a direct solution; through a proper subset, infeasibility.
     """
     changed = False
-    again = True
-    while again:
-        again = False
-        for v in inst.alive_vertices():
-            _, df, du = inst.degrees(v)
-            if df > 2:
-                return True, ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
-            if df == 2 and du > 0:
-                for e in [e for e in inst.adj[v] if not inst.eforced[e]]:
-                    st = _delete(inst, log, e)
-                    changed = True
-                    if st.infeasible:
-                        return True, ReduceOutcome(st)
-                again = True
+    # deleting unforced edges lowers no forced degree, so one pass does it all
+    for v in inst.alive_vertices():
+        _, df, du = inst.degrees(v)
+        if df > 2:
+            return True, ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
+        if df == 2 and du > 0:
+            for e in [e for e in inst.adj[v] if not inst.eforced[e]]:
+                st = _delete(inst, log, e)
+                changed = True
+                if st.infeasible:
+                    return True, ReduceOutcome(st)
     scan = _forced_cycle_scan(inst)
     if scan == "spanning":
         edges = frozenset(inst.forced_edges())
@@ -390,13 +384,14 @@ def eliminate_bridges(inst: Instance, log: ReductionLog):
 
 
 def find_reducible_edge(inst: Instance) -> Optional[int]:
-    """Lowest unforced edge lying in a 2-element edge cut of the whole graph.
+    """An unforced edge lying in a 2-element edge cut of the whole graph, or
+    None when there is none.
 
-    Degree-2 vertices witness such edges immediately.  Otherwise, when every
-    component is 2-edge-connected, a 2-cut of the graph is a disconnecting
-    pair inside one component whose side, together with the forced-edge
-    clusters hanging off it, has no forced boundary left.  With a
-    non-2-edge-connected component the naive per-edge bridge sweep decides.
+    Degree-2 vertices witness such edges immediately: the lowest unforced
+    edge at one is taken first.  Otherwise the edge is the lowest unforced
+    member of the whole graph's ``cut_classes``.  The whole graph must be
+    connected and bridgeless, as ``check_feasibility`` makes it before the
+    fixpoint asks.
     """
     best = None
     for v in inst.alive_vertices():
@@ -406,80 +401,9 @@ def find_reducible_edge(inst: Instance) -> Optional[int]:
                     best = e
     if best is not None:
         return best
-    comps = inst.u_components()
-    if not all(comp.trivial or conn.is_2_edge_connected(inst, comp) for comp in comps):
-        ok = inst.ealive[:]
-        for e in inst.alive_edges():
-            ok[e] = False
-            for f in inst.bridges(edge_ok=ok):
-                for g in (e, f):
-                    if not inst.eforced[g] and (best is None or g < best):
-                        best = g
-            ok[e] = True
-        return best
-    node_of = {}
-    for idx, comp in enumerate(comps):
-        for v in comp.vertices:
-            node_of[v] = idx
-    forced = inst.forced_edges()
-    for hidx, comp in enumerate(comps):
-        if comp.trivial:
-            continue
-        pairs2 = conn.component_pairs2(inst, comp)
-        if not pairs2:
-            continue
-        # forced-connected clusters of everything outside this component,
-        # plus which of this component's vertices each cluster touches
-        parent = list(range(len(comps)))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        h_links = []  # forced edges inside the component
-        touch_edges = []  # (cluster node, component vertex)
-        for e in forced:
-            a, b = node_of[inst.eu[e]], node_of[inst.ev[e]]
-            if a == hidx and b == hidx:
-                h_links.append((inst.eu[e], inst.ev[e]))
-            elif a == hidx:
-                touch_edges.append((b, inst.eu[e]))
-            elif b == hidx:
-                touch_edges.append((a, inst.ev[e]))
-            else:
-                ra, rb = find(a), find(b)
-                if ra != rb:
-                    parent[ra] = rb
-        touched: dict[int, set] = {}
-        by_vertex: dict[int, list[int]] = {}
-        for cnode, hv in touch_edges:
-            root = find(cnode)
-            touched.setdefault(root, set()).add(hv)
-            by_vertex.setdefault(hv, []).append(root)
-        for e, f, p1, p2 in pairs2:
-            if best is not None and e >= best:
-                continue
-            for side in (p1, p2):
-                ok_side = True
-                for u, v in h_links:
-                    if (u in side) != (v in side):
-                        ok_side = False
-                        break
-                if ok_side:
-                    for hv in side:
-                        for root in by_vertex.get(hv, ()):
-                            if not touched[root] <= side:
-                                ok_side = False
-                                break
-                        if not ok_side:
-                            break
-                if ok_side:
-                    if best is None or e < best:
-                        best = e
-                    break
-    return best
+    whole = UComponent(frozenset(inst.alive_vertices()), tuple(inst.alive_edges()), 0)
+    unforced = [e for cls in conn.cut_classes(inst, whole) for e in cls if not inst.eforced[e]]
+    return min(unforced, default=None)
 
 
 def process_reducible_circuit(inst: Instance, log: ReductionLog, eid: int):

@@ -236,6 +236,12 @@ def test_fingerprint_collisions_cost_no_answer(monkeypatch):
                     conn.component_cut_structure(inst, comp)
                 bridged += 1
                 continue
+            classes = {e: {e} for e in comp.edges}
+            for a, b in expect:
+                classes[a].add(b)
+                classes[b].add(a)
+            circuits = {frozenset(c.edges) for c in circuit_partition(inst, comp)}
+            assert circuits == {frozenset(c) for c in classes.values()}
             zero_labels += 0 in conn._cover_labels(inst, comp)[0].values()
             got = conn.component_cut_structure(inst, comp)[1]
             assert len(got) == len(set(got))

@@ -4,11 +4,12 @@ from fractions import Fraction
 
 import pytest
 
+import cubictsp.connectivity as conn
 import cubictsp.reductions as red
 from cubictsp.analysis import DEFAULT_CONFIG, measure
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance
-from cubictsp.oracles import exhaustive_forced, replay
+from cubictsp.oracles import _disconnects, exhaustive_forced, replay
 from cubictsp.reductions import (
     ReductionLog,
     check_feasibility,
@@ -453,8 +454,6 @@ def test_find_reducible_edge_on_degree_two_vertex():
     inst = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
     e = find_reducible_edge(inst)
     assert e is not None
-    u, v = inst.endpoints(e)
-    assert 2 in (len(inst.adj[u]), len(inst.adj[v])) or True
     assert any(len(inst.adj[x]) == 2 for x in inst.endpoints(e))
 
 
@@ -472,6 +471,58 @@ def test_find_reducible_edge_through_forced_cluster():
     inst.add_edge(5, 7, 1, forced=True)
     e = find_reducible_edge(inst)
     assert e in (8, 9)
+
+
+def _reference_reducible_edge(inst):
+    """Brute force: the lowest unforced edge at a degree-2 vertex, else the
+    lowest unforced edge that some other edge joins in a 2-cut of the graph."""
+    at_two = [
+        e
+        for v in inst.alive_vertices()
+        if len(inst.adj[v]) == 2
+        for e in inst.adj[v]
+        if not inst.eforced[e]
+    ]
+    if at_two:
+        return min(at_two)
+    verts, edges = inst.alive_vertices(), inst.alive_edges()
+    eset = set(edges)
+    return next(
+        (
+            e
+            for e in edges
+            if not inst.eforced[e]
+            and any(_disconnects(inst, verts, eset, e, f) for f in edges if f != e)
+        ),
+        None,
+    )
+
+
+@pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
+def test_find_reducible_edge_matches_brute_force(monkeypatch, fingerprint):
+    # every call the fixpoint makes while solving small random cubic graphs;
+    # a 2-bit fingerprint makes the cut-class labels collide all the time
+    if fingerprint == "colliding":
+        monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+    calls = []
+    found = red.find_reducible_edge
+
+    def checked(inst):
+        got = found(inst)
+        assert got == _reference_reducible_edge(inst)
+        at_two = any(len(inst.adj[v]) == 2 for v in inst.alive_vertices())
+        calls.append((got is not None, at_two))
+        return got
+
+    monkeypatch.setattr(red, "find_reducible_edge", checked)
+    for seed in range(60):
+        n = 8 + 2 * (seed % 5)
+        inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
+        solve(inject_forced(inst, seed % 5, seed=seed))
+    conn.clear_caches()
+    assert sum(hit and not at_two for hit, at_two in calls) >= 15
+    assert sum(at_two for _, at_two in calls) >= 100
+    assert sum(not hit for hit, _ in calls) >= 100
 
 
 # -- fixpoint driver ------------------------------------------------------------------
