@@ -13,7 +13,10 @@ graph, for reducible circuits.  Labelling every edge over that tree by the
 XOR of random words of the fundamental cycles through it makes the labels
 of any edge cut XOR to 0, so cut classes are edges of one label and 3-cut
 candidates are label triples (a, b, a ^ b); both are then confirmed
-exactly.  A circuit's tree edges lie on one root path, so each of its
+exactly.  The whole graph's labels likewise place the forced edge of a
+3-cut whose other two edges disconnect a component.  Every small side is
+cut out by one bounded fill, ``bounded_side``, which also confirms its
+boundary.  A circuit's tree edges lie on one root path, so each of its
 blocks is at most three slices of the preorder.
 
 One module-level cache, keyed on labelled edges (a component's unforced
@@ -159,7 +162,8 @@ def component_cut_structure(inst: Instance, comp: UComponent):
     label 0 or two cut edges one label.  So every boundary triple is found
     as three distinct label classes (a, b, a ^ b), or, after a collision,
     as one class twice and class 0 once, or class 0 thrice; each candidate
-    is then checked exactly by ``_small_sides``.
+    is then checked exactly by a ``bounded_side`` fill from either end of
+    its lowest edge.
     """
     if not is_2_edge_connected(inst, comp):
         raise GraphError("component is not 2-edge-connected")
@@ -183,37 +187,43 @@ def component_cut_structure(inst: Instance, comp: UComponent):
             else:
                 cands = itertools.product(ea, eb, ec)
             for cut in cands:
-                triples3 += _small_sides(inst, tuple(sorted(cut)))
+                cut = tuple(sorted(cut))
+                for root in (inst.eu[cut[0]], inst.ev[cut[0]]):
+                    xs = bounded_side(inst, (root,), cut, unforced_only=True)
+                    if xs is not None:
+                        triples3.append(cut + (xs,))
     triples3.sort(key=lambda t: (t[:3], inst.eu[t[0]] not in t[3]))
     return component_pairs2(inst, comp), triples3
 
 
-def _small_sides(inst: Instance, cut: tuple) -> list[tuple]:
-    """``cut + (X,)`` for each side X of at most ``SMALL_SIDE`` vertices,
-    grown from an end of ``cut[0]`` over the other unforced edges, whose
-    boundary inside the component is exactly the three edges of ``cut``."""
+def bounded_side(inst: Instance, start, cut: tuple, unforced_only: bool = False):
+    """The vertices reached from the vertices ``start`` over alive edges not
+    in ``cut``, or over unforced ones only with ``unforced_only``.
+
+    The side is closed under every other edge walked, so its boundary (among
+    the walked edges and ``cut``) is the edges of ``cut`` with exactly one
+    end inside.  Returns None once the side would pass ``SMALL_SIDE``
+    vertices, or unless that holds for every edge of ``cut``; otherwise the
+    side as a frozenset.
+    """
     cap = SMALL_SIDE
     eu, ev, eforced = inst.eu, inst.ev, inst.eforced
-    sides = []
-    for root in (eu[cut[0]], ev[cut[0]]):
-        xs = {root}
-        stack = [root]
-        while stack and len(xs) <= cap:
-            v = stack.pop()
-            for g in inst.adj[v]:
-                if eforced[g] or g in cut:
-                    continue
-                w = eu[g] if ev[g] == v else ev[g]
-                if w not in xs:
-                    xs.add(w)
-                    stack.append(w)
-        if len(xs) > cap:
-            continue
-        # xs is closed under the other edges, so its boundary is the edges
-        # of cut with exactly one end inside
-        if all((eu[g] in xs) != (ev[g] in xs) for g in cut):
-            sides.append(cut + (frozenset(xs),))
-    return sides
+    xs = set(start)
+    stack = list(xs)
+    while stack:
+        v = stack.pop()
+        for g in inst.adj[v]:
+            if g in cut or unforced_only and eforced[g]:
+                continue
+            w = eu[g] if ev[g] == v else ev[g]
+            if w not in xs:
+                if len(xs) == cap:
+                    return None
+                xs.add(w)
+                stack.append(w)
+    if all((eu[g] in xs) != (ev[g] in xs) for g in cut):
+        return frozenset(xs)
+    return None
 
 
 def _subgraph_pieces(inst, vertices, edges, removed) -> list[frozenset]:

@@ -8,9 +8,11 @@ The fixpoint driver applies, in a fixed priority:
   3-cut replacement -> 4-cut replacement
 
 until nothing applies.  Reducible circuits are read off the whole graph's
-cut classes (``connectivity.cut_classes``).  Every rewrite appends a log
-entry; ``expand_solution`` replays the log backwards to translate edge ids
-and re-insert replaced subgraphs.
+cut classes (``connectivity.cut_classes``), and the forced edge of a small
+3-cut off the whole graph's cut labels; each small side is one bounded fill
+(``connectivity.bounded_side``) from a piece of a component's cut
+structure.  Every rewrite appends a log entry; ``expand_solution`` replays
+the log backwards to translate edge ids and re-insert replaced subgraphs.
 """
 
 from __future__ import annotations
@@ -122,12 +124,15 @@ class ReduceOutcome:
 # -- feasibility ----------------------------------------------------------------
 
 
-def check_feasibility(inst: Instance, full: bool = True) -> Feasibility:
+def check_feasibility(inst: Instance) -> Feasibility:
     """Screen for states that cannot contain a tour.
 
     Checks vertex degrees, 2-edge-connectivity of the whole graph, forced
-    subcycles, boundary parity of every unforced component, and (full mode)
-    the count of odd blocks around every circuit.
+    subcycles and the boundary parity of every unforced component.  The
+    blocks of a circuit partition its component, so their forced boundary
+    counts sum to the component's plus twice the forced edges between
+    blocks: an even component boundary leaves an even number of odd blocks
+    on every circuit, and needs no screen of its own.
     """
     for v in inst.alive_vertices():
         d, df, _ = inst.degrees(v)
@@ -137,20 +142,9 @@ def check_feasibility(inst: Instance, full: bool = True) -> Feasibility:
         return Feasibility(INFEASIBLE, "not_2ec")
     if _forced_cycle_scan(inst) == "partial":
         return Feasibility(INFEASIBLE, "forced_subcycle")
-    comps = inst.u_components()
-    for comp in comps:
+    for comp in inst.u_components():
         if comp.odd:
             return Feasibility(INFEASIBLE, "odd_component")
-    if full:
-        for comp in comps:
-            if comp.trivial or not conn.is_2_edge_connected(inst, comp):
-                continue
-            for circuit in conn.circuit_partition(inst, comp):
-                if circuit.trivial:
-                    continue
-                odd = sum(1 for b in conn.blocks_along(inst, comp, circuit) if b.odd)
-                if odd % 2 == 1:
-                    return Feasibility(INFEASIBLE, "odd_block_count")
     return OK
 
 
@@ -685,170 +679,68 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 
 # -- small-cut candidate search --------------------------------------------------------
 #
-# At this stage the instance is cubic, every component is 2-edge-connected, the
-# boundary parity of every component is even and no cut-forced edge remains.
-# Any 3-edge boundary then has 2 or 3 unforced edges, all in one component:
-# with 2 they disconnect that component (so lie on one circuit) and the set
-# is a side of that pair closed across one forced edge; with 3 the set meets
-# the component in a connected piece whose component boundary is exactly
-# those 3 edges, closed across no forced edge.  The component's cut structure
-# lists both kinds of piece.
-
-
-def _forced_neighbors_graph(inst: Instance):
-    """Component graph: nodes are unforced components, arcs are forced edges."""
-    comps = inst.u_components()
-    node_of = {}
-    for idx, comp in enumerate(comps):
-        for v in comp.vertices:
-            node_of[v] = idx
-    arcs = []
-    for e in inst.forced_edges():
-        a, b = node_of[inst.eu[e]], node_of[inst.ev[e]]
-        if a != b:
-            arcs.append((e, a, b))
-    return comps, node_of, arcs
-
-
-def _closure_to_zero(inst: Instance, comps, node_of, start_verts, banned_verts):
-    """Grow a vertex set by absorbing whole components across forced edges
-    until no forced edge leaves it.  Fails when it exceeds ``SMALL_SIDE`` or
-    touches a banned vertex."""
-    xs = set(start_verts)
-    while True:
-        if len(xs) > conn.SMALL_SIDE:
-            return None
-        grow = None
-        for v in xs:
-            for e in inst.adj[v]:
-                if not inst.eforced[e]:
-                    continue
-                w = inst.other_end(e, v)
-                if w in xs:
-                    continue
-                grow = w
-                break
-            if grow is not None:
-                break
-        if grow is None:
-            return frozenset(xs)
-        comp = comps[node_of[grow]]
-        if comp.vertices & banned_verts or comp.vertices & xs:
-            return None
-        xs |= comp.vertices
-    # unreachable
-
-
-def _closure_to_one(inst: Instance, comps, node_of, piece, other_piece):
-    """Vertex sets containing the piece whose forced boundary is exactly one
-    edge: sides of bridges in the component graph with the piece contracted in
-    and the other piece kept out."""
-    # nodes: 'P' = piece, 'Q' = other piece, component indices for the rest
-    piece = frozenset(piece)
-    other = frozenset(other_piece)
-    node_name = {}
-    for v in piece:
-        node_name[v] = "P"
-    for v in other:
-        node_name[v] = "Q"
-    host = node_of[next(iter(piece))]
-    for idx, comp in enumerate(comps):
-        if idx == host:
-            continue
-        for v in comp.vertices:
-            node_name[v] = idx
-    adj: dict = {}
-    arcs = []
-    for e in inst.forced_edges():
-        a, b = node_name[inst.eu[e]], node_name[inst.ev[e]]
-        if a == b:
-            continue
-        arcs.append((e, a, b))
-        adj.setdefault(a, []).append((e, b))
-        adj.setdefault(b, []).append((e, a))
-    if "P" not in adj:
-        return []
-    # try removing each forced arc: the P-side must be cut off exactly there
-    cap = conn.SMALL_SIDE
-    out = []
-    for e0, a0, b0 in sorted(arcs):
-        seen = {"P"}
-        stack = ["P"]
-        okflag = True
-        while stack and okflag:
-            node = stack.pop()
-            for e, other_node in adj.get(node, ()):
-                if e == e0:
-                    continue
-                if other_node == "Q":
-                    okflag = False
-                    break
-                if other_node not in seen:
-                    seen.add(other_node)
-                    stack.append(other_node)
-        if not okflag:
-            continue
-        if not (a0 in seen) ^ (b0 in seen):
-            continue  # removing e0 did not separate its own ends
-        verts = set(piece)
-        size_ok = True
-        for node in seen:
-            if node == "P":
-                continue
-            verts |= comps[node].vertices
-            if len(verts) > cap:
-                size_ok = False
-                break
-        if size_ok and len(verts) <= cap:
-            out.append(frozenset(verts))
-    return out
+# At this stage the instance is cubic, the whole graph and every component are
+# 2-edge-connected, every component's forced boundary is even and no
+# cut-forced edge remains.  A 3-edge boundary is then either two unforced
+# edges of one component plus one forced edge, or three unforced edges of one
+# component: any other kind needs a component with an odd boundary or a bridge
+# inside a component, which the earlier screens rule out.  The component's
+# cut structure gives the side's part in that component: a side of a
+# disconnecting pair, or a piece behind a triple.  For a pair e, f the forced
+# third edge comes from the whole graph's labels: the labels of a true cut
+# XOR to 0, so the forced edges labelled label[e] ^ label[f] include every
+# partner, and one that only collides fails the exact boundary test of
+# ``bounded_side``.  Partners are tried in ascending order.  Each side is one
+# bounded fill from the piece across every other edge.
 
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
     """First applicable small-cut rewrite: ('3cut', X) with |boundary| = 3,
     else ('4cut', X) for a 4-cut-reducible X, else None.  X has at most
-    ``SMALL_SIDE`` vertices and at least 2; sets in ``rejected`` are skipped."""
+    ``SMALL_SIDE`` vertices and at least 2; sets in ``rejected`` are skipped.
+
+    The whole graph must be connected and bridgeless, as
+    ``check_feasibility`` makes it before the fixpoint asks.
+    """
     cap = conn.SMALL_SIDE
-    comps, node_of, arcs = _forced_neighbors_graph(inst)
+    comps = inst.u_components()
     # a rewrite needs 2 <= |X|, and a lone-vertex complement is allowed
     # only for a tiny X (the terminal triangle-against-vertex case);
     # otherwise the cut is just some vertex's boundary seen from afar
     top = inst.n_alive() - 2
     # --- 3-cuts ---
+    whole = UComponent(frozenset(inst.alive_vertices()), tuple(inst.alive_edges()), 0)
+    label = conn._cover_labels(inst, whole)[0]
+    partners: dict[int, list[int]] = {}
+    for g in inst.forced_edges():
+        partners.setdefault(label[g], []).append(g)
     for comp in comps:
         if comp.trivial or len(comp.edges) < 2:
             continue
         pairs2, triples3 = conn.component_cut_structure(inst, comp)
-        # two unforced boundary edges plus one forced
-        for e, f, p1, p2 in pairs2:
-            for piece, other in ((p1, p2), (p2, p1)):
-                if len(piece) > cap:
-                    continue
-                for xs in _closure_to_one(inst, comps, node_of, piece, other):
-                    if xs in rejected:
-                        continue
-                    cf, cu = inst.cut(xs)
-                    if len(cf) + len(cu) == 3 and 2 <= len(xs) and (
-                        len(xs) <= top or len(xs) <= 3
-                    ):
-                        return ("3cut", xs)
-        # three unforced boundary edges
-        for e, f, h, piece in triples3:
-            xs = _closure_to_zero(
-                inst, comps, node_of, piece, comp.vertices - piece
-            )
-            if xs is None or xs in rejected:
-                continue
-            cf, cu = inst.cut(xs)
-            if len(cf) + len(cu) == 3 and 2 <= len(xs) and (
+        # two unforced boundary edges plus one forced, then three unforced
+        sides = [
+            (piece, (e, f, g))
+            for e, f, p1, p2 in pairs2
+            for piece in (p1, p2)
+            if len(piece) <= cap
+            for g in partners.get(label[e] ^ label[f], ())
+        ]
+        sides += [(piece, (e, f, h)) for e, f, h, piece in triples3]
+        for piece, cut in sides:
+            xs = conn.bounded_side(inst, piece, cut)
+            if xs is not None and xs not in rejected and 2 <= len(xs) and (
                 len(xs) <= top or len(xs) <= 3
             ):
                 return ("3cut", xs)
     # --- 4-cuts: unions of whole components behind four forced edges ---
+    node_of = {v: i for i, comp in enumerate(comps) for v in comp.vertices}
     cg_adj: dict[int, set[int]] = {i: set() for i in range(len(comps))}
-    for _, a, b in arcs:
-        cg_adj[a].add(b)
-        cg_adj[b].add(a)
+    for g in inst.forced_edges():
+        a, b = node_of[inst.eu[g]], node_of[inst.ev[g]]
+        if a != b:
+            cg_adj[a].add(b)
+            cg_adj[b].add(a)
     for subset in sorted(
         _connected_subsets(cg_adj, [len(c.vertices) for c in comps], cap),
         key=sorted,
@@ -920,7 +812,7 @@ def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit
 
 def _reduce_loop(inst: Instance, log: ReductionLog, audit):
     while True:
-        feas = check_feasibility(inst, full=False)
+        feas = check_feasibility(inst)
         if feas.infeasible:
             return inst, log, ReduceOutcome(feas)
         if inst.n_alive() == 2:
@@ -958,9 +850,6 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
                 return inst, log, outcome
             continue
 
-        feas = check_feasibility(inst, full=True)
-        if feas.infeasible:
-            return inst, log, ReduceOutcome(feas)
         if not _apply_small_cut(inst, log, audit, before):
             return inst, log, ReduceOutcome(OK)
 

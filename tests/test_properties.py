@@ -12,6 +12,8 @@ from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.oracles import exhaustive_forced, held_karp
 from cubictsp.search import solve
 
+from conftest import random_degree3_multigraph
+
 seeds = st.integers(min_value=0, max_value=10**9)
 
 
@@ -109,3 +111,23 @@ def test_four_cycle_assembly_equals_bruteforce(seed, k):
     assert fast.status == slow.status
     if slow.optimal:
         assert fast.cost == slow.cost
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=seeds, n=st.sampled_from([8, 10, 12, 14]), pins=st.integers(1, 6))
+def test_odd_blocks_match_component_parity(seed, n, pins):
+    # a circuit's blocks partition its component, so the odd blocks on every
+    # circuit are as many as the component's forced boundary, mod 2
+    rng = random.Random(seed)
+    if seed % 2:
+        base = random_degree3_multigraph(rng, n)
+    else:
+        base = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed))
+    inst = inject_forced(base, count=pins, seed=seed)
+    for comp in inst.u_components():
+        if comp.trivial or not conn.is_2_edge_connected(inst, comp):
+            continue
+        for circuit in conn.circuit_partition(inst, comp):
+            if not circuit.trivial:
+                odd = sum(b.odd for b in conn.blocks_along(inst, comp, circuit))
+                assert odd % 2 == comp.boundary_forced % 2

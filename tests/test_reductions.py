@@ -525,6 +525,67 @@ def test_find_reducible_edge_matches_brute_force(monkeypatch, fingerprint):
     assert sum(not hit for hit, _ in calls) >= 100
 
 
+def _reference_three_cut_sides(inst):
+    """Brute force: every vertex set X with 2 <= |X| <= SMALL_SIDE, not a
+    lone-vertex complement unless |X| <= 3, and exactly three edges leaving."""
+    verts = inst.alive_vertices()
+    ends = [(verts.index(inst.eu[e]), verts.index(inst.ev[e])) for e in inst.alive_edges()]
+    top = len(verts) - 2
+    out = set()
+    for size in range(2, min(conn.SMALL_SIDE, len(verts)) + 1):
+        if size > top and size > 3:
+            break
+        for chosen in itertools.combinations(range(len(verts)), size):
+            mask = sum(1 << i for i in chosen)
+            if sum((mask >> a ^ mask >> b) & 1 for a, b in ends) == 3:
+                out.add(frozenset(verts[i] for i in chosen))
+    return out
+
+
+@pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
+def test_three_cut_candidates_match_brute_force(monkeypatch, fingerprint):
+    # at every call the fixpoint makes while solving small random cubic
+    # graphs, the 3-cut sides offered one after another (each rejected in
+    # turn) are exactly the 3-edge boundaries, and every side a fill returns
+    # has exactly its cut as boundary; a 2-bit fingerprint makes the labels
+    # collide all the time
+    if fingerprint == "colliding":
+        monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+    sides = {"forced": 0, "unforced": 0}
+    found = red.find_small_cut_candidate
+    fill = conn.bounded_side
+
+    def exact_fill(inst, start, cut, unforced_only=False):
+        xs = fill(inst, start, cut, unforced_only)
+        if xs is not None:
+            leaving = [
+                g
+                for g in inst.alive_edges()
+                if (inst.eu[g] in xs) != (inst.ev[g] in xs)
+                and not (unforced_only and inst.eforced[g])
+            ]
+            assert leaving == sorted(cut)
+        return xs
+
+    def checked(inst, rejected=frozenset()):
+        offered = set()
+        while (cand := found(inst, offered)) is not None and cand[0] == "3cut":
+            offered.add(cand[1])
+        assert offered == _reference_three_cut_sides(inst)
+        for xs in offered:
+            sides["forced" if inst.cut(xs)[0] else "unforced"] += 1
+        return found(inst, rejected)
+
+    monkeypatch.setattr(red, "find_small_cut_candidate", checked)
+    monkeypatch.setattr(conn, "bounded_side", exact_fill)
+    for seed in range(60):
+        n = 6 + 2 * (seed % 4)
+        inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
+        solve(inject_forced(inst, seed % 5, seed=seed))
+    conn.clear_caches()
+    assert sides["forced"] >= 100 and sides["unforced"] >= 100
+
+
 # -- fixpoint driver ------------------------------------------------------------------
 
 
