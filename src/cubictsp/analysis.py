@@ -68,25 +68,6 @@ def measure(cfg: WeightConfig, inst: Instance, infeasible: bool = False) -> Frac
     return total
 
 
-def direct_benefit(cfg: WeightConfig, inst: Instance, block, decision: str) -> Fraction:
-    """Immediate measure decrease credited to one block when its two circuit
-    edges are decided (``decision`` applies to both: 'include' or 'delete')."""
-    kind = conn.classify_block(inst, block)
-    if kind == conn.REDUCIBLE:
-        return Fraction(0)
-    if kind == conn.TRIVIAL:
-        return cfg.w3p
-    if block.odd:
-        return cfg.w3 + cfg.d3 - cfg.delta
-    if decision == "delete":
-        return 2 * cfg.w3 - cfg.delta
-    if kind == conn.TWO_PENDENT_CRITICAL:
-        return 2 * cfg.d3 - cfg.gamma
-    if conn._is_cycle_shape(inst, block.vertices, 4):
-        return sum(vertex_weight(cfg, inst, v) for v in block.vertices)
-    return 2 * cfg.d3 - cfg.delta
-
-
 # -- reference branching vectors -------------------------------------------------
 
 

@@ -92,7 +92,11 @@ def cmd_oracle(args) -> int:
 def cmd_gen(args) -> int:
     seed = args.seed
     if seed is None:
-        seed = int(os.environ.get("CUBIC_TSP_SEED", "0"))
+        raw = os.environ.get("CUBIC_TSP_SEED", "0")
+        try:
+            seed = int(raw)
+        except ValueError:
+            raise GraphError(f"CUBIC_TSP_SEED is not an integer: {raw!r}")
     spec = generators.GeneratorSpec(
         kind=args.kind,
         n=args.n,
@@ -106,7 +110,10 @@ def cmd_gen(args) -> int:
         inst = generators.inject_forced(inst, args.force_edges, seed=seed + 1)
     text = format_instance(inst, comment=f"gen kind={args.kind} n={args.n} seed={seed}")
     if args.out:
-        Path(args.out).write_text(text)
+        try:
+            Path(args.out).write_text(text)
+        except OSError as exc:
+            raise GraphError(f"cannot write {args.out}: {exc}")
     else:
         sys.stdout.write(text)
     return 0

@@ -6,27 +6,29 @@ its classes are the *circuits*.  The connected pieces left between two
 consecutive circuit edges are the *blocks*.  Branching and the deterministic
 propagation of include/delete decisions both walk this structure.
 
-Cut classes (the circuits' edge sets), cut pairs, their sides, small
-3-cuts, and every circuit's cyclic order and blocks come from one
-depth-first tree per component; cut classes also from one of the whole
-graph, for reducible circuits.  Labelling every edge over that tree by the
-XOR of random words of the fundamental cycles through it makes the labels
-of any edge cut XOR to 0, so cut classes are edges of one label and 3-cut
-candidates are label triples (a, b, a ^ b); both are then confirmed
-exactly.  The whole graph's labels likewise place the forced edge of a
-3-cut whose other two edges disconnect a component.  Every small side is
-cut out by one bounded fill, ``bounded_side``, which also confirms its
-boundary.  A circuit's tree edges lie on one root path, so each of its
-blocks is at most three slices of the preorder.
+Bridges, cut classes (the circuits' edge sets), cut pairs, small 3-cuts,
+and every circuit's cyclic order and blocks come from one depth-first tree
+per component; cut classes also from one of the whole graph, for reducible
+circuits.  A bridge is a tree edge that no back edge covers.  Labelling
+every edge over that tree by the XOR of random words of the fundamental
+cycles through it makes the labels of any edge cut XOR to 0, so cut classes
+are edges of one label and 3-cut candidates are label triples (a, b, a ^ b);
+both are then confirmed exactly.  The whole graph's labels likewise place
+the forced edge of a 3-cut whose other two edges disconnect a component.
+Every small side is cut out by one bounded fill, ``bounded_side``, from one
+start vertex, which also confirms its boundary.  A circuit's tree edges lie
+on one root path, so each of its blocks is at most three slices of the
+preorder.
 
 One module-level cache, keyed on labelled edges (a component's unforced
 edges, or all alive edges of the whole graph), shares results across
 search-tree siblings that did not touch them.  It may hold only facts of
 those labelled edges, none of which reads a forced mark: bridges, the DFS
-tree and its cover labels, cut classes, cut pairs with their sides, small
-3-cuts and the circuit partition.  A cached circuit carries its blocks'
-preorder slices; anything that reads forced edges, such as a block's
-``cut_forced``, is recomputed on every call.
+tree and its cover labels, cut classes, cut pairs and small 3-cuts, and the
+circuit partition.  A cut entry names its side by one start vertex and a
+size, never by a vertex set; the only vertex sets cached are the preorder
+and block slices a circuit carries.  Anything that reads forced edges, such
+as a block's ``cut_forced``, is recomputed on every call.
 """
 
 from __future__ import annotations
@@ -105,41 +107,31 @@ def is_2_edge_connected(inst: Instance, comp: UComponent) -> bool:
     return not _unforced_bridges(inst, comp)
 
 
-def _edge_mask(inst: Instance, edges) -> list[bool]:
-    ok = [False] * len(inst.ealive)
-    for e in edges:
-        ok[e] = True
-    return ok
-
-
 @_cached
 def _unforced_bridges(inst: Instance, comp: UComponent) -> list[int]:
-    ok = _edge_mask(inst, comp.edges)
-    return inst.bridges(edge_ok=ok, roots=(inst.eu[comp.edges[0]],))
+    """Sorted bridges of a component: the tree edges no back edge covers."""
+    tree_edge = _dfs_tree(inst, comp)[2]
+    covers = _cover_labels(inst, comp)[1]
+    return sorted(tree_edge[i] for i in range(1, len(tree_edge)) if covers[i] == 0)
 
 
 @_cached
 def component_pairs2(inst: Instance, comp: UComponent):
-    """Disconnecting edge pairs of a component with their two vertex sides,
-    the side holding the component's lowest vertex first.
+    """Disconnecting edge pairs of a component as ``(e, f, v, k)``: v is a
+    vertex of the side without the component's lowest vertex, and k is that
+    side's size.
 
-    Both tree edges of a pair lie on one root path, so the inner side is
-    sub(top) minus sub(low), or all of sub(top) when the partner is the
-    back edge that alone covers the tree edge above ``top``.
+    Both tree edges of a pair lie on one root path, so that side is sub(top)
+    minus sub(low), or all of sub(top) when the partner is the back edge
+    that alone covers the tree edge above ``top``; v is ``top``'s vertex.
     """
     pre, _, tree_edge, size, _ = _dfs_tree(inst, comp)
-    n = len(pre)
     child = {e: i for i, e in enumerate(tree_edge) if i}
     pairs2 = []
     for e, f in two_cut_pairs(inst, comp):
         top, *low = sorted(child[x] for x in (e, f) if x in child)
-        top_end = top + size[top]
-        if low:
-            lo, lo_end = low[0], low[0] + size[low[0]]
-            inner, outer = (top, lo, lo_end, top_end), (0, top, lo, lo_end, top_end, n)
-        else:
-            inner, outer = (top, top_end), (0, top, top_end, n)
-        pairs2.append((e, f, _gather(pre, outer), _gather(pre, inner)))
+        k = size[top] - size[low[0]] if low else size[top]
+        pairs2.append((e, f, pre[top], k))
     return pairs2
 
 
@@ -147,14 +139,15 @@ def component_pairs2(inst: Instance, comp: UComponent):
 def component_cut_structure(inst: Instance, comp: UComponent):
     """Small-cut skeleton of one 2-edge-connected component.
 
-    Returns (pairs2, triples3): ``pairs2`` holds every disconnecting edge
-    pair with its two vertex sides; ``triples3`` holds an entry
-    ``(e, f, h, X)`` for every connected vertex set X of at most
-    ``SMALL_SIDE`` vertices whose boundary inside the component is exactly
-    the three edges e < f < h.  Entries are sorted by their triple; when
-    both sides of one triple fit, the side holding ``inst.eu[e]`` comes
-    first.  The cached list assumes ``SMALL_SIDE`` has not changed since
-    the last ``clear_caches()``.  A component with a bridge raises
+    Returns (pairs2, triples3): ``pairs2`` is ``component_pairs2``;
+    ``triples3`` holds an entry ``(e, f, h, root)`` for every connected
+    vertex set X of at most ``SMALL_SIDE`` vertices whose boundary inside
+    the component is exactly the three edges e < f < h.  ``root`` is the end
+    of e inside X, and X is the ``bounded_side`` fill from it over unforced
+    edges.  Entries are sorted by their triple; when both sides of one
+    triple fit, the one with root ``inst.eu[e]`` comes first.  The cached
+    list assumes ``SMALL_SIDE`` has not changed since the last
+    ``clear_caches()``.  A component with a bridge raises
     ``GraphError``.
 
     The labels of a cut XOR to 0 (see ``_cover_labels``), and in a
@@ -189,15 +182,14 @@ def component_cut_structure(inst: Instance, comp: UComponent):
             for cut in cands:
                 cut = tuple(sorted(cut))
                 for root in (inst.eu[cut[0]], inst.ev[cut[0]]):
-                    xs = bounded_side(inst, (root,), cut, unforced_only=True)
-                    if xs is not None:
-                        triples3.append(cut + (xs,))
-    triples3.sort(key=lambda t: (t[:3], inst.eu[t[0]] not in t[3]))
+                    if bounded_side(inst, root, cut, unforced_only=True) is not None:
+                        triples3.append(cut + (root,))
+    triples3.sort(key=lambda t: (t[:3], t[3] != inst.eu[t[0]]))
     return component_pairs2(inst, comp), triples3
 
 
-def bounded_side(inst: Instance, start, cut: tuple, unforced_only: bool = False):
-    """The vertices reached from the vertices ``start`` over alive edges not
+def bounded_side(inst: Instance, start: int, cut: tuple, unforced_only: bool = False):
+    """The vertices reached from the vertex ``start`` over alive edges not
     in ``cut``, or over unforced ones only with ``unforced_only``.
 
     The side is closed under every other edge walked, so its boundary (among
@@ -208,8 +200,8 @@ def bounded_side(inst: Instance, start, cut: tuple, unforced_only: bool = False)
     """
     cap = SMALL_SIDE
     eu, ev, eforced = inst.eu, inst.ev, inst.eforced
-    xs = set(start)
-    stack = list(xs)
+    xs = {start}
+    stack = [start]
     while stack:
         v = stack.pop()
         for g in inst.adj[v]:
@@ -323,8 +315,6 @@ def _gather(pre: tuple, bounds: tuple) -> frozenset:
     verts = set()
     for j in range(0, len(bounds), 2):
         verts.update(pre[bounds[j] : bounds[j + 1]])
-    # copied from a set, a frozenset's table is sized to its members; built
-    # from a sequence it keeps up to twice that, and pairs2 caches many
     return frozenset(verts)
 
 
@@ -400,7 +390,9 @@ def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
     # settles a whole group: the true partners of edge r are exactly the
     # bridges of the subgraph minus r.  Rejected members (possible only via a
     # fingerprint collision) are regrouped and retried.
-    ok = _edge_mask(inst, comp.edges)
+    ok = [False] * len(inst.ealive)
+    for e in comp.edges:
+        ok[e] = True
     for group in multis.values():
         pending = sorted(group)
         while len(pending) > 1:

@@ -10,9 +10,10 @@ The fixpoint driver applies, in a fixed priority:
 until nothing applies.  Reducible circuits are read off the whole graph's
 cut classes (``connectivity.cut_classes``), and the forced edge of a small
 3-cut off the whole graph's cut labels; each small side is one bounded fill
-(``connectivity.bounded_side``) from a piece of a component's cut
-structure.  Every rewrite appends a log entry; ``expand_solution`` replays
-the log backwards to translate edge ids and re-insert replaced subgraphs.
+(``connectivity.bounded_side``) from a start vertex that a component's cut
+structure gives.  Every rewrite appends a log entry; ``expand_solution``
+replays the log backwards to translate edge ids and re-insert replaced
+subgraphs.
 """
 
 from __future__ import annotations
@@ -685,13 +686,14 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 # edges of one component plus one forced edge, or three unforced edges of one
 # component: any other kind needs a component with an odd boundary or a bridge
 # inside a component, which the earlier screens rule out.  The component's
-# cut structure gives the side's part in that component: a side of a
-# disconnecting pair, or a piece behind a triple.  For a pair e, f the forced
-# third edge comes from the whole graph's labels: the labels of a true cut
-# XOR to 0, so the forced edges labelled label[e] ^ label[f] include every
-# partner, and one that only collides fails the exact boundary test of
-# ``bounded_side``.  Partners are tried in ascending order.  Each side is one
-# bounded fill from the piece across every other edge.
+# cut structure gives one vertex of the side's piece in that component: a
+# side of a disconnecting pair, or the piece behind a triple.  For a pair
+# e, f the forced third edge comes from the whole graph's labels: the labels
+# of a true cut XOR to 0, so the forced edges labelled label[e] ^ label[f]
+# include every partner, and one that only collides fails the exact boundary
+# test of ``bounded_side``.  Partners are tried in ascending order.  The
+# piece is connected without the cut, so each side is one bounded fill from
+# that vertex across every other edge.
 
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
@@ -719,16 +721,17 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
             continue
         pairs2, triples3 = conn.component_cut_structure(inst, comp)
         # two unforced boundary edges plus one forced, then three unforced
+        low, n = min(comp.vertices), len(comp.vertices)
         sides = [
-            (piece, (e, f, g))
-            for e, f, p1, p2 in pairs2
-            for piece in (p1, p2)
-            if len(piece) <= cap
+            (start, (e, f, g))
+            for e, f, v, k in pairs2
+            for start, size in ((low, n - k), (v, k))
+            if size <= cap
             for g in partners.get(label[e] ^ label[f], ())
         ]
-        sides += [(piece, (e, f, h)) for e, f, h, piece in triples3]
-        for piece, cut in sides:
-            xs = conn.bounded_side(inst, piece, cut)
+        sides += [(root, (e, f, h)) for e, f, h, root in triples3]
+        for start, cut in sides:
+            xs = conn.bounded_side(inst, start, cut)
             if xs is not None and xs not in rejected and 2 <= len(xs) and (
                 len(xs) <= top or len(xs) <= 3
             ):

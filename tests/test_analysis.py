@@ -15,7 +15,6 @@ from cubictsp.analysis import (
     bottleneck_identity,
     branch_vector_table,
     component_weight,
-    direct_benefit,
     leaf_bound,
     leaf_bound_check,
     measure,
@@ -95,53 +94,6 @@ def test_measure_infeasible_and_terminal_zero():
     assert measure(CFG, inst, infeasible=True) == 0
     tiny = build(2, [(0, 1), (0, 1)])
     assert measure(CFG, tiny) == 0
-
-
-# -- direct benefit -------------------------------------------------------------
-
-
-def test_direct_benefit_values():
-    inst = six_cycle_with_pendants()
-    comp = inst.component_of(0)
-    (circuit,) = conn.circuit_partition(inst, comp)
-    trivial = conn.blocks_along(inst, comp, circuit)[0]
-    assert direct_benefit(CFG, inst, trivial, "include") == Fraction(1, 3)
-
-    # odd nontrivial: 1 + 2/3 - 127/100 = 119/300
-    class FakeBlock:
-        vertices = frozenset({0, 1})
-        cut_forced = 1
-        odd = True
-
-    inst2 = build(4, [(0, 1), (1, 2), (2, 3), (3, 0)])
-    got = direct_benefit(CFG, inst2, FakeBlock(), "include")
-    assert got == 1 + Fraction(2, 3) - Fraction(127, 100) == Fraction(119, 300)
-
-
-def test_direct_benefit_reducible_zero():
-    inst = build(5, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 0), (0, 2)])
-    comp = inst.component_of(0)
-    for circuit in conn.circuit_partition(inst, comp):
-        if circuit.trivial:
-            continue
-        for block in conn.blocks_along(inst, comp, circuit):
-            if conn.classify_block(inst, block) == conn.REDUCIBLE:
-                assert direct_benefit(CFG, inst, block, "include") == 0
-                return
-    pytest.fail("no reducible block found")
-
-
-def test_direct_benefit_even_cases():
-    class B:
-        def __init__(self, verts, cf):
-            self.vertices = frozenset(verts)
-            self.cut_forced = cf
-            self.odd = cf % 2 == 1
-
-    inst = build(8, [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (0, 6), (3, 7)])
-    blk = B(range(6), 0)
-    assert direct_benefit(CFG, inst, blk, "delete") == 2 - CFG.delta
-    assert direct_benefit(CFG, inst, blk, "include") == 2 * CFG.d3 - CFG.delta
 
 
 # -- reference vectors -----------------------------------------------------------

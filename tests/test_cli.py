@@ -150,6 +150,19 @@ def test_gen_env_seed(capsys, tmp_path, monkeypatch):
     assert a.read_text() != c.read_text()
 
 
+@pytest.mark.parametrize("fault", ["env_seed", "out_dir"])
+def test_gen_bad_seed_or_output_is_one_error(capsys, tmp_path, monkeypatch, fault):
+    args = ["gen", "--n", "10"]
+    if fault == "env_seed":
+        monkeypatch.setenv("CUBIC_TSP_SEED", "abc")
+    else:
+        args += ["--out", str(tmp_path / "missing" / "x.ftsp")]
+    code, out, err = run_cli(capsys, *args)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: ") and err.count("\n") == 1
+
+
 def test_gen_forced_edges(capsys, tmp_path):
     out_file = tmp_path / "forced.ftsp"
     code, _, _ = run_cli(

@@ -153,6 +153,18 @@ def brute_small_three_cuts(inst, comp, cap):
     return out
 
 
+def _triple_sides(inst, comp):
+    """``component_cut_structure``'s triples with each side X rebuilt from
+    its root, as (e, f, h, X); the root must be an end of e."""
+    out = []
+    for e, f, h, root in conn.component_cut_structure(inst, comp)[1]:
+        assert root in (inst.eu[e], inst.ev[e])
+        xs = conn.bounded_side(inst, root, (e, f, h), unforced_only=True)
+        assert xs is not None
+        out.append((e, f, h, xs))
+    return out
+
+
 def test_small_three_cuts_match_brute_force(monkeypatch):
     rng = random.Random(3)
     shapes = {"degree2": 0, "parallel": 0}
@@ -182,7 +194,7 @@ def test_small_three_cuts_match_brute_force(monkeypatch):
             for cap in (4, 10) if len(comp.vertices) <= 12 else (10,):
                 monkeypatch.setattr(conn, "SMALL_SIDE", cap)
                 conn.clear_caches()
-                got = conn.component_cut_structure(inst, comp)[1]
+                got = _triple_sides(inst, comp)
                 assert len(got) == len(set(got))
                 assert set(got) == brute_small_three_cuts(inst, comp, cap)
                 # sorted by triple; the side holding eu of the first edge first
@@ -243,13 +255,35 @@ def test_fingerprint_collisions_cost_no_answer(monkeypatch):
             circuits = {frozenset(c.edges) for c in circuit_partition(inst, comp)}
             assert circuits == {frozenset(c) for c in classes.values()}
             zero_labels += 0 in conn._cover_labels(inst, comp)[0].values()
-            got = conn.component_cut_structure(inst, comp)[1]
+            got = _triple_sides(inst, comp)
             assert len(got) == len(set(got))
             assert set(got) == brute_small_three_cuts(inst, comp, conn.SMALL_SIDE)
             order = [(e, f, h, inst.eu[e] not in xs) for e, f, h, xs in got]
             assert order == sorted(order)
             checked += 1
     assert checked >= 45 and zero_labels >= 30 and bridged >= 100
+    conn.clear_caches()
+
+
+@pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
+def test_bridges_from_cover_counts_match_lowpoint(monkeypatch, fingerprint):
+    # cover counts are exact integers, so even labels that collide all the
+    # time leave the bridges of every component, bridged or not, unchanged
+    if fingerprint == "colliding":
+        monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+    conn.clear_caches()
+    bridged = 0
+    for inst in cut_search_family():
+        for comp in inst.u_components():
+            if comp.trivial:
+                continue
+            mask = [False] * len(inst.ealive)
+            for e in comp.edges:
+                mask[e] = True
+            want = inst.bridges(edge_ok=mask, roots=(min(comp.vertices),))
+            assert conn._unforced_bridges(inst, comp) == want
+            bridged += bool(want)
+    assert bridged >= 100
     conn.clear_caches()
 
 
@@ -516,8 +550,14 @@ def test_tree_slices_match_flood_fill_reference():
                 seen["degree2"] += 1
             if len({frozenset(inst.endpoints(e)) for e in comp.edges}) < len(comp.edges):
                 seen["parallel"] += 1
+            # (e, f, v, k): v lies in the piece without the lowest vertex,
+            # and k is that piece's size
             pairs2 = conn.component_pairs2(inst, comp)
-            assert pairs2 == _pairs2_by_flood_fill(inst, comp)
+            want = _pairs2_by_flood_fill(inst, comp)
+            assert [p[:2] for p in pairs2] == [w[:2] for w in want]
+            for (_, _, v, k), (_, _, low_side, far_side) in zip(pairs2, want):
+                assert min(comp.vertices) in low_side
+                assert v in far_side and k == len(far_side)
             seen["pairs2"] += len(pairs2)
             if not is_2_edge_connected(inst, comp):
                 continue
