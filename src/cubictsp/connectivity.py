@@ -12,13 +12,15 @@ per component; cut classes also from one of the whole graph, for reducible
 circuits.  A bridge is a tree edge that no back edge covers.  Labelling
 every edge over that tree by the XOR of random words of the fundamental
 cycles through it makes the labels of any edge cut XOR to 0, so cut classes
-are edges of one label and 3-cut candidates are label triples (a, b, a ^ b);
-both are then confirmed exactly.  The whole graph's labels likewise place
+are edges of one label and 3-cut candidates are label triples (a, b, a ^ b).
+A cut class is then confirmed exactly from the tree alone, by subtree
+bounds, cover counts and each tree edge's deepest covering back edge; a
+3-cut candidate by the fill below.  The whole graph's labels likewise place
 the forced edge of a 3-cut whose other two edges disconnect a component.
 Every small side is cut out by one bounded fill, ``bounded_side``, from one
 start vertex, which also confirms its boundary.  A circuit's tree edges lie
 on one root path, so each of its blocks is at most three slices of the
-preorder.
+preorder, and its size is read off their bounds.
 
 One module-level cache, keyed on labelled edges (a component's unforced
 edges, or all alive edges of the whole graph), shares results across
@@ -359,6 +361,35 @@ def _cover_labels(inst: Instance, comp: UComponent):
     return label, cnt_acc, id_acc
 
 
+def _highpoints(parent: list, back: list) -> list[int]:
+    """For every preorder position i > 0, the deepest (largest) ancestor
+    position of a back edge covering ``tree_edge[i]``, or -1 if none.
+
+    Back edges are taken by descending ancestor end, so the first one to
+    reach a position is its deepest; each walks up from its descendant end
+    and skips positions already set through a union-find pointer to the
+    next unset ancestor.
+    """
+    hi = [-1] * len(parent)
+    up = list(range(len(parent)))  # next ancestor-or-self that may be unset
+
+    def unset(x):
+        root = x
+        while up[root] != root:
+            root = up[root]
+        while up[x] != root:
+            up[x], x = root, up[x]
+        return root
+
+    for _, a, d in sorted(back, key=lambda b: -b[1]):
+        x = unset(d)
+        while x > a:
+            hi[x] = a
+            up[x] = parent[x]
+            x = unset(x)
+    return hi
+
+
 @_cached
 def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
     """Nontrivial circuits of a connected edge set, each as a sorted tuple
@@ -368,41 +399,42 @@ def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
     A pair of tree edges separates iff the same back edges cover both, and a
     (tree, back) pair iff that back edge is the tree edge's only cover.  A
     lone cover is known exactly, so those classes are exact outright; larger
-    cover sets are compared by their labels (``_cover_labels``), which never
-    splits a class, and each group of equal labels is confirmed exactly by a
-    bridge sweep.  No forced mark is read.
+    cover sets are grouped by their labels (``_cover_labels``), which never
+    splits a class, and each group is split exactly by the tree: for
+    positions t < c the cover sets of ``tree_edge[t]`` and ``tree_edge[c]``
+    are equal iff c lies in sub(t), both counts are equal and no back edge
+    covering c reaches below t (``_highpoints``).  Then every back edge
+    covering c also covers t, and equal counts make the sets equal.  No
+    forced mark is read.
     """
-    pre, _, tree_edge, _, _ = _dfs_tree(inst, comp)
+    _, parent, tree_edge, size, back = _dfs_tree(inst, comp)
     label, covers, cover = _cover_labels(inst, comp)
     singles: dict[int, list[int]] = {}
     multis: dict[int, list[int]] = {}
-    for i in range(1, len(pre)):
+    for i in range(1, len(parent)):
         if covers[i] == 0:
             continue  # bridge; not part of any minimal pair
-        e = tree_edge[i]
         if covers[i] == 1:
-            singles.setdefault(cover[i], []).append(e)
+            singles.setdefault(cover[i], []).append(tree_edge[i])
         else:
-            multis.setdefault(label[e], []).append(e)
+            multis.setdefault(label[tree_edge[i]], []).append(i)
     classes = [tuple(sorted(group + [b])) for b, group in singles.items()]
-
-    # Equal covers form an equivalence, so one sweep against a representative
-    # settles a whole group: the true partners of edge r are exactly the
-    # bridges of the subgraph minus r.  Rejected members (possible only via a
-    # fingerprint collision) are regrouped and retried.
-    ok = [False] * len(inst.ealive)
-    for e in comp.edges:
-        ok[e] = True
-    for group in multis.values():
-        pending = sorted(group)
-        while len(pending) > 1:
-            ok[pending[0]] = False
-            bset = set(inst.bridges(edge_ok=ok, roots=(pre[0],)))
-            ok[pending[0]] = True
-            verified = [pending[0]] + [m for m in pending[1:] if m in bset]
-            if len(verified) > 1:
-                classes.append(tuple(verified))
-            pending = [m for m in pending[1:] if m not in bset]
+    groups = [group for group in multis.values() if len(group) > 1]
+    if groups:
+        hi = _highpoints(parent, back)
+    for group in groups:
+        # members in preorder; each joins the first class whose top has its
+        # cover set (several classes only after a fingerprint collision)
+        split: list[list[int]] = []
+        for c in group:
+            for members in split:
+                t = members[0]
+                if c < t + size[t] and covers[t] == covers[c] and hi[c] < t:
+                    members.append(c)
+                    break
+            else:
+                split.append([c])
+        classes += [tuple(sorted(tree_edge[i] for i in m)) for m in split if len(m) > 1]
     classes.sort()
     return classes
 
@@ -629,21 +661,23 @@ def _standalone_component(inst: Instance, verts) -> UComponent:
 
 def _has_normal_subblock(inst: Instance, verts) -> bool:
     """Scan a block as a standalone 2-edge-connected piece for any inner
-    block that would itself deserve branching."""
+    block that would itself deserve branching.
+
+    An inner block of one vertex never does.  A larger one does unless it
+    is two-pendent critical, which needs the 6 or 8 vertices of
+    ``_is_critical_shape``; so only blocks of those sizes, read off as the
+    summed lengths of their preorder slices, are gathered and tested.
+    """
     sub = _standalone_component(inst, verts)
-    if sub.trivial or len(sub.vertices) < 2:
-        return False
-    for circuit in circuit_partition(inst, sub):
-        if circuit.trivial:
-            continue
-        for block in blocks_along(inst, sub, circuit):
-            if block.vertices == verts:
+    pre, _, tree_edge, size, _ = _dfs_tree(inst, sub)
+    child = {e: i for i, e in enumerate(tree_edge) if i}
+    for group in cut_classes(inst, sub):
+        for bounds in _cyclic_circuit(group, pre, child, size).slices:
+            k = sum(bounds[1::2]) - sum(bounds[::2])
+            if k == 1:
                 continue
-            if len(block.vertices) == 1:
-                continue
-            if _is_two_pendent_critical(inst, block.vertices):
-                continue
-            return True
+            if k not in (6, 8) or not _is_two_pendent_critical(inst, _gather(pre, bounds)):
+                return True
     return False
 
 

@@ -238,18 +238,16 @@ class Instance:
                     stack.append(w)
         return len(seen) == len(verts)
 
-    def bridges(self, edge_ok=None, roots=None) -> list[int]:
-        """Bridge edge ids of the alive graph (restricted to ``edge_ok`` when
-        given), by iterative lowpoint DFS.  Parallel edges never count.
-        ``roots`` limits the sweep to the subgraph reachable from them."""
-        ok = self.ealive if edge_ok is None else edge_ok
+    def bridges(self) -> list[int]:
+        """Bridge edge ids of the alive graph, by iterative lowpoint DFS.
+        Parallel edges never count."""
         n = len(self.valive)
         num = [-1] * n
         low = [0] * n
         out: list[int] = []
         counter = 0
-        eu, ev, adj, valive = self.eu, self.ev, self.adj, self.valive
-        for root in range(n) if roots is None else roots:
+        eu, ev, adj, valive, ealive = self.eu, self.ev, self.adj, self.valive, self.ealive
+        for root in range(n):
             if not valive[root] or num[root] != -1:
                 continue
             stack = [(root, -1, iter(adj[root]))]
@@ -260,7 +258,7 @@ class Instance:
                 advanced = False
                 lv = low[v]
                 for e in it:
-                    if not ok[e] or e == pe:
+                    if not ealive[e] or e == pe:
                         continue
                     w = eu[e]
                     if w == v:

@@ -18,9 +18,10 @@ from cubictsp.connectivity import (
     is_standard_four_cycle,
     two_cut_pairs,
 )
-from cubictsp.generators import GeneratorSpec, generate
-from cubictsp.graph import GraphError
+from cubictsp.generators import GeneratorSpec, generate, inject_forced
+from cubictsp.graph import GraphError, Instance, UComponent
 from cubictsp.oracles import _circuit_cycle, _disconnects
+from cubictsp.search import solve
 
 from conftest import (
     build,
@@ -266,7 +267,7 @@ def test_fingerprint_collisions_cost_no_answer(monkeypatch):
 
 
 @pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
-def test_bridges_from_cover_counts_match_lowpoint(monkeypatch, fingerprint):
+def test_bridges_from_cover_counts_match_flood_fill(monkeypatch, fingerprint):
     # cover counts are exact integers, so even labels that collide all the
     # time leave the bridges of every component, bridged or not, unchanged
     if fingerprint == "colliding":
@@ -277,14 +278,89 @@ def test_bridges_from_cover_counts_match_lowpoint(monkeypatch, fingerprint):
         for comp in inst.u_components():
             if comp.trivial:
                 continue
-            mask = [False] * len(inst.ealive)
-            for e in comp.edges:
-                mask[e] = True
-            want = inst.bridges(edge_ok=mask, roots=(min(comp.vertices),))
+            verts, eset = sorted(comp.vertices), set(comp.edges)
+            want = [e for e in comp.edges if _disconnects(inst, verts, eset, e, e)]
             assert conn._unforced_bridges(inst, comp) == want
             bridged += bool(want)
     assert bridged >= 100
     conn.clear_caches()
+
+
+def _brute_cut_classes(inst, comp):
+    """Nontrivial circuits by flood fill: each edge that is no bridge alone
+    with every such edge that disconnects the set together with it."""
+    verts, eset = sorted(comp.vertices), set(comp.edges)
+    alone = {e for e in comp.edges if _disconnects(inst, verts, eset, e, e)}
+    rest = [e for e in comp.edges if e not in alone]
+    classes = {
+        tuple(f for f in rest if f == e or _disconnects(inst, verts, eset, e, f))
+        for e in rest
+    }
+    return sorted(c for c in classes if len(c) > 1)
+
+
+def _connected_edge_sets(inst):
+    """Every nontrivial unforced component, and the whole alive graph when
+    it is connected."""
+    sets = [comp for comp in inst.u_components() if not comp.trivial]
+    if inst.is_connected():
+        verts = frozenset(inst.alive_vertices())
+        sets.append(UComponent(verts, tuple(sorted(inst.alive_edges())), 0))
+    return sets
+
+
+FINGERPRINTS = {"exact": None, "two_bits": lambda e: e & 3, "constant": lambda e: 1}
+
+
+@pytest.mark.parametrize("fingerprint", list(FINGERPRINTS))
+def test_cut_classes_split_label_groups_exactly(monkeypatch, fingerprint):
+    # colliding labels lump edges with different cover sets into one label
+    # group; the tree test must split every such group exactly, and no
+    # bridge sweep may be used to do it
+    if FINGERPRINTS[fingerprint] is not None:
+        monkeypatch.setattr(conn, "_edge_fingerprint", FINGERPRINTS[fingerprint])
+
+    def no_sweep(self):
+        raise AssertionError("cut_classes ran a bridge sweep")
+
+    monkeypatch.setattr(Instance, "bridges", no_sweep)
+    conn.clear_caches()
+    checked = split = 0
+    for inst in cut_search_family():
+        for comp in _connected_edge_sets(inst):
+            got = conn.cut_classes(inst, comp)
+            assert got == _brute_cut_classes(inst, comp)
+            _, _, tree_edge, _, _ = conn._dfs_tree(inst, comp)
+            label, covers, _ = conn._cover_labels(inst, comp)
+            groups: dict = {}
+            for i in range(1, len(tree_edge)):
+                if covers[i] > 1:
+                    groups.setdefault(label[tree_edge[i]], set()).add(tree_edge[i])
+            for group in groups.values():
+                split += len(group) > 1 and not any(group <= set(c) for c in got)
+            checked += 1
+    assert checked >= 250
+    if fingerprint == "exact":
+        assert split == 0
+    else:
+        assert split >= 20
+    conn.clear_caches()
+
+
+def test_highpoints_match_naive_maximum():
+    seen = 0
+    for inst in cut_search_family(trials=60):
+        for comp in _connected_edge_sets(inst):
+            _, parent, _, size, back = conn._dfs_tree(inst, comp)
+            want = [-1] * len(parent)
+            for i in range(1, len(parent)):
+                # back edges covering tree_edge[i]: descendant end in sub(i),
+                # ancestor end above i
+                ends = [a for _, a, d in back if i <= d < i + size[i] and a < i]
+                want[i] = max(ends, default=-1)
+            assert conn._highpoints(parent, back) == want
+            seen += sum(h >= 0 for h in want)
+    assert seen >= 500
 
 
 def test_cut_structure_rejects_a_bridge():
@@ -605,6 +681,92 @@ def _eager_minimal_normal_block(inst, comp):
     pool = minimal if minimal else candidates
     pool.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
     return pool[0] if pool else None
+
+
+def _has_normal_subblock_by_partition(inst, verts):
+    """``_has_normal_subblock`` from the standalone piece's whole circuit
+    partition and blocks, kept as its reference."""
+    sub = conn._standalone_component(inst, verts)
+    if sub.trivial or len(sub.vertices) < 2:
+        return False
+    for circuit in circuit_partition(inst, sub):
+        if circuit.trivial:
+            continue
+        for block in blocks_along(inst, sub, circuit):
+            if block.vertices == verts:
+                continue
+            if len(block.vertices) == 1:
+                continue
+            if conn._is_two_pendent_critical(inst, block.vertices):
+                continue
+            return True
+    return False
+
+
+def critical_inner_block_instance():
+    """Two normal blocks on the circuit {23, 24}: {0..8} and {9..19}.  In
+    the standalone piece of each, the circuit of lowest edge ids is a path
+    of single-vertex blocks closed by one two-pendent critical block: the
+    6-cycle {0..5} in the first, the 6-cycle extension {9..16} (hubs 9 and
+    11, pair 15-16) in the second."""
+    inst = build(
+        20,
+        [
+            (0, 6), (6, 7), (7, 8), (8, 3),  # path around the 6-cycle
+            (0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0),
+            (15, 17), (17, 18), (18, 19), (19, 16),  # path around the extension
+            (9, 10), (10, 11), (11, 12), (12, 13), (13, 14), (14, 9),
+            (15, 16), (15, 9), (16, 11),
+            (6, 17), (8, 19),  # the circuit
+        ],
+    )
+    for u, v in ((1, 10), (2, 12), (4, 13), (5, 14), (7, 18)):
+        inst.add_edge(u, v, 1, forced=True)
+    return inst
+
+
+def test_nested_block_test_matches_circuit_partition(monkeypatch):
+    # on every normal block of the test families, and on every candidate the
+    # search meets in forced n = 80 solves, the slice-size test must answer
+    # as the whole partition does, also where it skips critical blocks
+    seen = {True: 0, False: 0, 6: 0, 8: 0}
+    tested = []  # (size, result) of each two-pendent critical test
+    real_test, real_critical = conn._has_normal_subblock, conn._is_two_pendent_critical
+
+    def critical(inst, verts):
+        out = real_critical(inst, verts)
+        tested.append((len(verts), out))
+        return out
+
+    def check(inst, verts):
+        tested.clear()
+        got = real_test(inst, verts)
+        for size, out in tested:
+            seen[size] += out
+        assert got == _has_normal_subblock_by_partition(inst, verts)
+        seen[got] += 1
+        return got
+
+    monkeypatch.setattr(conn, "_is_two_pendent_critical", critical)
+    conn.clear_caches()
+    for inst in [critical_inner_block_instance(), *cut_search_family()]:
+        for comp in inst.u_components():
+            if comp.trivial or not is_2_edge_connected(inst, comp):
+                continue
+            for circuit in circuit_partition(inst, comp):
+                if circuit.trivial:
+                    continue
+                for block in blocks_along(inst, comp, circuit):
+                    if classify_block(inst, block) == NORMAL:
+                        check(inst, block.vertices)
+    in_family = seen[True] + seen[False]
+    monkeypatch.setattr(conn, "_has_normal_subblock", check)
+    for seed in range(8):
+        base = generate(GeneratorSpec(kind="random_cubic", n=80, seed=seed, weights="random"))
+        solve(inject_forced(base, 20, seed=seed))
+    assert in_family >= 100 and seen[True] + seen[False] - in_family >= 200
+    assert seen[False] >= 20
+    assert seen[6] >= 1 and seen[8] >= 1
 
 
 def test_minimal_normal_block_matches_eager_rule():
