@@ -3,7 +3,8 @@
 Subcommands: solve, oracle, gen, bench, audit.  ``solve`` prints either
 ``OPTIMAL <cost>`` followed by the tour's edges (one ``u v`` pair per line,
 1-indexed, sorted) or ``INFEASIBLE``; exit code 0 / 1, or 2 with one
-``error:`` line on input errors and failed measure audits.
+``error:`` line on input errors, failed measure audits and an output
+pipe that its reader closed early.
 """
 
 from __future__ import annotations
@@ -217,9 +218,17 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()  # inside the try, so a closed pipe is caught here
+        return code
     except (GraphError, analysis.AuditViolation) as exc:
         print(f"error: {exc}", file=sys.stderr)
+        return 2
+    except BrokenPipeError:
+        # the reader left early; send what is still buffered to devnull, so
+        # that the flush at exit cannot raise again
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        print("error: stdout closed before all output was written", file=sys.stderr)
         return 2
 
 

@@ -22,6 +22,10 @@ start vertex, which also confirms its boundary.  A circuit's tree edges lie
 on one root path, so each of its blocks is at most three slices of the
 preorder, and its size is read off their bounds.
 
+The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
+the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
+``_cycle_order``, which also gives a 4-cycle's two opposite edge pairs.
+
 One module-level cache, keyed on labelled edges (a component's unforced
 edges, or all alive edges of the whole graph), shares results across
 search-tree siblings that did not touch them.  It may hold only facts of
@@ -218,34 +222,6 @@ def bounded_side(inst: Instance, start: int, cut: tuple, unforced_only: bool = F
     if all((eu[g] in xs) != (ev[g] in xs) for g in cut):
         return frozenset(xs)
     return None
-
-
-def _subgraph_pieces(inst, vertices, edges, removed) -> list[frozenset]:
-    """Connected vertex pieces of (vertices, edges - removed)."""
-    adj: dict[int, list[int]] = {v: [] for v in vertices}
-    for e in edges:
-        if e in removed:
-            continue
-        u, v = inst.eu[e], inst.ev[e]
-        adj[u].append(v)
-        adj[v].append(u)
-    seen: set[int] = set()
-    pieces = []
-    for root in sorted(vertices):
-        if root in seen:
-            continue
-        piece = {root}
-        seen.add(root)
-        stack = [root]
-        while stack:
-            v = stack.pop()
-            for w in adj[v]:
-                if w not in seen:
-                    seen.add(w)
-                    piece.add(w)
-                    stack.append(w)
-        pieces.append(frozenset(piece))
-    return pieces
 
 
 def _mix64(x: int) -> int:
@@ -548,27 +524,39 @@ def _edges_inside(inst: Instance, verts, forced: bool) -> list[int]:
     return out
 
 
+def _cycle_order(inst: Instance, verts):
+    """The unforced edges inside ``verts`` in cyclic order, walked from the
+    lowest vertex along its lowest edge, or None unless they form one cycle
+    through every vertex of ``verts``."""
+    at: dict[int, list[int]] = {}
+    for e in _edges_inside(inst, verts, False):
+        at.setdefault(inst.eu[e], []).append(e)
+        at.setdefault(inst.ev[e], []).append(e)
+    if len(at) != len(verts) or any(len(es) != 2 for es in at.values()):
+        return None
+    start = min(verts)
+    e = min(at[start])
+    order = [e]
+    v = inst.other_end(e, start)
+    while v != start:
+        a, b = at[v]
+        e = b if a == e else a
+        order.append(e)
+        v = inst.other_end(e, v)
+    # 2-regular, so the walk closes; it spans iff it used every edge
+    return order if len(order) == len(verts) else None
+
+
 def _is_cycle_shape(inst: Instance, verts, length: int) -> bool:
-    if len(verts) != length:
-        return False
-    inner = _edges_inside(inst, verts, False)
-    if len(inner) != length:
-        return False
-    deg = {v: 0 for v in verts}
-    for e in inner:
-        deg[inst.eu[e]] += 1
-        deg[inst.ev[e]] += 1
-    if any(d != 2 for d in deg.values()):
-        return False
-    # connected 2-regular on `length` vertices is a single cycle
-    pieces = _subgraph_pieces(inst, verts, inner, set())
-    return len(pieces) == 1
+    return len(verts) == length and _cycle_order(inst, verts) is not None
 
 
 def _is_six_cycle_extension(inst: Instance, verts) -> bool:
     """An 8-vertex shape: a 6-cycle plus an adjacent pair attached to two
-    distinct cycle vertices.  Equivalently: suppressing the degree-2 chain
-    vertices leaves two vertices joined by three paths, one of length 3."""
+    distinct cycle vertices.  Equivalently: 9 inner edges, degrees
+    2,2,2,2,2,2,3,3, and an inner edge between two degree-2 vertices whose
+    removal with both ends leaves a 6-cycle; its ends then hang from the
+    two degree-3 vertices, which the 6-cycle passes through."""
     if len(verts) != 8:
         return False
     inner = _edges_inside(inst, verts, False)
@@ -578,39 +566,13 @@ def _is_six_cycle_extension(inst: Instance, verts) -> bool:
     for e in inner:
         deg[inst.eu[e]] += 1
         deg[inst.ev[e]] += 1
-    counts = sorted(deg.values())
-    if counts != [2, 2, 2, 2, 2, 2, 3, 3]:
+    if sorted(deg.values()) != [2, 2, 2, 2, 2, 2, 3, 3]:
         return False
-    pieces = _subgraph_pieces(inst, verts, inner, set())
-    if len(pieces) != 1:
-        return False
-    hubs = [v for v in verts if deg[v] == 3]
-    adjmap: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    for e in inner:
-        u, v = inst.eu[e], inst.ev[e]
-        adjmap[u].append((v, e))
-        adjmap[v].append((u, e))
-    # walk the three chains leaving hub 0; all must end at hub 1
-    lengths = []
-    used: set[int] = set()
-    for w, e0 in adjmap[hubs[0]]:
-        if e0 in used:
-            continue
-        used.add(e0)
-        length = 1
-        cur = w
-        while deg[cur] == 2:
-            step = [(x, e) for x, e in adjmap[cur] if e not in used]
-            if not step:
-                return False
-            x, e = step[0]
-            used.add(e)
-            cur = x
-            length += 1
-        if cur != hubs[1]:
-            return False
-        lengths.append(length)
-    return len(lengths) == 3 and 3 in lengths and sum(lengths) == 9
+    return any(
+        deg[inst.eu[e]] == deg[inst.ev[e]] == 2
+        and _is_cycle_shape(inst, verts - {inst.eu[e], inst.ev[e]}, 6)
+        for e in inner
+    )
 
 
 def _is_critical_shape(inst: Instance, verts) -> bool:
@@ -621,6 +583,8 @@ def _is_critical_shape(inst: Instance, verts) -> bool:
 
 
 def _is_two_pendent_critical(inst: Instance, verts) -> bool:
+    if len(verts) not in (6, 8):  # the only sizes of _is_critical_shape
+        return False
     cf, cu = inst.cut(verts)
     return len(cu) == 2 and len(cf) == 4 and _is_critical_shape(inst, verts)
 

@@ -137,9 +137,6 @@ class Instance:
     def alive_edges(self) -> list[int]:
         return [e for e, a in enumerate(self.ealive) if a]
 
-    def unforced_edges(self) -> list[int]:
-        return [e for e, a in enumerate(self.ealive) if a and not self.eforced[e]]
-
     def forced_edges(self) -> list[int]:
         return [e for e, a in enumerate(self.ealive) if a and self.eforced[e]]
 

@@ -8,8 +8,10 @@ common integer denominator first.
 
 The slow references that tests hold the solver's own primitives against
 live here too: ``brute_force_4cycles`` for the 4-cycle base case,
-``replay`` for the reduction log, ``_disconnects`` for cut pairs and
-``_circuit_cycle``, a flood fill per circuit, for circuit order and blocks.
+``replay`` for the reduction log, ``_disconnects`` for cut pairs,
+``_subgraph_pieces``, the flood fill that splits a vertex set into its
+connected pieces, and ``_circuit_cycle``, which orders a circuit and its
+blocks by those pieces.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ from math import gcd
 from typing import Optional
 
 from . import connectivity as conn
-from .connectivity import _subgraph_pieces
 from .graph import GraphError, Instance, UComponent
 from .reductions import (
     ContractPath,
@@ -317,6 +318,35 @@ def _disconnects(inst: Instance, verts, eset, a, b) -> bool:
                 seen.add(w)
                 stack.append(w)
     return len(seen) != len(verts)
+
+
+def _subgraph_pieces(inst, vertices, edges, removed) -> list[frozenset]:
+    """Connected vertex pieces of (vertices, edges - removed), each found by
+    a flood fill, in order of lowest vertex."""
+    adj: dict[int, list[int]] = {v: [] for v in vertices}
+    for e in edges:
+        if e in removed:
+            continue
+        u, v = inst.eu[e], inst.ev[e]
+        adj[u].append(v)
+        adj[v].append(u)
+    seen: set[int] = set()
+    pieces = []
+    for root in sorted(vertices):
+        if root in seen:
+            continue
+        piece = {root}
+        seen.add(root)
+        stack = [root]
+        while stack:
+            v = stack.pop()
+            for w in adj[v]:
+                if w not in seen:
+                    seen.add(w)
+                    piece.add(w)
+                    stack.append(w)
+        pieces.append(frozenset(piece))
+    return pieces
 
 
 def _circuit_cycle(inst: Instance, comp: UComponent, group) -> tuple:

@@ -7,13 +7,15 @@ The fixpoint driver applies, in a fixed priority:
   parallel edges -> unforced-bridge determination -> reducible circuits ->
   3-cut replacement -> 4-cut replacement
 
-until nothing applies.  Reducible circuits are read off the whole graph's
-cut classes (``connectivity.cut_classes``), and the forced edge of a small
-3-cut off the whole graph's cut labels; each small side is one bounded fill
-(``connectivity.bounded_side``) from a start vertex that a component's cut
-structure gives.  Every rewrite appends a log entry; ``expand_solution``
-replays the log backwards to translate edge ids and re-insert replaced
-subgraphs.
+until nothing applies.  Forced cycles are found by a union-find over the
+forced edges.  An unforced bridge's side is read off its component's DFS
+tree (``connectivity._dfs_tree``).  Reducible circuits are read off the
+whole graph's cut classes (``connectivity.cut_classes``), and the forced
+edge of a small 3-cut off the whole graph's cut labels; each small side is
+one bounded fill (``connectivity.bounded_side``) from a start vertex that a
+component's cut structure gives.  Every rewrite appends a log entry;
+``expand_solution`` replays the log backwards to translate edge ids and
+re-insert replaced subgraphs.
 """
 
 from __future__ import annotations
@@ -153,37 +155,30 @@ def _forced_cycle_scan(inst: Instance):
     """Classify the forced subgraph: None, 'spanning' (a forced cycle through
     every vertex) or 'partial' (a forced cycle missing some vertex).  No
     vertex may carry more than two forced edges; both callers reject that
-    first."""
-    forced = inst.forced_edges()
-    if not forced:
-        return None
-    seen: set[int] = set()
-    for e in forced:
-        if e in seen:
-            continue
-        chain = {e}
-        closed = False
-        for start in inst.endpoints(e):
-            prev_edge, v = e, start
-            while True:
-                nxt = [g for g in inst.adj[v] if inst.eforced[g] and g != prev_edge]
-                if not nxt:
-                    break
-                g = nxt[0]
-                if g in chain:
-                    closed = True
-                    break
-                chain.add(g)
-                prev_edge, v = g, inst.other_end(g, v)
-            if closed:
-                break
-        seen |= chain
-        if closed:
-            verts = set()
-            for g in chain:
-                verts.add(inst.eu[g])
-                verts.add(inst.ev[g])
-            return "spanning" if len(verts) == inst.n_alive() else "partial"
+    first.
+
+    Forced edges join their ends in a union-find, and one whose ends are
+    already joined closes a cycle.  With forced degree at most 2 that cycle
+    is its whole forced component, and a spanning cycle is the only one, so
+    the first cycle closed decides.
+    """
+    parent: dict[int, int] = {}
+    size: dict[int, int] = {}
+
+    def find(v):
+        while parent.get(v, v) != v:
+            v = parent[v]
+        return v
+
+    for e in inst.forced_edges():
+        a, b = find(inst.eu[e]), find(inst.ev[e])
+        if a == b:
+            return "spanning" if size[a] == inst.n_alive() else "partial"
+        ka, kb = size.get(a, 1), size.get(b, 1)
+        if ka > kb:
+            a, b = b, a
+        parent[a] = b
+        size[b] = ka + kb
     return None
 
 
@@ -344,35 +339,39 @@ def determine_eliminable(inst: Instance, piece_vertices) -> str:
 
 def eliminate_bridges(inst: Instance, log: ReductionLog):
     """Determine unforced bridges until every component is 2-edge-connected,
-    cascading through saturation cleanup.  One audit step."""
+    cascading through saturation cleanup.  One audit step.
+
+    The fixpoint calls this only when saturation, contraction and the
+    parallel rule have nothing left to do and more than two vertices are
+    alive, so each round starts at the lowest bridge and saturates after
+    deciding it.  The bridge's side is the half of its component that holds
+    its first end: the subtree below it in the component's DFS tree, or
+    everything else.
+    """
     changed = False
     while True:
-        ch, outcome = saturation_and_contraction(inst, log)
-        changed = changed or ch
-        if outcome is not None:
-            return True, outcome
-        if inst.n_alive() == 2:
-            return True, solve_two_vertices(inst)
         bridge = None
         for comp in inst.u_components():
             if comp.trivial:
                 continue
             cand = conn._unforced_bridges(inst, comp)
-            if cand:
-                b = min(cand)
-                if bridge is None or b < bridge:
-                    bridge = b
+            if cand and (bridge is None or cand[0] < bridge):
+                bridge, host = cand[0], comp
         if bridge is None:
             return changed, None
-        u = inst.eu[bridge]
-        comp = inst.component_of(u)
-        pieces = conn._subgraph_pieces(inst, comp.vertices, comp.edges, {bridge})
-        side = pieces[0] if u in pieces[0] else pieces[1]
-        action = determine_eliminable(inst, side)
-        st = apply_decision(inst, log, bridge, action)
+        pre, _, tree_edge, size, _ = conn._dfs_tree(inst, host)
+        i = tree_edge.index(bridge)
+        below = frozenset(pre[i : i + size[i]])
+        side = below if inst.eu[bridge] in below else host.vertices - below
+        st = apply_decision(inst, log, bridge, determine_eliminable(inst, side))
         changed = True
         if st.infeasible:
             return True, ReduceOutcome(st)
+        _, outcome = saturation_and_contraction(inst, log)
+        if outcome is not None:
+            return True, outcome
+        if inst.n_alive() == 2:
+            return True, solve_two_vertices(inst)
 
 
 # -- reducible circuits ------------------------------------------------------------
@@ -645,20 +644,11 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
         s1 = sols[i1]
         s2 = sols[i2]
 
-        def path_cost(sol, a, b, pairs):
-            for idx, pr in enumerate(pairs):
-                if {pr[0], pr[1]} == {a, b}:
-                    return inst.tour_cost(sol[1][idx]), sol[1][idx]
-            raise GraphError("pairing mismatch")
-
-        c_e1, _ = path_cost(s1, a_i1, x4, probs[i1])
-        c_e3, _ = path_cost(s1, a_i2, a_j, probs[i1])
-        c_e2, _ = path_cost(s2, a_i2, x4, probs[i2])
-        c_e4, _ = path_cost(s2, a_j, a_i1, probs[i2])
-        e1 = inst.add_edge(a_i1, x4, c_e1, forced=False)
-        e2 = inst.add_edge(x4, a_i2, c_e2, forced=False)
-        e3 = inst.add_edge(a_i2, a_j, c_e3, forced=False)
-        e4 = inst.add_edge(a_j, a_i1, c_e4, forced=False)
+        # path 0 of pairing i joins anchors[i] to x4, path 1 the other two
+        e1 = inst.add_edge(a_i1, x4, inst.tour_cost(s1[1][0]), forced=False)
+        e2 = inst.add_edge(x4, a_i2, inst.tour_cost(s2[1][0]), forced=False)
+        e3 = inst.add_edge(a_i2, a_j, inst.tour_cost(s1[1][1]), forced=False)
+        e4 = inst.add_edge(a_j, a_i1, inst.tour_cost(s2[1][1]), forced=False)
         new_edges = (e1, e2, e3, e4)
         union1 = frozenset(s1[1][0]) | frozenset(s1[1][1])
         union2 = frozenset(s2[1][0]) | frozenset(s2[1][1])
@@ -759,8 +749,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
             continue
         if len(xs) == inst.n_alive():
             continue
-        cf, cu = inst.cut(xs)
-        if len(cf) == 4 and not cu and is_4cut_reducible(inst, xs):
+        if is_4cut_reducible(inst, xs):
             return ("4cut", xs)
     return None
 

@@ -137,48 +137,8 @@ def select_branch_circuit_simple(inst: Instance):
 
 def _four_cycle_matchings(inst: Instance, comp: UComponent):
     """The two opposite edge pairs of a 4-cycle component, in cycle order."""
-    verts = sorted(comp.vertices)
-    start = verts[0]
-    e0 = min(e for e in comp.edges if start in inst.endpoints(e))
-    order_e = [e0]
-    cur = inst.other_end(e0, start)
-    prev = e0
-    while len(order_e) < 4:
-        nxt = next(e for e in comp.edges if e != prev and cur in inst.endpoints(e))
-        order_e.append(nxt)
-        cur = inst.other_end(nxt, cur)
-        prev = nxt
-    m0 = (order_e[0], order_e[2])
-    m1 = (order_e[1], order_e[3])
-    return m0, m1
-
-
-def _cycle_cover_labels(inst: Instance, chosen_edges):
-    """Label vertices by the cycle of the degree-2 cover they lie on, or
-    return None when the cover is not a disjoint union of cycles."""
-    deg = {v: [] for v in inst.alive_vertices()}
-    for e in chosen_edges:
-        deg[inst.eu[e]].append(e)
-        deg[inst.ev[e]].append(e)
-    if any(len(es) != 2 for es in deg.values()):
-        return None, 0
-    label = {}
-    cycles = 0
-    for v in deg:
-        if v in label:
-            continue
-        cycles += 1
-        label[v] = cycles
-        prev_edge = None
-        cur = v
-        while True:
-            e = next(e for e in deg[cur] if e != prev_edge)
-            nxt = inst.other_end(e, cur)
-            if nxt == v:
-                break
-            label[nxt] = cycles
-            prev_edge, cur = e, nxt
-    return label, cycles
+    o = conn._cycle_order(inst, comp.vertices)
+    return (o[0], o[2]), (o[1], o[3])
 
 
 def solve_all_4cycles(inst: Instance) -> TourResult:
@@ -224,34 +184,28 @@ def solve_all_4cycles(inst: Instance) -> TourResult:
             out.extend(m1 if chosen[idx] else m0)
         return out
 
-    label, k = _cycle_cover_labels(inst, cover_edges())
-    if label is None:
+    # every alive vertex has two cover edges, so the cover is a union of
+    # cycles; Kruskal over the swaps, cheapest first, joins them
+    parent = {v: v for v in inst.alive_vertices()}
+
+    def find(x):
+        while parent[x] != x:
+            parent[x] = x = parent[parent[x]]
+        return x
+
+    def union(a, b) -> bool:
+        a, b = find(a), find(b)
+        parent[a] = b
+        return a != b
+
+    pieces = len(parent) - sum(union(inst.eu[e], inst.ev[e]) for e in cover_edges())
+    for idx in sorted(range(len(matchings)), key=lambda i: (matchings[i][2], i)):
+        m0 = matchings[idx][0]
+        if union(inst.eu[m0[0]], inst.eu[m0[1]]):
+            chosen[idx] = 1
+            pieces -= 1
+    if pieces > 1:
         return INFEASIBLE_RESULT
-    if k > 1:
-        swaps = []
-        for idx, (m0, m1, delta) in enumerate(matchings):
-            la = label[inst.eu[m0[0]]]
-            lb = label[inst.eu[m0[1]]]
-            if la != lb:
-                swaps.append((delta, idx, la, lb))
-        swaps.sort()
-        parent = list(range(k + 1))
-
-        def find(x):
-            while parent[x] != x:
-                parent[x] = parent[parent[x]]
-                x = parent[x]
-            return x
-
-        merged = 1
-        for delta, idx, la, lb in swaps:
-            ra, rb = find(la), find(lb)
-            if ra != rb:
-                parent[ra] = rb
-                chosen[idx] = 1
-                merged += 1
-        if merged < k:
-            return INFEASIBLE_RESULT
     edges = frozenset(cover_edges())
     if not inst.is_tour(edges):
         raise GraphError("4-cycle assembly failed")

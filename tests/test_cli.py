@@ -243,6 +243,25 @@ def test_console_entry_point():
     assert "solve" in proc.stdout
 
 
+def test_closed_output_pipe_exits_2_without_traceback(tmp_path):
+    # the reader is gone before the solver writes a line, so every run hits
+    # the broken pipe; exit 1 would read as INFEASIBLE
+    path = tmp_path / "g.ftsp"
+    spec = GeneratorSpec(kind="random_cubic", n=12, seed=1, weights="random")
+    path.write_text(format_instance(generate(spec)))
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "cubictsp.cli", "solve", str(path)],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        text=True,
+    )
+    proc.stdout.close()
+    err = proc.stderr.read()
+    proc.stderr.close()
+    assert proc.wait() == 2
+    assert err == "error: stdout closed before all output was written\n"
+
+
 # Graph 5 of perfbench's audit-n30 corpus at seed 103 (unit weights): one
 # bridge-normalisation step of its solve raises the measure by 19/300.
 AUDIT_FAILURE = "p ftsp 30 45\n" + "".join(

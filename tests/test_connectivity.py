@@ -20,7 +20,7 @@ from cubictsp.connectivity import (
 )
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance, UComponent
-from cubictsp.oracles import _circuit_cycle, _disconnects
+from cubictsp.oracles import _circuit_cycle, _disconnects, _subgraph_pieces
 from cubictsp.search import solve
 
 from conftest import (
@@ -544,6 +544,98 @@ def test_standard_four_cycle_requires_settled_vertices():
     assert not is_standard_four_cycle(inst, comp)
 
 
+def test_cycle_order_one_cycle():
+    # vertex 0's lowest edge is 0 (to 4), so the walk runs 0, 4, 3, 2, 1
+    inst = build(5, [(4, 0), (0, 1), (1, 2), (2, 3), (3, 4)])
+    assert conn._cycle_order(inst, frozenset(range(5))) == [0, 4, 3, 2, 1]
+    assert conn._is_cycle_shape(inst, frozenset(range(5)), 5)
+    assert not conn._is_cycle_shape(inst, frozenset(range(5)), 4)
+
+
+def test_cycle_order_rejects_two_cycles_and_chords():
+    two = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
+    assert conn._cycle_order(two, frozenset(range(6))) is None
+    assert conn._cycle_order(two, frozenset(range(3))) == [0, 1, 2]
+    chord = build(4, [(0, 1), (1, 2), (2, 3), (3, 0), (0, 2)])
+    assert conn._cycle_order(chord, frozenset(range(4))) is None
+    # a forced chord is not an unforced edge inside the set
+    chord.include_edge(4)
+    assert conn._cycle_order(chord, frozenset(range(4))) == [0, 1, 2, 3]
+    # a path through every vertex is no cycle
+    assert conn._cycle_order(build(3, [(0, 1), (1, 2)]), frozenset(range(3))) is None
+
+
+def test_cycle_order_two_cycle():
+    inst = build(2, [(0, 1), (1, 0)])
+    assert conn._cycle_order(inst, frozenset((0, 1))) == [0, 1]
+    inst.add_edge(0, 1, 1)
+    assert conn._cycle_order(inst, frozenset((0, 1))) is None
+
+
+def _six_cycle_extension_by_chains(inst, verts):
+    """The earlier chain walk: connected, two hubs of degree 3, and the three
+    chains of degree-2 vertices leaving one hub all end at the other, with
+    lengths summing to 9 and one of them 3."""
+    if len(verts) != 8:
+        return False
+    inner = conn._edges_inside(inst, verts, False)
+    if len(inner) != 9:
+        return False
+    deg = {v: 0 for v in verts}
+    for e in inner:
+        deg[inst.eu[e]] += 1
+        deg[inst.ev[e]] += 1
+    if sorted(deg.values()) != [2, 2, 2, 2, 2, 2, 3, 3]:
+        return False
+    if len(_subgraph_pieces(inst, verts, inner, set())) != 1:
+        return False
+    hubs = [v for v in verts if deg[v] == 3]
+    adjmap = {v: [] for v in verts}
+    for e in inner:
+        u, v = inst.eu[e], inst.ev[e]
+        adjmap[u].append((v, e))
+        adjmap[v].append((u, e))
+    lengths = []
+    used = set()
+    for w, e0 in adjmap[hubs[0]]:
+        if e0 in used:
+            continue
+        used.add(e0)
+        length = 1
+        cur = w
+        while deg[cur] == 2:
+            step = [(x, e) for x, e in adjmap[cur] if e not in used]
+            if not step:
+                return False
+            x, e = step[0]
+            used.add(e)
+            cur = x
+            length += 1
+        if cur != hubs[1]:
+            return False
+        lengths.append(length)
+    return len(lengths) == 3 and 3 in lengths and sum(lengths) == 9
+
+
+def test_six_cycle_extension_matches_chain_walk():
+    # pairing-model multigraphs with degrees 2,2,2,2,2,2,3,3 (self-loops
+    # redrawn); the counting test must answer as the chain walk does
+    rng = random.Random(8)
+    stubs = [v for v in range(8) for _ in range(3 if v >= 6 else 2)]
+    verts = frozenset(range(8))
+    seen = {True: 0, False: 0}
+    while sum(seen.values()) < 3000:
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+        if any(u == v for u, v in pairs):
+            continue
+        inst = build(8, pairs)
+        got = conn._is_six_cycle_extension(inst, verts)
+        assert got == _six_cycle_extension_by_chains(inst, verts), pairs
+        seen[got] += 1
+    assert seen[True] > 100 and seen[False] > 100
+
+
 def test_minimal_normal_block_on_nested_structure():
     # the five-vertex block of the chain-2 instance nests further normal
     # pieces, so the fallback pool applies; the pick is still deterministic
@@ -598,7 +690,7 @@ def test_dump_structure_mentions_circuits():
 def _pairs2_by_flood_fill(inst, comp):
     out = []
     for e, f in two_cut_pairs(inst, comp):
-        pieces = conn._subgraph_pieces(inst, comp.vertices, comp.edges, {e, f})
+        pieces = _subgraph_pieces(inst, comp.vertices, comp.edges, {e, f})
         if len(pieces) == 2:
             out.append((e, f, pieces[0], pieces[1]))
     return out

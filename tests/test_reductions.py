@@ -32,6 +32,66 @@ from conftest import build, cycle_instance, six_cycle_with_pendants
 # -- feasibility ----------------------------------------------------------------
 
 
+def _forced_cycle_scan_by_walks(inst):
+    """The earlier walk: follow each forced chain both ways from an unseen
+    forced edge; the first chain that closes decides."""
+    seen = set()
+    for e in inst.forced_edges():
+        if e in seen:
+            continue
+        chain = {e}
+        closed = False
+        for start in inst.endpoints(e):
+            prev_edge, v = e, start
+            while True:
+                nxt = [g for g in inst.adj[v] if inst.eforced[g] and g != prev_edge]
+                if not nxt:
+                    break
+                g = nxt[0]
+                if g in chain:
+                    closed = True
+                    break
+                chain.add(g)
+                prev_edge, v = g, inst.other_end(g, v)
+            if closed:
+                break
+        seen |= chain
+        if closed:
+            verts = {inst.eu[g] for g in chain} | {inst.ev[g] for g in chain}
+            return "spanning" if len(verts) == inst.n_alive() else "partial"
+    return None
+
+
+def test_forced_cycle_scan_matches_chain_walk():
+    # random forced subgraphs of forced degree <= 2: random edges, some of
+    # them doubled, on top of a forced cycle in every third trial
+    rng = random.Random(6)
+    seen = {None: 0, "spanning": 0, "partial": 0}
+    for trial in range(600):
+        n = rng.randint(2, 9)
+        inst = Instance()
+        for _ in range(n):
+            inst.add_vertex()
+        order = list(range(n))
+        rng.shuffle(order)
+        if trial % 3 == 0:  # a forced cycle through some of the vertices
+            ring = order[: rng.randint(2, n)]
+            for a, b in zip(ring, ring[1:] + ring[:1]):
+                inst.add_edge(a, b, 1)
+        for _ in range(rng.randint(0, 2 * n)):
+            u, v = rng.sample(range(n), 2)
+            if len(inst.adj[u]) < 2 and len(inst.adj[v]) < 2:
+                inst.add_edge(u, v, 1)
+                if rng.random() < 0.2 and len(inst.adj[u]) < 2 and len(inst.adj[v]) < 2:
+                    inst.add_edge(u, v, 1)  # a parallel forced pair
+        for e in inst.alive_edges():
+            inst.include_edge(e)
+        got = red._forced_cycle_scan(inst)
+        assert got == _forced_cycle_scan_by_walks(inst), (n, inst.eu, inst.ev)
+        seen[got] += 1
+    assert min(seen.values()) > 50, seen
+
+
 def test_bridge_graph_is_infeasible():
     inst = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3)])
     inst.add_edge(0, 3, 1)

@@ -9,6 +9,7 @@ from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance
 from cubictsp.oracles import brute_force_4cycles, exhaustive_forced, held_karp
 from cubictsp.search import (
+    _four_cycle_matchings,
     circuit_procedure,
     select_branch_circuit,
     select_branch_circuit_simple,
@@ -295,6 +296,36 @@ def test_all_4cycles_infeasible_when_unmergeable():
     inst.add_edge(5, 7, 1, forced=True)
     got = solve_all_4cycles(inst)
     assert not got.optimal
+
+
+def test_four_cycle_matchings_are_the_opposite_pairs():
+    # brute_force_4cycles shares the helper, so check it on its own: its two
+    # pairs are the two pairs of component edges with no common end
+    rng = random.Random(4)
+    for trial in range(40):
+        inst = four_cycle_chain(rng.randint(1, 4), rng=random.Random(trial))
+        # relabel so that edge ids follow no cycle order
+        perm = list(range(len(inst.valive)))
+        rng.shuffle(perm)
+        order = list(range(len(inst.eu)))
+        rng.shuffle(order)
+        out = Instance()
+        for _ in perm:
+            out.add_vertex()
+        for e in order:
+            out.add_edge(perm[inst.eu[e]], perm[inst.ev[e]], inst.ew[e], inst.eforced[e])
+        for comp in out.u_components():
+            opposite = {
+                frozenset((e, f))
+                for i, e in enumerate(comp.edges)
+                for f in comp.edges[i + 1 :]
+                if not set(out.endpoints(e)) & set(out.endpoints(f))
+            }
+            m0, m1 = _four_cycle_matchings(out, comp)
+            assert {frozenset(m0), frozenset(m1)} == opposite
+            # in cycle order: m0 starts at the lowest vertex's lowest edge
+            low = min(comp.vertices)
+            assert m0[0] == min(e for e in comp.edges if low in out.endpoints(e))
 
 
 # -- whole solver -------------------------------------------------------------------
