@@ -144,13 +144,16 @@ def _bench_one(path: str):
 
 
 def cmd_bench(args) -> int:
+    if args.jobs < 1:
+        raise GraphError(f"--jobs must be at least 1, got {args.jobs}")
     try:
         files = sorted(str(p) for p in Path(args.dir).iterdir() if p.is_file())
     except OSError as exc:
         raise GraphError(f"cannot read {args.dir}: {exc}")
-    rows = []
-    if args.jobs > 1:
-        with ProcessPoolExecutor(max_workers=args.jobs) as pool:
+    # the pool starts all its workers at once, so never more than can run
+    workers = min(args.jobs, len(files), os.cpu_count() or 1)
+    if workers > 1:
+        with ProcessPoolExecutor(max_workers=workers) as pool:
             rows = list(pool.map(_bench_one, files))
     else:
         rows = [_bench_one(f) for f in files]

@@ -8,11 +8,12 @@ propagation of include/delete decisions both walk this structure.
 
 Bridges, cut classes (the circuits' edge sets), cut pairs, small 3-cuts,
 and every circuit's cyclic order and blocks come from one depth-first tree
-per component; cut classes also from one of the whole graph, for reducible
-circuits.  A bridge is a tree edge that no back edge covers.  Labelling
-every edge over that tree by the XOR of random words of the fundamental
-cycles through it makes the labels of any edge cut XOR to 0, so cut classes
-are edges of one label and 3-cut candidates are label triples (a, b, a ^ b).
+per component, ``graph.dfs_tree``; cut classes and labels also from the
+whole graph's tree, for reducible circuits and 3-cuts.  A bridge is a tree
+edge that no back edge covers (``graph.cover_counts``).  Labelling every
+edge over that tree by the XOR of random words of the fundamental cycles
+through it makes the labels of any edge cut XOR to 0, so cut classes are
+edges of one label and 3-cut candidates are label triples (a, b, a ^ b).
 A cut class is then confirmed exactly from the tree alone, by subtree
 bounds, cover counts and each tree edge's deepest covering back edge; a
 3-cut candidate by the fill below.  The whole graph's labels likewise place
@@ -26,15 +27,17 @@ The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
 the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
 ``_cycle_order``, which also gives a 4-cycle's two opposite edge pairs.
 
-One module-level cache, keyed on labelled edges (a component's unforced
-edges, or all alive edges of the whole graph), shares results across
-search-tree siblings that did not touch them.  It may hold only facts of
-those labelled edges, none of which reads a forced mark: bridges, the DFS
-tree and its cover labels, cut classes, cut pairs and small 3-cuts, and the
-circuit partition.  A cut entry names its side by one start vertex and a
-size, never by a vertex set; the only vertex sets cached are the preorder
-and block slices a circuit carries.  Anything that reads forced edges, such
-as a block's ``cut_forced``, is recomputed on every call.
+One module-level cache, keyed on a component's labelled unforced edges,
+shares results across search-tree siblings that did not touch them.  It
+may hold only facts of those labelled edges, none of which reads a forced
+mark: bridges, the DFS tree and its cover labels, cut classes, cut pairs
+and small 3-cuts, and the circuit partition.  A cut entry names its side
+by one start vertex and a size, never by a vertex set; the only vertex
+sets cached are the preorder and block slices a circuit carries.  Anything
+that reads forced edges, such as a block's ``cut_forced``, is recomputed
+on every call.  Labels and cut classes are pure functions of a tree, so
+the whole graph's (``whole_labels``, ``whole_cut_classes``) come from its
+tree without the cache, once per instance state through ``Instance.memo``.
 """
 
 from __future__ import annotations
@@ -43,7 +46,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .graph import GraphError, Instance, UComponent
+from .graph import GraphError, Instance, UComponent, alive_tree, cover_counts, dfs_tree
 
 # Largest side, in vertices, that the small-cut searches and rewrites
 # consider; read at call time.
@@ -116,9 +119,9 @@ def is_2_edge_connected(inst: Instance, comp: UComponent) -> bool:
 @_cached
 def _unforced_bridges(inst: Instance, comp: UComponent) -> list[int]:
     """Sorted bridges of a component: the tree edges no back edge covers."""
-    tree_edge = _dfs_tree(inst, comp)[2]
-    covers = _cover_labels(inst, comp)[1]
-    return sorted(tree_edge[i] for i in range(1, len(tree_edge)) if covers[i] == 0)
+    _, parent, tree_edge, _, back = _dfs_tree(inst, comp)
+    covers = cover_counts(parent, back)
+    return sorted(tree_edge[i] for i in range(1, len(parent)) if covers[i] == 0)
 
 
 @_cached
@@ -239,52 +242,11 @@ def _edge_fingerprint(e: int) -> int:
 
 @_cached
 def _dfs_tree(inst: Instance, comp: UComponent):
-    """Depth-first spanning tree of a component, rooted at its lowest vertex.
-
-    Returns (pre, parent, tree_edge, size, back), indexed by preorder
-    position: ``pre`` is the tuple of vertices in preorder, node i > 0 hangs
-    from ``parent[i]`` by ``tree_edge[i]``, and its subtree sub(i) is the
-    slice ``pre[i:i + size[i]]``.  ``back`` lists every other edge as (edge
-    id, ancestor position, descendant position); of a parallel bundle, the
-    first copy walked is the tree edge and the rest are back edges.
-    """
-    verts = sorted(comp.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
-    for e in comp.edges:
-        u, v = idx[inst.eu[e]], idx[inst.ev[e]]
-        nbr[u].append((e, v))
-        nbr[v].append((e, u))
-    n = len(nbr)
-    num = [-1] * n
-    num[0] = 0
-    pre = [verts[0]]
-    parent = [-1]
-    tree_edge = [-1]
-    back = []
-    stack = [(0, iter(nbr[0]))]
-    while stack:
-        v, it = stack[-1]
-        i = num[v]
-        for e, w in it:
-            j = num[w]
-            if j == -1:
-                num[w] = len(pre)
-                pre.append(verts[w])
-                parent.append(i)
-                tree_edge.append(e)
-                stack.append((w, iter(nbr[w])))
-                break
-            if j < i and e != tree_edge[i]:
-                back.append((e, j, i))
-        else:
-            stack.pop()
-    if len(pre) != n:
+    """``graph.dfs_tree`` of a component, which it must span."""
+    tree = dfs_tree(inst, comp.vertices, comp.edges)
+    if len(tree[0]) != len(comp.vertices):
         raise GraphError("subgraph is not connected")
-    size = [1] * n
-    for i in range(n - 1, 0, -1):
-        size[parent[i]] += size[i]
-    return tuple(pre), parent, tree_edge, size, back
+    return tree
 
 
 def _gather(pre: tuple, bounds: tuple) -> frozenset:
@@ -298,7 +260,12 @@ def _gather(pre: tuple, bounds: tuple) -> frozenset:
 
 @_cached
 def _cover_labels(inst: Instance, comp: UComponent):
-    """Cycle-space labels of a component's edges over its DFS tree.
+    """``_tree_labels`` of a component's DFS tree."""
+    return _tree_labels(_dfs_tree(inst, comp))
+
+
+def _tree_labels(tree):
+    """Cycle-space labels of the edges of a ``dfs_tree``.
 
     A back edge is labelled with its own ``_edge_fingerprint``, a tree edge
     with the XOR of those of the back edges covering it (whose fundamental
@@ -308,14 +275,13 @@ def _cover_labels(inst: Instance, comp: UComponent):
     (Pritchard and Thurimella's cycle space sampling).
 
     Returns (label, covers, cover): ``label`` maps edge id to label; for a
-    preorder position i > 0, ``covers[i]`` counts the back edges covering
-    ``tree_edge[i]`` (0 for a bridge) and ``cover[i]`` is the XOR of their
-    ids, which is that back edge itself when it is the only one.
+    preorder position i > 0, ``covers[i]`` is its ``cover_counts`` entry and
+    ``cover[i]`` is the XOR of the covering back edges' ids, which is that
+    back edge itself when it is the only one.
     """
-    pre, parent, tree_edge, _, back = _dfs_tree(inst, comp)
+    pre, parent, tree_edge, _, back = tree
     n = len(pre)
     xor_acc = [0] * n
-    cnt_acc = [0] * n
     id_acc = [0] * n
     label = {}
     for e, a, d in back:
@@ -324,17 +290,19 @@ def _cover_labels(inst: Instance, comp: UComponent):
         xor_acc[d] ^= val
         id_acc[a] ^= e
         id_acc[d] ^= e
-        cnt_acc[a] -= 1
-        cnt_acc[d] += 1
-    # children follow their parent in preorder, so position i is complete
-    # once every later position has been folded in
+    # folded in reverse preorder, as in ``cover_counts``
     for i in range(n - 1, 0, -1):
         p = parent[i]
         label[tree_edge[i]] = xor_acc[i]
         xor_acc[p] ^= xor_acc[i]
         id_acc[p] ^= id_acc[i]
-        cnt_acc[p] += cnt_acc[i]
-    return label, cnt_acc, id_acc
+    return label, cover_counts(parent, back), id_acc
+
+
+def whole_labels(inst: Instance):
+    """``_tree_labels`` of the whole alive graph; ask it through
+    ``inst.memo``."""
+    return _tree_labels(inst.memo(alive_tree))
 
 
 def _highpoints(parent: list, back: list) -> list[int]:
@@ -368,23 +336,34 @@ def _highpoints(parent: list, back: list) -> list[int]:
 
 @_cached
 def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
-    """Nontrivial circuits of a connected edge set, each as a sorted tuple
-    of edge ids, sorted by lowest edge: the classes of edges that are not
-    bridges by themselves and of which any two disconnect the set.
+    """``_tree_cut_classes`` of a component's DFS tree and labels."""
+    return _tree_cut_classes(_dfs_tree(inst, comp), _cover_labels(inst, comp))
+
+
+def whole_cut_classes(inst: Instance) -> list[tuple]:
+    """``_tree_cut_classes`` of the whole alive graph, which must be
+    connected; ask it through ``inst.memo``."""
+    return _tree_cut_classes(inst.memo(alive_tree), inst.memo(whole_labels))
+
+
+def _tree_cut_classes(tree, labels) -> list[tuple]:
+    """Nontrivial circuits of the connected edge set a ``dfs_tree`` spans,
+    each as a sorted tuple of edge ids, sorted by lowest edge: the classes
+    of edges that are not bridges by themselves and of which any two
+    disconnect the set.  ``labels`` are the tree's ``_tree_labels``.
 
     A pair of tree edges separates iff the same back edges cover both, and a
     (tree, back) pair iff that back edge is the tree edge's only cover.  A
     lone cover is known exactly, so those classes are exact outright; larger
-    cover sets are grouped by their labels (``_cover_labels``), which never
-    splits a class, and each group is split exactly by the tree: for
-    positions t < c the cover sets of ``tree_edge[t]`` and ``tree_edge[c]``
-    are equal iff c lies in sub(t), both counts are equal and no back edge
-    covering c reaches below t (``_highpoints``).  Then every back edge
-    covering c also covers t, and equal counts make the sets equal.  No
-    forced mark is read.
+    cover sets are grouped by their labels, which never splits a class, and
+    each group is split exactly by the tree: for positions t < c the cover
+    sets of ``tree_edge[t]`` and ``tree_edge[c]`` are equal iff c lies in
+    sub(t), both counts are equal and no back edge covering c reaches below
+    t (``_highpoints``).  Then every back edge covering c also covers t, and
+    equal counts make the sets equal.  No forced mark is read.
     """
-    _, parent, tree_edge, size, back = _dfs_tree(inst, comp)
-    label, covers, cover = _cover_labels(inst, comp)
+    _, parent, tree_edge, size, back = tree
+    label, covers, cover = labels
     singles: dict[int, list[int]] = {}
     multis: dict[int, list[int]] = {}
     for i in range(1, len(parent)):

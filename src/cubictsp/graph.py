@@ -3,13 +3,17 @@
 Vertices and edges carry dense integer ids.  Deletions tombstone the slot
 instead of renumbering, so rewrite logs can refer to ids forever.  Weights
 are exact rationals throughout.
+
+``dfs_tree`` is the package's one depth-first walk.  The whole alive graph's
+tree answers ``is_connected`` and ``bridges``; it, the unforced components
+and other facts of one state are kept by ``Instance.memo`` until a mutation.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, Optional
+from typing import Iterable
 
 
 class GraphError(ValueError):
@@ -38,7 +42,7 @@ class Instance:
 
     Every query treats dead vertices/edges as absent.  Mutations go through
     ``include_edge`` / ``delete_edge`` / ``remove_vertex`` / ``add_*`` so the
-    adjacency stays consistent and caches are invalidated.
+    adjacency stays consistent and the memo of facts is cleared.
     """
 
     __slots__ = (
@@ -49,7 +53,7 @@ class Instance:
         "ealive",
         "valive",
         "adj",
-        "_comp_cache",
+        "_memo",
     )
 
     def __init__(self) -> None:
@@ -60,14 +64,14 @@ class Instance:
         self.ealive: list[bool] = []
         self.valive: list[bool] = []
         self.adj: list[list[int]] = []
-        self._comp_cache: Optional[list[UComponent]] = None
+        self._memo: dict = {}  # fact function -> its value on this state
 
     # -- construction -----------------------------------------------------
 
     def add_vertex(self) -> int:
         self.valive.append(True)
         self.adj.append([])
-        self._comp_cache = None
+        self._memo.clear()
         return len(self.valive) - 1
 
     def add_edge(self, u: int, v: int, w, forced: bool = False) -> int:
@@ -83,7 +87,7 @@ class Instance:
         self.ealive.append(True)
         self.adj[u].append(eid)
         self.adj[v].append(eid)
-        self._comp_cache = None
+        self._memo.clear()
         return eid
 
     def copy(self) -> "Instance":
@@ -95,7 +99,7 @@ class Instance:
         other.ealive = self.ealive[:]
         other.valive = self.valive[:]
         other.adj = [a[:] for a in self.adj]
-        other._comp_cache = None
+        other._memo = {}
         return other
 
     # -- mutation ----------------------------------------------------------
@@ -104,7 +108,7 @@ class Instance:
         if not self.ealive[eid] or self.eforced[eid]:
             raise GraphError("can only include a live unforced edge")
         self.eforced[eid] = True
-        self._comp_cache = None
+        self._memo.clear()
 
     def delete_edge(self, eid: int) -> None:
         if not self.ealive[eid]:
@@ -112,7 +116,7 @@ class Instance:
         self.ealive[eid] = False
         self.adj[self.eu[eid]].remove(eid)
         self.adj[self.ev[eid]].remove(eid)
-        self._comp_cache = None
+        self._memo.clear()
 
     def remove_vertex(self, v: int) -> None:
         if self.adj[v]:
@@ -120,7 +124,7 @@ class Instance:
         if not self.valive[v]:
             raise GraphError("vertex already dead")
         self.valive[v] = False
-        self._comp_cache = None
+        self._memo.clear()
 
     # -- queries -----------------------------------------------------------
 
@@ -176,10 +180,19 @@ class Instance:
         cu.sort()
         return cf, cu
 
+    def memo(self, fact):
+        """``fact(self)``, computed once per state: every mutation forgets
+        the facts remembered so far, and ``copy`` starts with none."""
+        memo = self._memo
+        if fact not in memo:
+            memo[fact] = fact(self)
+        return memo[fact]
+
     def u_components(self) -> list[UComponent]:
         """Partition alive vertices by unforced-edge connectivity."""
-        if self._comp_cache is not None:
-            return self._comp_cache
+        return self.memo(Instance._u_components)
+
+    def _u_components(self) -> list[UComponent]:
         seen: set[int] = set()
         comps: list[UComponent] = []
         for root in range(len(self.valive)):
@@ -209,7 +222,6 @@ class Instance:
                 UComponent(frozenset(verts), tuple(sorted(edges)), boundary)
             )
         comps.sort(key=lambda c: min(c.vertices))
-        self._comp_cache = comps
         return comps
 
     def component_of(self, v: int) -> UComponent:
@@ -221,67 +233,17 @@ class Instance:
     # -- whole-graph connectivity -------------------------------------------
 
     def is_connected(self) -> bool:
-        verts = self.alive_vertices()
-        if not verts:
-            return False
-        seen = {verts[0]}
-        stack = [verts[0]]
-        while stack:
-            v = stack.pop()
-            for e in self.adj[v]:
-                w = self.other_end(e, v)
-                if w not in seen:
-                    seen.add(w)
-                    stack.append(w)
-        return len(seen) == len(verts)
+        n = self.n_alive()
+        return n > 0 and len(self.memo(alive_tree)[0]) == n
 
     def bridges(self) -> list[int]:
-        """Bridge edge ids of the alive graph, by iterative lowpoint DFS.
-        Parallel edges never count."""
-        n = len(self.valive)
-        num = [-1] * n
-        low = [0] * n
-        out: list[int] = []
-        counter = 0
-        eu, ev, adj, valive, ealive = self.eu, self.ev, self.adj, self.valive, self.ealive
-        for root in range(n):
-            if not valive[root] or num[root] != -1:
-                continue
-            stack = [(root, -1, iter(adj[root]))]
-            num[root] = low[root] = counter
-            counter += 1
-            while stack:
-                v, pe, it = stack[-1]
-                advanced = False
-                lv = low[v]
-                for e in it:
-                    if not ealive[e] or e == pe:
-                        continue
-                    w = eu[e]
-                    if w == v:
-                        w = ev[e]
-                    nw = num[w]
-                    if nw == -1:
-                        low[v] = lv
-                        num[w] = low[w] = counter
-                        counter += 1
-                        stack.append((w, e, iter(adj[w])))
-                        advanced = True
-                        break
-                    if nw < lv:
-                        lv = nw
-                if advanced:
-                    continue
-                low[v] = lv
-                stack.pop()
-                if stack:
-                    u = stack[-1][0]
-                    if lv < low[u]:
-                        low[u] = lv
-                    if lv > num[u]:
-                        out.append(pe)
-        out.sort()
-        return out
+        """Bridge edge ids of the connected alive graph: the tree edges no
+        back edge covers.  Parallel edges never count."""
+        if not self.is_connected():
+            raise GraphError("graph is not connected")
+        _, parent, tree_edge, _, back = self.memo(alive_tree)
+        covers = cover_counts(parent, back)
+        return sorted(tree_edge[i] for i in range(1, len(parent)) if covers[i] == 0)
 
     def is_2_edge_connected_graph(self) -> bool:
         return self.is_connected() and not self.bridges()
@@ -304,33 +266,81 @@ class Instance:
 
     def is_tour(self, edge_ids) -> bool:
         """True iff the edge set is a Hamiltonian cycle containing every
-        forced edge (evaluated against this instance)."""
+        forced edge: its DFS tree is one path through every alive vertex,
+        and its only other edge joins the path's ends."""
         eids = set(edge_ids)
-        verts = self.alive_vertices()
-        deg = {v: 0 for v in verts}
-        for e in eids:
-            if not self.ealive[e]:
-                return False
-            deg[self.eu[e]] += 1
-            deg[self.ev[e]] += 1
-        if any(d != 2 for d in deg.values()):
+        if not all(self.ealive[e] for e in eids) or not eids.issuperset(self.forced_edges()):
             return False
-        for e in self.forced_edges():
-            if e not in eids:
-                return False
-        # connectivity of the cycle
-        start = verts[0]
-        seen = {start}
-        stack = [start]
-        while stack:
-            v = stack.pop()
-            for e in self.adj[v]:
-                if e in eids:
-                    w = self.other_end(e, v)
-                    if w not in seen:
-                        seen.add(w)
-                        stack.append(w)
-        return len(seen) == len(verts)
+        n = self.n_alive()
+        _, parent, _, _, back = dfs_tree(self, self.alive_vertices(), eids)
+        return parent == list(range(-1, n - 1)) and [(a, d) for _, a, d in back] == [(0, n - 1)]
+
+
+def alive_tree(inst: Instance):
+    """``dfs_tree`` of the whole alive graph; ask it through ``inst.memo``."""
+    return dfs_tree(inst, inst.alive_vertices(), inst.alive_edges())
+
+
+def dfs_tree(inst: Instance, vertices, edges):
+    """Depth-first tree of the subgraph (vertices, edges), rooted at its
+    lowest vertex and spanning that vertex's piece.
+
+    Returns (pre, parent, tree_edge, size, back), indexed by preorder
+    position: ``pre`` is the tuple of reached vertices in preorder, node
+    i > 0 hangs from ``parent[i]`` by ``tree_edge[i]``, and its subtree
+    sub(i) is the slice ``pre[i:i + size[i]]``.  ``back`` lists every other
+    edge of the piece as (edge id, ancestor position, descendant position);
+    of a parallel bundle, the first copy walked is the tree edge and the rest
+    are back edges.  Neighbours are walked in the order of ``edges``.
+    """
+    verts = sorted(vertices)
+    idx = {v: i for i, v in enumerate(verts)}
+    nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
+    for e in edges:
+        u, v = idx[inst.eu[e]], idx[inst.ev[e]]
+        nbr[u].append((e, v))
+        nbr[v].append((e, u))
+    num = [-1] * len(nbr)
+    num[0] = 0
+    pre = [verts[0]]
+    parent = [-1]
+    tree_edge = [-1]
+    back = []
+    stack = [(0, iter(nbr[0]))]
+    while stack:
+        v, it = stack[-1]
+        i = num[v]
+        for e, w in it:
+            j = num[w]
+            if j == -1:
+                num[w] = len(pre)
+                pre.append(verts[w])
+                parent.append(i)
+                tree_edge.append(e)
+                stack.append((w, iter(nbr[w])))
+                break
+            if j < i and e != tree_edge[i]:
+                back.append((e, j, i))
+        else:
+            stack.pop()
+    size = [1] * len(pre)
+    for i in range(len(pre) - 1, 0, -1):
+        size[parent[i]] += size[i]
+    return tuple(pre), parent, tree_edge, size, back
+
+
+def cover_counts(parent: list, back: list) -> list[int]:
+    """For every preorder position i > 0 of a ``dfs_tree``, the number of
+    back edges covering its tree edge; 0 marks a bridge.  Children follow
+    their parent in preorder, so folding in reverse preorder completes i
+    before i is added to its parent."""
+    cnt = [0] * len(parent)
+    for _, a, d in back:
+        cnt[a] -= 1
+        cnt[d] += 1
+    for i in range(len(parent) - 1, 0, -1):
+        cnt[parent[i]] += cnt[i]
+    return cnt
 
 
 # -- text format -------------------------------------------------------------
@@ -351,9 +361,8 @@ def parse_weight(tok: str) -> Fraction:
 
 
 def parse_instance(text: str) -> Instance:
-    inst = Instance()
     n = m = None
-    edges_seen = 0
+    edges = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.strip()
         if not line or line.startswith("c"):
@@ -370,8 +379,6 @@ def parse_instance(text: str) -> Instance:
                 raise GraphError(f"line {lineno}: bad number in {line!r}") from None
             if n < 2:
                 raise GraphError(f"line {lineno}: need at least 2 vertices")
-            for _ in range(n):
-                inst.add_vertex()
         elif parts[0] == "e":
             if n is None:
                 raise GraphError(f"line {lineno}: edge before p line")
@@ -391,14 +398,21 @@ def parse_instance(text: str) -> Instance:
                 forced = True
             if u == v:
                 raise GraphError(f"line {lineno}: self-loop")
-            inst.add_edge(u, v, w, forced)
-            edges_seen += 1
+            edges.append((u, v, w, forced))
         else:
             raise GraphError(f"line {lineno}: unknown record {parts[0]!r}")
     if n is None:
         raise GraphError("missing p line")
-    if m != edges_seen:
-        raise GraphError(f"p line declares {m} edges, found {edges_seen}")
+    if m != len(edges):
+        raise GraphError(f"p line declares {m} edges, found {len(edges)}")
+    # every vertex needs two edge ends, so n <= m bounds n by the file's size
+    if n > m:
+        raise GraphError(f"p line declares {n} vertices but only {m} edges")
+    inst = Instance()
+    for _ in range(n):
+        inst.add_vertex()
+    for u, v, w, forced in edges:
+        inst.add_edge(u, v, w, forced)
     inst.validate_initial()
     return inst
 

@@ -10,12 +10,14 @@ The fixpoint driver applies, in a fixed priority:
 until nothing applies.  Forced cycles are found by a union-find over the
 forced edges.  An unforced bridge's side is read off its component's DFS
 tree (``connectivity._dfs_tree``).  Reducible circuits are read off the
-whole graph's cut classes (``connectivity.cut_classes``), and the forced
-edge of a small 3-cut off the whole graph's cut labels; each small side is
-one bounded fill (``connectivity.bounded_side``) from a start vertex that a
-component's cut structure gives.  Every rewrite appends a log entry;
-``expand_solution`` replays the log backwards to translate edge ids and
-re-insert replaced subgraphs.
+whole graph's cut classes (``connectivity.whole_cut_classes``), and the
+forced edge of a small 3-cut off the whole graph's cut labels; each small
+side is one bounded fill (``connectivity.bounded_side``) from a start vertex
+that a component's cut structure gives.  The forced-cycle scan and the whole
+graph's tree, labels and cut classes are asked through ``Instance.memo``, so
+a pass that rewrites nothing between two questions walks the graph once.
+Every rewrite appends a log entry; ``expand_solution`` replays the log
+backwards to translate edge ids and re-insert replaced subgraphs.
 """
 
 from __future__ import annotations
@@ -26,7 +28,7 @@ from typing import Optional
 
 from . import connectivity as conn
 from .analysis import NO_OBSERVER
-from .graph import GraphError, Instance, UComponent
+from .graph import GraphError, Instance
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
 INFEASIBLE = "infeasible"
@@ -143,7 +145,7 @@ def check_feasibility(inst: Instance) -> Feasibility:
             return Feasibility(INFEASIBLE, "degree_deficit")
     if not inst.is_2_edge_connected_graph():
         return Feasibility(INFEASIBLE, "not_2ec")
-    if _forced_cycle_scan(inst) == "partial":
+    if inst.memo(_forced_cycle_scan) == "partial":
         return Feasibility(INFEASIBLE, "forced_subcycle")
     for comp in inst.u_components():
         if comp.odd:
@@ -230,7 +232,7 @@ def saturation_and_contraction(inst: Instance, log: ReductionLog):
                 changed = True
                 if st.infeasible:
                     return True, ReduceOutcome(st)
-    scan = _forced_cycle_scan(inst)
+    scan = inst.memo(_forced_cycle_scan)
     if scan == "spanning":
         edges = frozenset(inst.forced_edges())
         return True, ReduceOutcome(OK, DirectSolution(inst.tour_cost(edges), edges))
@@ -395,8 +397,8 @@ def find_reducible_edge(inst: Instance) -> Optional[int]:
                     best = e
     if best is not None:
         return best
-    whole = UComponent(frozenset(inst.alive_vertices()), tuple(inst.alive_edges()), 0)
-    unforced = [e for cls in conn.cut_classes(inst, whole) for e in cls if not inst.eforced[e]]
+    classes = inst.memo(conn.whole_cut_classes)
+    unforced = [e for cls in classes for e in cls if not inst.eforced[e]]
     return min(unforced, default=None)
 
 
@@ -701,8 +703,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
     # otherwise the cut is just some vertex's boundary seen from afar
     top = inst.n_alive() - 2
     # --- 3-cuts ---
-    whole = UComponent(frozenset(inst.alive_vertices()), tuple(inst.alive_edges()), 0)
-    label = conn._cover_labels(inst, whole)[0]
+    label = inst.memo(conn.whole_labels)[0]
     partners: dict[int, list[int]] = {}
     for g in inst.forced_edges():
         partners.setdefault(label[g], []).append(g)

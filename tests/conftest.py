@@ -65,3 +65,20 @@ def random_degree3_multigraph(rng: random.Random, n: int):
 @pytest.fixture
 def rng():
     return random.Random(0xC0FFEE)
+
+
+@pytest.fixture
+def vertex_budget(monkeypatch):
+    """Fail on the 1001st vertex made, so code that makes a vertex count read
+    from its input up front fails fast instead of exhausting memory.
+    Returns a one-item list holding the count so far."""
+    real = Instance.add_vertex
+    made = [0]
+
+    def add_vertex(self):
+        made[0] += 1
+        assert made[0] <= 1000, "more than 1000 vertices made"
+        return real(self)
+
+    monkeypatch.setattr(Instance, "add_vertex", add_vertex)
+    return made

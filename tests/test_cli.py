@@ -4,6 +4,7 @@ import sys
 
 import pytest
 
+import cubictsp.cli as cli
 import cubictsp.search as search
 from cubictsp.analysis import AuditViolation
 from cubictsp.cli import main
@@ -76,6 +77,15 @@ def test_solve_bad_number_exit_code(capsys, tmp_path, text):
     assert code == 2
     assert out == ""
     assert err.startswith("error: line ") and err.count("\n") == 1
+
+
+def test_solve_huge_vertex_count_is_one_error(capsys, tmp_path, vertex_budget):
+    path = tmp_path / "huge.ftsp"
+    path.write_text("p ftsp 2000000 0\n")
+    code, out, err = run_cli(capsys, "solve", str(path))
+    assert code == 2
+    assert out == ""
+    assert err == "error: p line declares 2000000 vertices but only 0 edges\n"
 
 
 @pytest.mark.parametrize("command", ["solve", "audit", "oracle", "bench"])
@@ -210,6 +220,66 @@ def test_bench_unreadable_directory(capsys, tmp_path, kind):
     assert code == 2
     assert out == ""
     assert err.startswith("error: cannot read ") and err.count("\n") == 1
+
+
+def _fake_pool(made):
+    """A stand-in for ProcessPoolExecutor that records its worker count and
+    maps in this process."""
+
+    class FakePool:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items):
+            return list(map(fn, items))
+
+    return FakePool
+
+
+@pytest.mark.parametrize(
+    "jobs, files, cpus, workers",
+    [
+        (5000, 3, 8, 3),  # capped by the files
+        (5000, 3, 2, 2),  # capped by the processors
+        (2, 3, 8, 2),
+        (5000, 1, 8, None),  # one worker: serial
+        (5000, 0, 8, None),  # empty directory: serial
+        (1, 3, 8, None),
+        (5000, 3, None, None),  # processor count unknown: serial
+    ],
+)
+def test_bench_worker_count_is_capped(capsys, tmp_path, monkeypatch, jobs, files, cpus, workers):
+    for i in range(files):
+        path = tmp_path / f"k4_{i}.ftsp"
+        path.write_text(format_instance(generate(GeneratorSpec(kind="named", name="k4"))))
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fake_pool(made))
+    monkeypatch.setattr(cli.os, "cpu_count", lambda: cpus)
+    code, out, _ = run_cli(capsys, "bench", str(tmp_path), "--jobs", str(jobs))
+    assert code == 0
+    assert made == ([] if workers is None else [workers])
+    rows = out.strip().splitlines()
+    assert len(rows) == files + 2
+    assert all(row.startswith(f"k4_{i}.ftsp\t4\toptimal\t4\t") for i, row in enumerate(rows[1:-1]))
+
+
+@pytest.mark.parametrize("jobs", ["0", "-3"])
+def test_bench_jobs_below_one_is_one_error(capsys, tmp_path, monkeypatch, jobs):
+    (tmp_path / "k4.ftsp").write_text(
+        format_instance(generate(GeneratorSpec(kind="named", name="k4")))
+    )
+    made = []
+    monkeypatch.setattr(cli, "ProcessPoolExecutor", _fake_pool(made))
+    code, out, err = run_cli(capsys, "bench", str(tmp_path), "--jobs", jobs)
+    assert code == 2
+    assert out == "" and made == []
+    assert err == f"error: --jobs must be at least 1, got {jobs}\n"
 
 
 @pytest.mark.parametrize("exc", [GraphError, AuditViolation])

@@ -19,7 +19,7 @@ from cubictsp.connectivity import (
     two_cut_pairs,
 )
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
-from cubictsp.graph import GraphError, Instance, UComponent
+from cubictsp.graph import GraphError, Instance, UComponent, alive_tree
 from cubictsp.oracles import _circuit_cycle, _disconnects, _subgraph_pieces
 from cubictsp.search import solve
 
@@ -344,6 +344,35 @@ def test_cut_classes_split_label_groups_exactly(monkeypatch, fingerprint):
         assert split == 0
     else:
         assert split >= 20
+    conn.clear_caches()
+
+
+@pytest.mark.parametrize("fingerprint", ["exact", "two_bits"])
+def test_whole_graph_facts_match_the_component_form(monkeypatch, fingerprint):
+    # the instance's memo answers for the whole graph what the cached
+    # component functions answer for the whole graph passed as a component,
+    # and puts no whole-graph entry in the component cache
+    if FINGERPRINTS[fingerprint] is not None:
+        monkeypatch.setattr(conn, "_edge_fingerprint", FINGERPRINTS[fingerprint])
+    conn.clear_caches()
+    checked = with_classes = 0
+    for inst in cut_search_family():
+        if not inst.is_connected():
+            continue
+        whole = UComponent(frozenset(inst.alive_vertices()), tuple(inst.alive_edges()), 0)
+        labels = inst.memo(conn.whole_labels)
+        classes = inst.memo(conn.whole_cut_classes)
+        assert not conn._CACHE
+        assert inst.memo(alive_tree) == conn._dfs_tree(inst, whole)
+        assert labels == conn._cover_labels(inst, whole)
+        assert classes == conn.cut_classes(inst, whole) == _brute_cut_classes(inst, whole)
+        conn.clear_caches()
+        # memoized: the same objects until the next mutation
+        assert inst.memo(conn.whole_labels) is labels
+        assert inst.memo(conn.whole_cut_classes) is classes
+        checked += 1
+        with_classes += bool(classes)
+    assert checked >= 80 and with_classes >= 40
     conn.clear_caches()
 
 

@@ -1,11 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
+import cubictsp.connectivity as conn
+import cubictsp.reductions as red
 from cubictsp.graph import GraphError, Instance, format_instance, parse_instance
 from cubictsp.generators import GeneratorSpec, generate
+from cubictsp.oracles import _disconnects, _subgraph_pieces
 
 from conftest import build, cycle_instance, random_degree3_multigraph
 
@@ -193,3 +197,144 @@ def test_is_tour_detects_hamiltonian_cycles():
     inst = cycle_instance(5)
     assert inst.is_tour(inst.alive_edges())
     assert not inst.is_tour(inst.alive_edges()[:-1])
+
+
+def test_parser_makes_no_vertex_its_edges_cannot_cover(vertex_budget):
+    # every vertex needs two edge ends, so a p line with more vertices than
+    # edges is rejected before any vertex is made
+    with pytest.raises(GraphError, match="declares 2000000 vertices but only 0 edges"):
+        parse_instance("p ftsp 2000000 0\n")
+    # the edge count is still checked first
+    with pytest.raises(GraphError, match="declares 2000000 edges, found 0"):
+        parse_instance("p ftsp 2000000 2000000\n")
+    with pytest.raises(GraphError, match="declares 3 vertices but only 2 edges"):
+        parse_instance("p ftsp 3 2\ne 1 2 1\ne 2 3 1\n")
+    assert vertex_budget == [0]
+    assert parse_instance("p ftsp 2 2\ne 1 2 1\ne 1 2 1\n").n_alive() == 2
+
+
+def _whole_graph_bridges_by_flood_fill(inst):
+    verts, eset = inst.alive_vertices(), set(inst.alive_edges())
+    return [e for e in sorted(eset) if _disconnects(inst, verts, eset, e, e)]
+
+
+def test_whole_graph_connectivity_and_bridges_match_flood_fill():
+    rng = random.Random(12)
+    kinds = {"disconnected": 0, "bridged": 0, "bridgeless": 0, "parallel": 0}
+    for trial in range(400):
+        if trial % 3:
+            inst = random_degree3_multigraph(rng, rng.randint(2, 14))
+        else:
+            n = rng.choice([4, 6, 8, 10, 12, 14])
+            spec = GeneratorSpec(kind="random_cubic", n=n, seed=trial, allow_parallel=True)
+            inst = generate(spec)
+        # tombstoned slots: drop a few edges, and a vertex left bare
+        for e in inst.alive_edges():
+            if rng.random() < 0.1:
+                inst.delete_edge(e)
+        bare = [v for v in inst.alive_vertices() if not inst.adj[v]]
+        if bare and inst.n_alive() > 2 and rng.random() < 0.5:
+            inst.remove_vertex(bare[0])
+        verts = inst.alive_vertices()
+        pieces = _subgraph_pieces(inst, verts, inst.alive_edges(), ())
+        assert inst.is_connected() == (len(pieces) == 1)
+        ends = [tuple(sorted(inst.endpoints(e))) for e in inst.alive_edges()]
+        kinds["parallel"] += len(set(ends)) < len(ends)
+        if len(pieces) > 1:
+            kinds["disconnected"] += 1
+            with pytest.raises(GraphError):
+                inst.bridges()
+            assert not inst.is_2_edge_connected_graph()
+            continue
+        want = _whole_graph_bridges_by_flood_fill(inst)
+        assert inst.bridges() == want
+        assert inst.is_2_edge_connected_graph() == (not want)
+        kinds["bridged" if want else "bridgeless"] += 1
+    assert min(kinds.values()) >= 30, kinds
+
+
+def _fill_memo(inst):
+    """Ask every memoized question once."""
+    inst.u_components()
+    inst.is_connected()
+    inst.memo(conn.whole_labels)
+    inst.memo(conn.whole_cut_classes)
+    inst.memo(red._forced_cycle_scan)
+
+
+def _assert_memo_is_fresh(inst):
+    _fill_memo(inst)
+    fresh = inst.copy()
+    assert not fresh._memo
+    _fill_memo(fresh)
+    assert list(inst._memo) == list(fresh._memo)
+    for fact in inst._memo:
+        assert inst.memo(fact) == fresh.memo(fact), fact.__name__
+
+
+def test_every_mutation_forgets_the_memo():
+    rng = random.Random(5)
+    for trial in range(30):
+        inst = generate(
+            GeneratorSpec(kind="random_cubic", n=rng.choice([8, 10, 12]), seed=trial)
+        )
+        for e in rng.sample(inst.alive_edges(), 3):
+            u, v = inst.endpoints(e)
+            if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                inst.include_edge(e)
+        _assert_memo_is_fresh(inst)
+        unforced = [e for e in inst.alive_edges() if not inst.eforced[e]]
+        inst.include_edge(rng.choice(unforced))
+        _assert_memo_is_fresh(inst)
+        inst.delete_edge(rng.choice(inst.alive_edges()))
+        _assert_memo_is_fresh(inst)
+        u, v = rng.sample(inst.alive_vertices(), 2)
+        inst.add_edge(u, v, 1, forced=rng.random() < 0.5)
+        _assert_memo_is_fresh(inst)
+        x = inst.add_vertex()
+        _assert_memo_is_fresh(inst)
+        inst.remove_vertex(x)
+        _assert_memo_is_fresh(inst)
+
+
+def _is_tour_by_degrees(inst, edge_ids):
+    """Reference: every alive vertex has degree 2 in the edge set, which
+    holds every forced edge, and one flood fill reaches every vertex."""
+    eids = set(edge_ids)
+    verts = inst.alive_vertices()
+    deg = {v: 0 for v in verts}
+    for e in eids:
+        if not inst.ealive[e]:
+            return False
+        deg[inst.eu[e]] += 1
+        deg[inst.ev[e]] += 1
+    if any(d != 2 for d in deg.values()) or not set(inst.forced_edges()) <= eids:
+        return False
+    return len(_subgraph_pieces(inst, verts, eids, ())) == 1
+
+
+def test_is_tour_matches_degree_reference():
+    rng = random.Random(7)
+    tours = others = 0
+    for trial in range(120):
+        if trial % 2:
+            inst = random_degree3_multigraph(rng, rng.randint(2, 8))
+        else:
+            n = rng.choice([4, 6, 8])
+            spec = GeneratorSpec(kind="random_cubic", n=n, seed=trial, allow_parallel=True)
+            inst = generate(spec)
+        for e in inst.alive_edges():
+            u, v = inst.endpoints(e)
+            if rng.random() < 0.15 and inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                inst.include_edge(e)
+        dead = inst.alive_edges()[-1]
+        inst.delete_edge(dead)
+        n = inst.n_alive()
+        for k in (n - 1, n, n + 1):
+            for eids in itertools.combinations(inst.alive_edges(), k):
+                want = _is_tour_by_degrees(inst, eids)
+                assert inst.is_tour(eids) == want, (inst.eu, inst.ev, eids)
+                tours += want
+                others += not want
+        assert not inst.is_tour(inst.alive_edges() + [dead])
+    assert tours >= 50 and others >= 1000
