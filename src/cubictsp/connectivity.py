@@ -18,10 +18,15 @@ A cut class is then confirmed exactly from the tree alone, by subtree
 bounds, cover counts and each tree edge's deepest covering back edge; a
 3-cut candidate by the fill below.  The whole graph's labels likewise place
 the forced edge of a 3-cut whose other two edges disconnect a component.
-Every small side is cut out by one bounded fill, ``bounded_side``, from one
-start vertex, which also confirms its boundary.  A circuit's tree edges lie
-on one root path, so each of its blocks is at most three slices of the
-preorder, and its size is read off their bounds.
+The side of a cut is the XOR of the subtrees below its tree edges, for a
+3-cut at most three nested or disjoint preorder intervals; so a candidate
+side's size, and whether it holds a given vertex, are read off the tree
+(``_odd_side``, ``side_size``) before any walk.  Only a side of a size that
+can be used is cut out, by one bounded fill, ``bounded_side``, from one
+start vertex, which also confirms its boundary exactly, since labels may
+collide.  A circuit's tree edges lie on one root path, so each of its blocks
+is at most three slices of the preorder, and its size is read off their
+bounds.
 
 The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
 the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
@@ -31,13 +36,16 @@ One module-level cache, keyed on a component's labelled unforced edges,
 shares results across search-tree siblings that did not touch them.  It
 may hold only facts of those labelled edges, none of which reads a forced
 mark: bridges, the DFS tree and its cover labels, cut classes, cut pairs
-and small 3-cuts, and the circuit partition.  A cut entry names its side
-by one start vertex and a size, never by a vertex set; the only vertex
-sets cached are the preorder and block slices a circuit carries.  Anything
-that reads forced edges, such as a block's ``cut_forced``, is recomputed
-on every call.  Labels and cut classes are pure functions of a tree, so
-the whole graph's (``whole_labels``, ``whole_cut_classes``) come from its
-tree without the cache, once per instance state through ``Instance.memo``.
+and small 3-cuts, and the circuit partition.  A component object keeps
+its entry, so the key is built once per object and clear.  A cut entry
+names its side by one start vertex and a size, never by a vertex set; the
+only vertex sets cached are the preorder and block slices a circuit
+carries.  Anything that reads forced edges, such as a block's
+``cut_forced``, is recomputed on every call.  Labels, cut classes and the
+tree index are pure functions of a tree, so the whole graph's
+(``whole_labels``, ``whole_cut_classes``, ``whole_tree_index``) come from
+its tree without the cache, once per instance state through
+``Instance.memo``.
 """
 
 from __future__ import annotations
@@ -55,10 +63,31 @@ SMALL_SIDE = 10
 # labelled unforced edges of a component -> {function name: result}
 _CACHE: dict = {}
 _CACHE_LIMIT = 200_000
+_generation = 0  # bumped by every clear, which voids the entries components hold
 
 
 def clear_caches() -> None:
+    global _generation
     _CACHE.clear()
+    _generation += 1
+
+
+def _cache_entry(inst: Instance, comp: UComponent) -> dict:
+    """The cache entry of a component's labelled edges.  The key is built
+    and looked up once per component object and clear; the object keeps the
+    entry in ``comp.cache_slot``.  Edge ids are never reused, so an object's
+    edges keep their ends in every copy and later state of its instance."""
+    slot = comp.cache_slot
+    if slot and slot[0] == _generation:
+        return slot[1]
+    key = tuple((e, inst.eu[e], inst.ev[e]) for e in comp.edges)
+    entry = _CACHE.get(key)
+    if entry is None:
+        entry = {}
+        if len(_CACHE) < _CACHE_LIMIT:
+            _CACHE[key] = entry
+    slot[:] = (_generation, entry)
+    return entry
 
 
 def _cached(fn):
@@ -67,12 +96,7 @@ def _cached(fn):
 
     @wraps(fn)
     def lookup(inst: Instance, comp: UComponent):
-        key = tuple((e, inst.eu[e], inst.ev[e]) for e in comp.edges)
-        entry = _CACHE.get(key)
-        if entry is None:
-            entry = {}
-            if len(_CACHE) < _CACHE_LIMIT:
-                _CACHE[key] = entry
+        entry = _cache_entry(inst, comp)
         if name not in entry:
             entry[name] = fn(inst, comp)
         return entry[name]
@@ -159,22 +183,52 @@ def component_cut_structure(inst: Instance, comp: UComponent):
     ``clear_caches()``.  A component with a bridge raises
     ``GraphError``.
 
+    The candidates are ``_label_triples``.  Each side of one is first sized
+    from the component's tree (``_odd_side``): a fill can only return a side
+    of that size, and only when the lowest edge crosses it.  The fill from
+    each end of the lowest edge that passes is then the exact check, since
+    labels may collide.
+    """
+    if not is_2_edge_connected(inst, comp):
+        raise GraphError("component is not 2-edge-connected")
+    cap = SMALL_SIDE
+    tree = _dfs_tree(inst, comp)
+    size = tree[3]
+    pos, child = tree_index(tree)
+    n = len(size)
+    triples3 = []
+    for cut in _label_triples(inst, comp):
+        ivs, k = _odd_side(size, child, cut)
+        if k > cap and n - k > cap:
+            continue
+        ends = inst.eu[cut[0]], inst.ev[cut[0]]
+        odd = [_on_odd_side(ivs, pos[root]) for root in ends]
+        if odd[0] == odd[1]:
+            continue  # the lowest edge does not cross: no cut
+        for root, inside in zip(ends, odd):
+            if (k if inside else n - k) <= cap and bounded_side(
+                inst, root, cut, unforced_only=True
+            ) is not None:
+                triples3.append(cut + (root,))
+    triples3.sort(key=lambda t: (t[:3], t[3] != inst.eu[t[0]]))
+    return component_pairs2(inst, comp), triples3
+
+
+def _label_triples(inst: Instance, comp: UComponent):
+    """Every edge triple of a 2-edge-connected component that may be a cut,
+    once and sorted.
+
     The labels of a cut XOR to 0 (see ``_cover_labels``), and in a
     2-edge-connected component only a fingerprint collision gives an edge
     label 0 or two cut edges one label.  So every boundary triple is found
     as three distinct label classes (a, b, a ^ b), or, after a collision,
-    as one class twice and class 0 once, or class 0 thrice; each candidate
-    is then checked exactly by a ``bounded_side`` fill from either end of
-    its lowest edge.
+    as one class twice and class 0 once, or class 0 thrice.
     """
-    if not is_2_edge_connected(inst, comp):
-        raise GraphError("component is not 2-edge-connected")
     label = _cover_labels(inst, comp)[0]
     classes: dict[int, list[int]] = {}
     for e in comp.edges:
         classes.setdefault(label[e], []).append(e)
     keys = sorted(classes)
-    triples3 = []
     # each multiset a <= b <= c of classes once; a == b forces c == 0
     for i, a in enumerate(keys):
         for b in keys[i:]:
@@ -189,12 +243,7 @@ def component_cut_structure(inst: Instance, comp: UComponent):
             else:
                 cands = itertools.product(ea, eb, ec)
             for cut in cands:
-                cut = tuple(sorted(cut))
-                for root in (inst.eu[cut[0]], inst.ev[cut[0]]):
-                    if bounded_side(inst, root, cut, unforced_only=True) is not None:
-                        triples3.append(cut + (root,))
-    triples3.sort(key=lambda t: (t[:3], t[3] != inst.eu[t[0]]))
-    return component_pairs2(inst, comp), triples3
+                yield tuple(sorted(cut))
 
 
 def bounded_side(inst: Instance, start: int, cut: tuple, unforced_only: bool = False):
@@ -247,6 +296,67 @@ def _dfs_tree(inst: Instance, comp: UComponent):
     if len(tree[0]) != len(comp.vertices):
         raise GraphError("subgraph is not connected")
     return tree
+
+
+def tree_index(tree) -> tuple[dict, dict]:
+    """(pos, child) of a ``dfs_tree``: each vertex's preorder position, and
+    each tree edge's child position."""
+    pre, _, tree_edge, _, _ = tree
+    return {v: i for i, v in enumerate(pre)}, {e: i for i, e in enumerate(tree_edge) if i}
+
+
+def whole_tree_index(inst: Instance):
+    """``tree_index`` of the whole alive graph's tree; ask it through
+    ``inst.memo``."""
+    return tree_index(inst.memo(alive_tree))
+
+
+def _odd_side(size: list, child: dict, cut) -> tuple[list, int]:
+    """The side of an edge set ``cut`` that a ``dfs_tree``'s root is not
+    on, if ``cut`` is an edge cut of the graph the tree spans: (its preorder
+    intervals, its size).
+
+    A vertex is on that side iff its tree path from the root crosses the cut
+    an odd number of times, so the side is the XOR of the subtrees below the
+    cut's tree edges.  Subtree intervals are nested or disjoint; sorted by
+    start, one counts with the sign of how many earlier ones hold it.  When
+    ``cut`` is not a cut, the numbers mean nothing; but every set whose
+    boundary is exactly ``cut`` is this side or its complement.
+    """
+    ivs = []
+    for g in cut:
+        c = child.get(g)
+        if c is not None:
+            ivs.append((c, c + size[c]))
+    ivs.sort()
+    k = 0
+    for i, (lo, hi) in enumerate(ivs):
+        odd = False
+        for _, end in ivs[:i]:
+            if lo < end:
+                odd = not odd
+        k += lo - hi if odd else hi - lo
+    return ivs, k
+
+
+def _on_odd_side(ivs: list, p: int) -> bool:
+    """Whether preorder position ``p`` lies on an ``_odd_side``."""
+    odd = False
+    for lo, hi in ivs:
+        if lo <= p < hi:
+            odd = not odd
+    return odd
+
+
+def side_size(tree, index, cut, start: int) -> int:
+    """Size of ``start``'s side of the edge cut ``cut`` of the graph that
+    ``tree`` (a ``dfs_tree`` with its ``tree_index``) spans.  Whenever
+    ``bounded_side`` returns a side of ``cut`` from ``start`` over the same
+    edges, this is its size."""
+    size = tree[3]
+    pos, child = index
+    ivs, k = _odd_side(size, child, cut)
+    return k if _on_odd_side(ivs, pos[start]) else len(size) - k
 
 
 def _gather(pre: tuple, bounds: tuple) -> frozenset:

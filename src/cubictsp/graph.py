@@ -11,7 +11,7 @@ and other facts of one state are kept by ``Instance.memo`` until a mutation.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterable
 
@@ -27,6 +27,9 @@ class UComponent:
     vertices: frozenset
     edges: tuple  # unforced edge ids, sorted
     boundary_forced: int
+    # [clear generation, entry] of ``connectivity``'s cache for these edges,
+    # kept here so that the entry's key is built once per object
+    cache_slot: list = field(default_factory=list, compare=False, repr=False)
 
     @property
     def trivial(self) -> bool:
@@ -42,7 +45,8 @@ class Instance:
 
     Every query treats dead vertices/edges as absent.  Mutations go through
     ``include_edge`` / ``delete_edge`` / ``remove_vertex`` / ``add_*`` so the
-    adjacency stays consistent and the memo of facts is cleared.
+    adjacency and the forced-degree counters stay consistent and the memo of
+    facts is cleared; writing ``eforced`` directly bypasses both.
     """
 
     __slots__ = (
@@ -53,6 +57,7 @@ class Instance:
         "ealive",
         "valive",
         "adj",
+        "fdeg",
         "_memo",
     )
 
@@ -64,6 +69,7 @@ class Instance:
         self.ealive: list[bool] = []
         self.valive: list[bool] = []
         self.adj: list[list[int]] = []
+        self.fdeg: list[int] = []  # alive forced edges at each vertex
         self._memo: dict = {}  # fact function -> its value on this state
 
     # -- construction -----------------------------------------------------
@@ -71,6 +77,7 @@ class Instance:
     def add_vertex(self) -> int:
         self.valive.append(True)
         self.adj.append([])
+        self.fdeg.append(0)
         self._memo.clear()
         return len(self.valive) - 1
 
@@ -87,6 +94,9 @@ class Instance:
         self.ealive.append(True)
         self.adj[u].append(eid)
         self.adj[v].append(eid)
+        if forced:
+            self.fdeg[u] += 1
+            self.fdeg[v] += 1
         self._memo.clear()
         return eid
 
@@ -99,6 +109,7 @@ class Instance:
         other.ealive = self.ealive[:]
         other.valive = self.valive[:]
         other.adj = [a[:] for a in self.adj]
+        other.fdeg = self.fdeg[:]
         other._memo = {}
         return other
 
@@ -108,6 +119,8 @@ class Instance:
         if not self.ealive[eid] or self.eforced[eid]:
             raise GraphError("can only include a live unforced edge")
         self.eforced[eid] = True
+        self.fdeg[self.eu[eid]] += 1
+        self.fdeg[self.ev[eid]] += 1
         self._memo.clear()
 
     def delete_edge(self, eid: int) -> None:
@@ -116,6 +129,9 @@ class Instance:
         self.ealive[eid] = False
         self.adj[self.eu[eid]].remove(eid)
         self.adj[self.ev[eid]].remove(eid)
+        if self.eforced[eid]:
+            self.fdeg[self.eu[eid]] -= 1
+            self.fdeg[self.ev[eid]] -= 1
         self._memo.clear()
 
     def remove_vertex(self, v: int) -> None:
@@ -152,7 +168,7 @@ class Instance:
         if not self.valive[v]:
             raise GraphError("dead vertex")
         d = len(self.adj[v])
-        df = sum(1 for e in self.adj[v] if self.eforced[e])
+        df = self.fdeg[v]
         return d, df, d - df
 
     def cut(self, xset) -> tuple[list[int], list[int]]:

@@ -12,10 +12,12 @@ forced edges.  An unforced bridge's side is read off its component's DFS
 tree (``connectivity._dfs_tree``).  Reducible circuits are read off the
 whole graph's cut classes (``connectivity.whole_cut_classes``), and the
 forced edge of a small 3-cut off the whole graph's cut labels; each small
-side is one bounded fill (``connectivity.bounded_side``) from a start vertex
-that a component's cut structure gives.  The forced-cycle scan and the whole
-graph's tree, labels and cut classes are asked through ``Instance.memo``, so
-a pass that rewrites nothing between two questions walks the graph once.
+side is sized off the whole graph's tree (``connectivity.side_size``), and
+one of a usable size is one bounded fill (``connectivity.bounded_side``)
+from a start vertex that a component's cut structure gives.  The
+forced-cycle scan and the whole graph's tree, its index, labels and cut
+classes are asked through ``Instance.memo``, so a pass that rewrites
+nothing between two questions walks the graph once.
 Every rewrite appends a log entry; ``expand_solution`` replays the log
 backwards to translate edge ids and re-insert replaced subgraphs.
 """
@@ -28,7 +30,7 @@ from typing import Optional
 
 from . import connectivity as conn
 from .analysis import NO_OBSERVER
-from .graph import GraphError, Instance
+from .graph import GraphError, Instance, alive_tree
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
 INFEASIBLE = "infeasible"
@@ -683,9 +685,13 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 # e, f the forced third edge comes from the whole graph's labels: the labels
 # of a true cut XOR to 0, so the forced edges labelled label[e] ^ label[f]
 # include every partner, and one that only collides fails the exact boundary
-# test of ``bounded_side``.  Partners are tried in ascending order.  The
-# piece is connected without the cut, so each side is one bounded fill from
-# that vertex across every other edge.
+# test of ``bounded_side``.  Partners are tried in ascending order.  A triple
+# is kept only if its whole-graph labels XOR to 0.  The piece is connected
+# without the cut, so each side is one bounded fill from that vertex across
+# every other edge.  A fill returns only a side whose boundary is the cut,
+# and then its size is the one the whole graph's tree gives
+# (``connectivity.side_size``); so sides are sized first, and only those
+# whose size a rewrite accepts are filled, in the same order.
 
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
@@ -704,6 +710,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
     top = inst.n_alive() - 2
     # --- 3-cuts ---
     label = inst.memo(conn.whole_labels)[0]
+    tree, index = inst.memo(alive_tree), inst.memo(conn.whole_tree_index)
     partners: dict[int, list[int]] = {}
     for g in inst.forced_edges():
         partners.setdefault(label[g], []).append(g)
@@ -720,13 +727,17 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
             if size <= cap
             for g in partners.get(label[e] ^ label[f], ())
         ]
-        sides += [(root, (e, f, h)) for e, f, h, root in triples3]
+        sides += [
+            (root, (e, f, h))
+            for e, f, h, root in triples3
+            if label[e] ^ label[f] ^ label[h] == 0
+        ]
         for start, cut in sides:
-            xs = conn.bounded_side(inst, start, cut)
-            if xs is not None and xs not in rejected and 2 <= len(xs) and (
-                len(xs) <= top or len(xs) <= 3
-            ):
-                return ("3cut", xs)
+            k = conn.side_size(tree, index, cut, start)
+            if 2 <= k <= cap and (k <= top or k <= 3):
+                xs = conn.bounded_side(inst, start, cut)
+                if xs is not None and xs not in rejected:
+                    return ("3cut", xs)
     # --- 4-cuts: unions of whole components behind four forced edges ---
     node_of = {v: i for i, comp in enumerate(comps) for v in comp.vertices}
     cg_adj: dict[int, set[int]] = {i: set() for i in range(len(comps))}

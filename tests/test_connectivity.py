@@ -4,6 +4,7 @@ import random
 import pytest
 
 import cubictsp.connectivity as conn
+import cubictsp.reductions as red
 from cubictsp.connectivity import (
     NORMAL,
     REDUCIBLE,
@@ -374,6 +375,94 @@ def test_whole_graph_facts_match_the_component_form(monkeypatch, fingerprint):
         with_classes += bool(classes)
     assert checked >= 80 and with_classes >= 40
     conn.clear_caches()
+
+
+def _exact_side(inst, start, cut, unforced_only=False):
+    """``bounded_side`` without its size cap: the vertices reached from
+    ``start`` without crossing ``cut``, if every edge of ``cut`` leaves them."""
+    xs, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for g in inst.adj[v]:
+            if g in cut or unforced_only and inst.eforced[g]:
+                continue
+            w = inst.other_end(g, v)
+            if w not in xs:
+                xs.add(w)
+                stack.append(w)
+    if all((inst.eu[g] in xs) != (inst.ev[g] in xs) for g in cut):
+        return xs
+    return None
+
+
+def _assert_tree_side(tree, index, cut, start, xs, verts):
+    """The tree's size of ``start``'s side is |xs|, and it puts exactly xs
+    on ``start``'s side; returns whether two of the cut's subtree intervals
+    nest."""
+    pos, child = index
+    assert conn.side_size(tree, index, cut, start) == len(xs)
+    ivs, _ = conn._odd_side(tree[3], child, cut)
+    own = conn._on_odd_side(ivs, pos[start])
+    assert {v for v in verts if conn._on_odd_side(ivs, pos[v]) == own} == xs
+    return any(lo < end for i, (lo, _) in enumerate(ivs) for _, end in ivs[:i])
+
+
+@pytest.mark.parametrize("fingerprint", ["exact", "two_bits"])
+def test_cut_sides_from_the_tree_match_the_fills(monkeypatch, fingerprint):
+    # whenever a fill finds a side of a candidate cut, the tree gives its
+    # size and its vertices: for both ends of the lowest edge of every label
+    # triple of every component, and for every side that the whole graph's
+    # 3-cut search weighs while solving (each pair with every forced edge)
+    if FINGERPRINTS[fingerprint] is not None:
+        monkeypatch.setattr(conn, "_edge_fingerprint", FINGERPRINTS[fingerprint])
+    conn.clear_caches()
+    seen = {"component": 0, "whole": 0, "nested": 0}
+    for inst in cut_search_family():
+        for comp in inst.u_components():
+            if comp.trivial or not is_2_edge_connected(inst, comp):
+                continue
+            tree = conn._dfs_tree(inst, comp)
+            index = conn.tree_index(tree)
+            for cut in conn._label_triples(inst, comp):
+                for start in inst.endpoints(cut[0]):
+                    xs = _exact_side(inst, start, cut, unforced_only=True)
+                    if xs is not None:
+                        seen["nested"] += _assert_tree_side(
+                            tree, index, cut, start, xs, comp.vertices
+                        )
+                        seen["component"] += 1
+    found = red.find_small_cut_candidate
+
+    def checked(inst, rejected=frozenset()):
+        tree, index = inst.memo(alive_tree), inst.memo(conn.whole_tree_index)
+        label = inst.memo(conn.whole_labels)[0]
+        verts = inst.alive_vertices()
+        for comp in inst.u_components():
+            if comp.trivial or len(comp.edges) < 2:
+                continue
+            pairs2, triples3 = conn.component_cut_structure(inst, comp)
+            sides = [
+                (start, (e, f, g))
+                for e, f, v, _ in pairs2
+                for start in (min(comp.vertices), v)
+                for g in inst.forced_edges()
+            ]
+            sides += [(root, (e, f, h)) for e, f, h, root in triples3]
+            for start, cut in sides:
+                xs = _exact_side(inst, start, cut)
+                if xs is not None:
+                    assert label[cut[0]] ^ label[cut[1]] ^ label[cut[2]] == 0
+                    seen["nested"] += _assert_tree_side(tree, index, cut, start, xs, verts)
+                    seen["whole"] += 1
+        return found(inst, rejected)
+
+    monkeypatch.setattr(red, "find_small_cut_candidate", checked)
+    for seed in range(30):
+        n = 8 + 2 * (seed % 4)
+        inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
+        solve(inject_forced(inst, seed % 5, seed=seed))
+    conn.clear_caches()
+    assert seen["component"] >= 1000 and seen["whole"] >= 800 and seen["nested"] >= 1000
 
 
 def test_highpoints_match_naive_maximum():

@@ -297,6 +297,45 @@ def test_every_mutation_forgets_the_memo():
         _assert_memo_is_fresh(inst)
 
 
+def test_forced_degrees_match_a_recount_after_every_mutation():
+    # ``degrees`` reads counters that every mutation must keep current, on
+    # an instance and on its copies, each mutated on its own afterwards
+    rng = random.Random(11)
+    done = {"forced add": 0, "include": 0, "forced delete": 0, "remove": 0, "copy": 0}
+    for trial in range(40):
+        insts = [cycle_instance(6)]
+        for step in range(80):
+            inst = rng.choice(insts)
+            verts, live = inst.alive_vertices(), inst.alive_edges()
+            op = rng.randrange(6)
+            if op == 0:
+                inst.add_vertex()
+            elif op == 1 and len(verts) >= 2:
+                u, v = rng.sample(verts, 2)
+                forced = rng.random() < 0.5
+                inst.add_edge(u, v, 1, forced=forced)
+                done["forced add"] += forced
+            elif op == 2 and any(not inst.eforced[e] for e in live):
+                inst.include_edge(rng.choice([e for e in live if not inst.eforced[e]]))
+                done["include"] += 1
+            elif op == 3 and live:
+                e = rng.choice(live)
+                done["forced delete"] += inst.eforced[e]
+                inst.delete_edge(e)
+            elif op == 4 and any(not inst.adj[v] for v in verts):
+                inst.remove_vertex(rng.choice([v for v in verts if not inst.adj[v]]))
+                done["remove"] += 1
+            elif op == 5 and len(insts) < 4:
+                insts.append(inst.copy())
+                done["copy"] += 1
+            for other in insts:
+                for v in other.alive_vertices():
+                    d = len(other.adj[v])
+                    df = sum(1 for e in other.adj[v] if other.eforced[e])
+                    assert other.degrees(v) == (d, df, d - df)
+    assert min(done.values()) >= 100
+
+
 def _is_tour_by_degrees(inst, edge_ids):
     """Reference: every alive vertex has degree 2 in the edge set, which
     holds every forced edge, and one flood fill reaches every vertex."""

@@ -87,7 +87,7 @@ def test_exhaustive_c6_with_forced_edge():
 def test_exhaustive_three_forced_at_vertex_infeasible():
     inst = generate(GeneratorSpec(kind="named", name="k4"))
     for e in list(inst.adj[0]):
-        inst.eforced[e] = True
+        inst.include_edge(e)
     assert exhaustive_forced(inst).status == "infeasible"
 
 

@@ -299,7 +299,7 @@ def test_solve_internal_paths_matches_bruteforce(rng):
             inst.add_edge(u, v, Fraction(rng.randint(1, 8)))
         for e in inst.alive_edges():
             if rng.random() < 0.2:
-                inst.eforced[e] = True
+                inst.include_edge(e)
         verts = list(range(n))
         if n >= 2:
             a, b = rng.sample(verts, 2)
@@ -383,7 +383,7 @@ def four_cut_host(inner_edges, forced_inner=()):
     for u, v in inner_edges:
         eids.append(inst.add_edge(u, v, 1))
     for e in forced_inner:
-        inst.eforced[eids[e]] = True
+        inst.include_edge(eids[e])
     for k in range(4):
         inst.add_edge(k, host[k], 1, forced=True)
     inst.add_edge(host[0], host[1], 1)
@@ -393,9 +393,9 @@ def four_cut_host(inner_edges, forced_inner=()):
     return inst
 
 
-def test_is_4cut_reducible_critical_shape():
-    # chordless 6-cycle with four forced boundary edges and two unforced
-    # vertices: one pairing is impossible
+def critical_six_cycle_host(last_forced=True):
+    """Chordless 6-cycle 0..5 joined to a 4-cycle by edges at 0, 1, 3 and 4,
+    forced except that the last is built unforced unless ``last_forced``."""
     inst = build(
         10,
         [(0, 1), (1, 2), (2, 3), (3, 4), (4, 5), (5, 0), (6, 7), (7, 8), (8, 9), (9, 6)],
@@ -403,15 +403,19 @@ def test_is_4cut_reducible_critical_shape():
     inst.add_edge(0, 6, 1, forced=True)
     inst.add_edge(1, 7, 1, forced=True)
     inst.add_edge(3, 8, 1, forced=True)
-    inst.add_edge(4, 9, 1, forced=True)
-    assert is_4cut_reducible(inst, set(range(6)))
+    inst.add_edge(4, 9, 1, forced=last_forced)
+    return inst
+
+
+def test_is_4cut_reducible_critical_shape():
+    # chordless 6-cycle with four forced boundary edges and two unforced
+    # vertices: one pairing is impossible
+    assert is_4cut_reducible(critical_six_cycle_host(), set(range(6)))
 
 
 def test_is_4cut_reducible_rejects_unforced_boundary():
-    inst = six_cycle_with_pendants()
-    probe = inst.copy()
-    probe.eforced[6] = False  # one boundary edge back to unforced
-    assert not is_4cut_reducible(probe, set(range(6)))
+    # the same set with one of its four boundary edges unforced
+    assert not is_4cut_reducible(critical_six_cycle_host(last_forced=False), set(range(6)))
 
 
 def test_reduce_4cut_single_pairing_gives_forced_pair():
