@@ -180,18 +180,6 @@ def _certify_vector_at_alpha(vector, margin: Fraction = Fraction(1, 10**12)) -> 
     return total <= 1 + Decimal(str(float(margin)))
 
 
-def bottleneck_identity(cfg: WeightConfig) -> bool:
-    """The two tight vectors both decrease by exactly 10/3 in each child, and
-    2 * alpha^(-10/3) = 1 holds exactly for alpha = 2^(3/10)."""
-    tight = Fraction(10, 3)
-    if 6 * cfg.w3p + cfg.gamma != tight:
-        return False
-    if 4 * cfg.w3 - 2 * cfg.w3p != tight:
-        return False
-    # 2 * (2^(3/10))^(-10/3) = 2 * 2^-1 = 1, checked on exponents
-    return Fraction(3, 10) * tight == 1
-
-
 # -- leaf bound ---------------------------------------------------------------------
 
 

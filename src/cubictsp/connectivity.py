@@ -10,23 +10,19 @@ Bridges, cut classes (the circuits' edge sets), cut pairs, small 3-cuts,
 and every circuit's cyclic order and blocks come from one depth-first tree
 per component, ``graph.dfs_tree``; cut classes and labels also from the
 whole graph's tree, for reducible circuits and 3-cuts.  A bridge is a tree
-edge that no back edge covers (``graph.cover_counts``).  Labelling every
-edge over that tree by the XOR of random words of the fundamental cycles
-through it makes the labels of any edge cut XOR to 0, so cut classes are
-edges of one label and 3-cut candidates are label triples (a, b, a ^ b).
-A cut class is then confirmed exactly from the tree alone, by subtree
-bounds, cover counts and each tree edge's deepest covering back edge; a
-3-cut candidate by the fill below.  The whole graph's labels likewise place
-the forced edge of a 3-cut whose other two edges disconnect a component.
-The side of a cut is the XOR of the subtrees below its tree edges, for a
-3-cut at most three nested or disjoint preorder intervals; so a candidate
-side's size, and whether it holds a given vertex, are read off the tree
-(``_odd_side``, ``side_size``) before any walk.  Only a side of a size that
-can be used is cut out, by one bounded fill, ``bounded_side``, from one
-start vertex, which also confirms its boundary exactly, since labels may
-collide.  A circuit's tree edges lie on one root path, so each of its blocks
-is at most three slices of the preorder, and its size is read off their
-bounds.
+edge that no back edge covers (``graph.cover_counts``).  Every edge is
+labelled with the set of fundamental cycles through it, as a bitmask over
+the back edges (``_tree_labels``).  These are the edge's coordinates in the
+cycle space, so an edge set is a cut iff its labels XOR to 0: cut classes
+are the edges of one nonzero label, 3-cuts are label triples (a, b, a ^ b),
+and the whole graph's labels place the forced edge of a 3-cut whose other
+two edges disconnect a component.  The side of a cut is the XOR of the
+subtrees below its tree edges, for a 3-cut at most three nested or
+disjoint preorder intervals; so a side's size, whether it holds a given
+vertex, and its vertices are read off the tree (``_odd_side``,
+``side_size``, ``tree_side``) without a walk.  A circuit's tree edges lie
+on one root path, so each of its blocks is at most three slices of the
+preorder, and its size is read off their bounds.
 
 The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
 the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
@@ -38,7 +34,7 @@ may hold only facts of those labelled edges, none of which reads a forced
 mark: bridges, the DFS tree and its cover labels, cut classes, cut pairs
 and small 3-cuts, and the circuit partition.  A component object keeps
 its entry, so the key is built once per object and clear.  A cut entry
-names its side by one start vertex and a size, never by a vertex set; the
+names a side by one vertex on it, never by a vertex set; the
 only vertex sets cached are the preorder and block slices a circuit
 carries.  Anything that reads forced edges, such as a block's
 ``cut_forced``, is recomputed on every call.  Labels, cut classes and the
@@ -173,21 +169,18 @@ def component_cut_structure(inst: Instance, comp: UComponent):
     """Small-cut skeleton of one 2-edge-connected component.
 
     Returns (pairs2, triples3): ``pairs2`` is ``component_pairs2``;
-    ``triples3`` holds an entry ``(e, f, h, root)`` for every connected
-    vertex set X of at most ``SMALL_SIDE`` vertices whose boundary inside
-    the component is exactly the three edges e < f < h.  ``root`` is the end
-    of e inside X, and X is the ``bounded_side`` fill from it over unforced
-    edges.  Entries are sorted by their triple; when both sides of one
-    triple fit, the one with root ``inst.eu[e]`` comes first.  The cached
-    list assumes ``SMALL_SIDE`` has not changed since the last
-    ``clear_caches()``.  A component with a bridge raises
-    ``GraphError``.
+    ``triples3`` holds an entry ``(e, f, h, root)`` for every vertex set X of
+    2 to ``SMALL_SIDE`` vertices whose boundary inside the component is
+    exactly the three edges e < f < h.  ``root`` is the end of e inside X.
+    Entries are sorted by their triple; when both sides of one triple fit,
+    the one with root ``inst.eu[e]`` comes first.  The cached list assumes
+    ``SMALL_SIDE`` has not changed since the last ``clear_caches()``.  A
+    component with a bridge raises ``GraphError``.
 
-    The candidates are ``_label_triples``.  Each side of one is first sized
-    from the component's tree (``_odd_side``): a fill can only return a side
-    of that size, and only when the lowest edge crosses it.  The fill from
-    each end of the lowest edge that passes is then the exact check, since
-    labels may collide.
+    The cuts are ``_label_triples``.  In a bridgeless component a 3-edge
+    cut is a bond: both sides are connected and every cut edge crosses, so
+    the lowest edge has one end on each side.  The sides' sizes are read off
+    the component's tree (``_odd_side``).
     """
     if not is_2_edge_connected(inst, comp):
         raise GraphError("component is not 2-edge-connected")
@@ -199,94 +192,35 @@ def component_cut_structure(inst: Instance, comp: UComponent):
     triples3 = []
     for cut in _label_triples(inst, comp):
         ivs, k = _odd_side(size, child, cut)
-        if k > cap and n - k > cap:
-            continue
         ends = inst.eu[cut[0]], inst.ev[cut[0]]
-        odd = [_on_odd_side(ivs, pos[root]) for root in ends]
-        if odd[0] == odd[1]:
-            continue  # the lowest edge does not cross: no cut
-        for root, inside in zip(ends, odd):
-            if (k if inside else n - k) <= cap and bounded_side(
-                inst, root, cut, unforced_only=True
-            ) is not None:
+        sides = (k, n - k) if _on_odd_side(ivs, pos[ends[0]]) else (n - k, k)
+        for root, side in zip(ends, sides):
+            if 2 <= side <= cap:
                 triples3.append(cut + (root,))
-    triples3.sort(key=lambda t: (t[:3], t[3] != inst.eu[t[0]]))
+    triples3.sort(key=lambda t: t[:3])  # stable: the side of eu stays first
     return component_pairs2(inst, comp), triples3
 
 
 def _label_triples(inst: Instance, comp: UComponent):
-    """Every edge triple of a 2-edge-connected component that may be a cut,
-    once and sorted.
+    """Every 3-edge cut of a 2-edge-connected component, each as a sorted
+    triple.
 
-    The labels of a cut XOR to 0 (see ``_cover_labels``), and in a
-    2-edge-connected component only a fingerprint collision gives an edge
-    label 0 or two cut edges one label.  So every boundary triple is found
-    as three distinct label classes (a, b, a ^ b), or, after a collision,
-    as one class twice and class 0 once, or class 0 thrice.
+    The labels of an edge set XOR to 0 iff it is a cut (``_tree_labels``).
+    No edge of a bridgeless component has label 0, and no two edges of a
+    3-edge cut share a label, or the third would be a bridge; so the cuts
+    are the label triples a < b < a ^ b.
     """
-    label = _cover_labels(inst, comp)[0]
+    label = _cover_labels(inst, comp)
     classes: dict[int, list[int]] = {}
     for e in comp.edges:
         classes.setdefault(label[e], []).append(e)
     keys = sorted(classes)
-    # each multiset a <= b <= c of classes once; a == b forces c == 0
     for i, a in enumerate(keys):
-        for b in keys[i:]:
+        for b in keys[i + 1 :]:
             c = a ^ b
-            if c < b or c not in classes:
-                continue
-            ea, eb, ec = classes[a], classes[b], classes[c]
-            if a == c:  # class 0 thrice
-                cands = itertools.combinations(ea, 3)
-            elif b == c:  # class 0 once, class b twice
-                cands = ((e, f, h) for e in ea for f, h in itertools.combinations(eb, 2))
-            else:
-                cands = itertools.product(ea, eb, ec)
-            for cut in cands:
-                yield tuple(sorted(cut))
-
-
-def bounded_side(inst: Instance, start: int, cut: tuple, unforced_only: bool = False):
-    """The vertices reached from the vertex ``start`` over alive edges not
-    in ``cut``, or over unforced ones only with ``unforced_only``.
-
-    The side is closed under every other edge walked, so its boundary (among
-    the walked edges and ``cut``) is the edges of ``cut`` with exactly one
-    end inside.  Returns None once the side would pass ``SMALL_SIDE``
-    vertices, or unless that holds for every edge of ``cut``; otherwise the
-    side as a frozenset.
-    """
-    cap = SMALL_SIDE
-    eu, ev, eforced = inst.eu, inst.ev, inst.eforced
-    xs = {start}
-    stack = [start]
-    while stack:
-        v = stack.pop()
-        for g in inst.adj[v]:
-            if g in cut or unforced_only and eforced[g]:
-                continue
-            w = eu[g] if ev[g] == v else ev[g]
-            if w not in xs:
-                if len(xs) == cap:
-                    return None
-                xs.add(w)
-                stack.append(w)
-    if all((eu[g] in xs) != (ev[g] in xs) for g in cut):
-        return frozenset(xs)
-    return None
-
-
-def _mix64(x: int) -> int:
-    """splitmix64 finisher; a bijection on 64-bit words."""
-    x = (x + 0x9E3779B97F4A7C15) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 30)) * 0xBF58476D1CE4E5B9) & 0xFFFFFFFFFFFFFFFF
-    x = ((x ^ (x >> 27)) * 0x94D049BB133111EB) & 0xFFFFFFFFFFFFFFFF
-    return x ^ (x >> 31)
-
-
-def _edge_fingerprint(e: int) -> int:
-    """128-bit per-edge fingerprint (two independent 64-bit mixes)."""
-    return _mix64(e) | (_mix64(e ^ 0x5851F42D4C957F2D) << 64)
+            if c > b and c in classes:
+                for cut in itertools.product(classes[a], classes[b], classes[c]):
+                    yield tuple(sorted(cut))
 
 
 @_cached
@@ -312,16 +246,13 @@ def whole_tree_index(inst: Instance):
 
 
 def _odd_side(size: list, child: dict, cut) -> tuple[list, int]:
-    """The side of an edge set ``cut`` that a ``dfs_tree``'s root is not
-    on, if ``cut`` is an edge cut of the graph the tree spans: (its preorder
-    intervals, its size).
+    """The side of an edge cut ``cut`` that a ``dfs_tree``'s root is not
+    on, in the graph the tree spans: (its preorder intervals, its size).
 
     A vertex is on that side iff its tree path from the root crosses the cut
     an odd number of times, so the side is the XOR of the subtrees below the
     cut's tree edges.  Subtree intervals are nested or disjoint; sorted by
-    start, one counts with the sign of how many earlier ones hold it.  When
-    ``cut`` is not a cut, the numbers mean nothing; but every set whose
-    boundary is exactly ``cut`` is this side or its complement.
+    start, one counts with the sign of how many earlier ones hold it.
     """
     ivs = []
     for g in cut:
@@ -350,13 +281,21 @@ def _on_odd_side(ivs: list, p: int) -> bool:
 
 def side_size(tree, index, cut, start: int) -> int:
     """Size of ``start``'s side of the edge cut ``cut`` of the graph that
-    ``tree`` (a ``dfs_tree`` with its ``tree_index``) spans.  Whenever
-    ``bounded_side`` returns a side of ``cut`` from ``start`` over the same
-    edges, this is its size."""
+    ``tree`` (a ``dfs_tree`` with its ``tree_index``) spans."""
     size = tree[3]
     pos, child = index
     ivs, k = _odd_side(size, child, cut)
     return k if _on_odd_side(ivs, pos[start]) else len(size) - k
+
+
+def tree_side(tree, index, cut, start: int) -> frozenset:
+    """The vertices of ``start``'s side of the edge cut ``cut``, as in
+    ``side_size``."""
+    pre, size = tree[0], tree[3]
+    pos, child = index
+    ivs, _ = _odd_side(size, child, cut)
+    own = _on_odd_side(ivs, pos[start])
+    return frozenset(v for p, v in enumerate(pre) if _on_odd_side(ivs, p) == own)
 
 
 def _gather(pre: tuple, bounds: tuple) -> frozenset:
@@ -374,39 +313,30 @@ def _cover_labels(inst: Instance, comp: UComponent):
     return _tree_labels(_dfs_tree(inst, comp))
 
 
-def _tree_labels(tree):
-    """Cycle-space labels of the edges of a ``dfs_tree``.
+def _tree_labels(tree) -> dict:
+    """Cycle-space labels of the edges of a ``dfs_tree``, as a map from edge
+    id to label.
 
-    A back edge is labelled with its own ``_edge_fingerprint``, a tree edge
-    with the XOR of those of the back edges covering it (whose fundamental
-    cycle runs through it).  A label is a linear image of the edge's cover
-    set, so the labels of any edge cut XOR to exactly 0, and edges with
-    different cover sets share a label only by a fingerprint collision
-    (Pritchard and Thurimella's cycle space sampling).
-
-    Returns (label, covers, cover): ``label`` maps edge id to label; for a
-    preorder position i > 0, ``covers[i]`` is its ``cover_counts`` entry and
-    ``cover[i]`` is the XOR of the covering back edges' ids, which is that
-    back edge itself when it is the only one.
+    Back edge j of the tree (its place in ``back``) is labelled ``1 << j``,
+    and a tree edge with the XOR of the bits of the back edges covering it,
+    that is, whose fundamental cycle runs through it.  Bit j of a label is
+    then set iff the edge lies on fundamental cycle j, so the label is the
+    edge's coordinates in the cycle space: an edge set is a cut iff its
+    labels XOR to 0, a bridge's label is 0, and two edges that are no
+    bridges form a cut iff their labels are equal.
     """
-    pre, parent, tree_edge, _, back = tree
-    n = len(pre)
-    xor_acc = [0] * n
-    id_acc = [0] * n
+    _, parent, tree_edge, _, back = tree
+    acc = [0] * len(parent)
     label = {}
-    for e, a, d in back:
-        val = label[e] = _edge_fingerprint(e)
-        xor_acc[a] ^= val
-        xor_acc[d] ^= val
-        id_acc[a] ^= e
-        id_acc[d] ^= e
+    for j, (e, a, d) in enumerate(back):
+        bit = label[e] = 1 << j
+        acc[a] ^= bit
+        acc[d] ^= bit
     # folded in reverse preorder, as in ``cover_counts``
-    for i in range(n - 1, 0, -1):
-        p = parent[i]
-        label[tree_edge[i]] = xor_acc[i]
-        xor_acc[p] ^= xor_acc[i]
-        id_acc[p] ^= id_acc[i]
-    return label, cover_counts(parent, back), id_acc
+    for i in range(len(parent) - 1, 0, -1):
+        label[tree_edge[i]] = acc[i]
+        acc[parent[i]] ^= acc[i]
+    return label
 
 
 def whole_labels(inst: Instance):
@@ -415,93 +345,30 @@ def whole_labels(inst: Instance):
     return _tree_labels(inst.memo(alive_tree))
 
 
-def _highpoints(parent: list, back: list) -> list[int]:
-    """For every preorder position i > 0, the deepest (largest) ancestor
-    position of a back edge covering ``tree_edge[i]``, or -1 if none.
-
-    Back edges are taken by descending ancestor end, so the first one to
-    reach a position is its deepest; each walks up from its descendant end
-    and skips positions already set through a union-find pointer to the
-    next unset ancestor.
-    """
-    hi = [-1] * len(parent)
-    up = list(range(len(parent)))  # next ancestor-or-self that may be unset
-
-    def unset(x):
-        root = x
-        while up[root] != root:
-            root = up[root]
-        while up[x] != root:
-            up[x], x = root, up[x]
-        return root
-
-    for _, a, d in sorted(back, key=lambda b: -b[1]):
-        x = unset(d)
-        while x > a:
-            hi[x] = a
-            up[x] = parent[x]
-            x = unset(x)
-    return hi
-
-
 @_cached
 def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
-    """``_tree_cut_classes`` of a component's DFS tree and labels."""
-    return _tree_cut_classes(_dfs_tree(inst, comp), _cover_labels(inst, comp))
+    """``_tree_cut_classes`` of a component's labels."""
+    return _tree_cut_classes(_cover_labels(inst, comp))
 
 
 def whole_cut_classes(inst: Instance) -> list[tuple]:
     """``_tree_cut_classes`` of the whole alive graph, which must be
     connected; ask it through ``inst.memo``."""
-    return _tree_cut_classes(inst.memo(alive_tree), inst.memo(whole_labels))
+    return _tree_cut_classes(inst.memo(whole_labels))
 
 
-def _tree_cut_classes(tree, labels) -> list[tuple]:
-    """Nontrivial circuits of the connected edge set a ``dfs_tree`` spans,
-    each as a sorted tuple of edge ids, sorted by lowest edge: the classes
-    of edges that are not bridges by themselves and of which any two
-    disconnect the set.  ``labels`` are the tree's ``_tree_labels``.
-
-    A pair of tree edges separates iff the same back edges cover both, and a
-    (tree, back) pair iff that back edge is the tree edge's only cover.  A
-    lone cover is known exactly, so those classes are exact outright; larger
-    cover sets are grouped by their labels, which never splits a class, and
-    each group is split exactly by the tree: for positions t < c the cover
-    sets of ``tree_edge[t]`` and ``tree_edge[c]`` are equal iff c lies in
-    sub(t), both counts are equal and no back edge covering c reaches below
-    t (``_highpoints``).  Then every back edge covering c also covers t, and
-    equal counts make the sets equal.  No forced mark is read.
+def _tree_cut_classes(label: dict) -> list[tuple]:
+    """Nontrivial circuits of the connected edge set whose ``_tree_labels``
+    are ``label``, each as a sorted tuple of edge ids, sorted by lowest
+    edge: the classes of edges that are not bridges by themselves and of
+    which any two disconnect the set.  These are the groups of more than one
+    edge with one nonzero label.  No forced mark is read.
     """
-    _, parent, tree_edge, size, back = tree
-    label, covers, cover = labels
-    singles: dict[int, list[int]] = {}
-    multis: dict[int, list[int]] = {}
-    for i in range(1, len(parent)):
-        if covers[i] == 0:
-            continue  # bridge; not part of any minimal pair
-        if covers[i] == 1:
-            singles.setdefault(cover[i], []).append(tree_edge[i])
-        else:
-            multis.setdefault(label[tree_edge[i]], []).append(i)
-    classes = [tuple(sorted(group + [b])) for b, group in singles.items()]
-    groups = [group for group in multis.values() if len(group) > 1]
-    if groups:
-        hi = _highpoints(parent, back)
-    for group in groups:
-        # members in preorder; each joins the first class whose top has its
-        # cover set (several classes only after a fingerprint collision)
-        split: list[list[int]] = []
-        for c in group:
-            for members in split:
-                t = members[0]
-                if c < t + size[t] and covers[t] == covers[c] and hi[c] < t:
-                    members.append(c)
-                    break
-            else:
-                split.append([c])
-        classes += [tuple(sorted(tree_edge[i] for i in m)) for m in split if len(m) > 1]
-    classes.sort()
-    return classes
+    groups: dict[int, list[int]] = {}
+    for e, a in label.items():
+        if a:
+            groups.setdefault(a, []).append(e)
+    return sorted(tuple(sorted(group)) for group in groups.values() if len(group) > 1)
 
 
 def two_cut_pairs(inst: Instance, comp: UComponent) -> list[tuple[int, int]]:

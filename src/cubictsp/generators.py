@@ -120,6 +120,8 @@ def generate(spec: GeneratorSpec) -> Instance:
 def inject_forced(inst: Instance, count: int, seed: int = 0) -> Instance:
     """Mark up to ``count`` random edges forced, keeping at most two forced
     edges per vertex.  Feasibility is not guaranteed (that is the point)."""
+    if count < 0:
+        raise GraphError(f"cannot force a negative number of edges: {count}")
     rng = random.Random(seed)
     out = inst.copy()
     order = out.alive_edges()

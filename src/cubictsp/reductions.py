@@ -11,13 +11,12 @@ until nothing applies.  Forced cycles are found by a union-find over the
 forced edges.  An unforced bridge's side is read off its component's DFS
 tree (``connectivity._dfs_tree``).  Reducible circuits are read off the
 whole graph's cut classes (``connectivity.whole_cut_classes``), and the
-forced edge of a small 3-cut off the whole graph's cut labels; each small
-side is sized off the whole graph's tree (``connectivity.side_size``), and
-one of a usable size is one bounded fill (``connectivity.bounded_side``)
-from a start vertex that a component's cut structure gives.  The
-forced-cycle scan and the whole graph's tree, its index, labels and cut
-classes are asked through ``Instance.memo``, so a pass that rewrites
-nothing between two questions walks the graph once.
+forced edge of a small 3-cut off the whole graph's cut labels.  Each small
+side is read off the whole graph's tree (``connectivity.side_size``,
+``connectivity.tree_side``) from a start vertex that a component's cut
+structure gives.  The forced-cycle scan and the whole graph's tree, its
+index, labels and cut classes are asked through ``Instance.memo``, so a
+pass that rewrites nothing between two questions walks the graph once.
 Every rewrite appends a log entry; ``expand_solution`` replays the log
 backwards to translate edge ids and re-insert replaced subgraphs.
 """
@@ -681,17 +680,15 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 # component: any other kind needs a component with an odd boundary or a bridge
 # inside a component, which the earlier screens rule out.  The component's
 # cut structure gives one vertex of the side's piece in that component: a
-# side of a disconnecting pair, or the piece behind a triple.  For a pair
-# e, f the forced third edge comes from the whole graph's labels: the labels
-# of a true cut XOR to 0, so the forced edges labelled label[e] ^ label[f]
-# include every partner, and one that only collides fails the exact boundary
-# test of ``bounded_side``.  Partners are tried in ascending order.  A triple
-# is kept only if its whole-graph labels XOR to 0.  The piece is connected
-# without the cut, so each side is one bounded fill from that vertex across
-# every other edge.  A fill returns only a side whose boundary is the cut,
-# and then its size is the one the whole graph's tree gives
-# (``connectivity.side_size``); so sides are sized first, and only those
-# whose size a rewrite accepts are filled, in the same order.
+# side of a disconnecting pair, or the piece behind a triple.  The whole
+# graph's labels decide which of these are cuts of the whole graph: an edge
+# set is a cut iff its labels XOR to 0, so the forced partners of a pair
+# e, f are the forced edges labelled label[e] ^ label[f], tried in ascending
+# order, and a triple is kept iff its labels XOR to 0.  The whole graph is
+# bridgeless, so each such cut is a bond, and each side is read off the
+# whole graph's tree: its size (``connectivity.side_size``) first, and its
+# vertices (``connectivity.tree_side``) only if a rewrite accepts that
+# size.
 
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
@@ -709,7 +706,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
     # otherwise the cut is just some vertex's boundary seen from afar
     top = inst.n_alive() - 2
     # --- 3-cuts ---
-    label = inst.memo(conn.whole_labels)[0]
+    label = inst.memo(conn.whole_labels)
     tree, index = inst.memo(alive_tree), inst.memo(conn.whole_tree_index)
     partners: dict[int, list[int]] = {}
     for g in inst.forced_edges():
@@ -735,8 +732,8 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
         for start, cut in sides:
             k = conn.side_size(tree, index, cut, start)
             if 2 <= k <= cap and (k <= top or k <= 3):
-                xs = conn.bounded_side(inst, start, cut)
-                if xs is not None and xs not in rejected:
+                xs = conn.tree_side(tree, index, cut, start)
+                if xs not in rejected:
                     return ("3cut", xs)
     # --- 4-cuts: unions of whole components behind four forced edges ---
     node_of = {v: i for i, comp in enumerate(comps) for v in comp.vertices}

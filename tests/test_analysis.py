@@ -12,7 +12,6 @@ from cubictsp.analysis import (
     AuditViolation,
     MeasureAudit,
     WeightConfig,
-    bottleneck_identity,
     branch_vector_table,
     component_weight,
     leaf_bound,
@@ -100,10 +99,16 @@ def test_measure_infeasible_and_terminal_zero():
 
 
 def test_bottleneck_vectors_are_ten_thirds():
+    tight = Fraction(10, 3)
     table = dict(branch_vector_table(CFG))
-    assert table["six_cycle"] == (Fraction(10, 3), Fraction(10, 3))
-    assert table["odd_minimal"] == (Fraction(10, 3), Fraction(10, 3))
-    assert bottleneck_identity(CFG)
+    assert table["six_cycle"] == (tight, tight)
+    assert table["odd_minimal"] == (tight, tight)
+    # both tight vectors decrease by exactly 10/3 in each child ...
+    assert 6 * CFG.w3p + CFG.gamma == tight
+    assert 4 * CFG.w3 - 2 * CFG.w3p == tight
+    # ... and 2 * alpha^(-10/3) = 1 holds exactly for alpha = 2^(3/10):
+    # 2 * (2^(3/10))^(-10/3) = 2 * 2^-1, checked on exponents
+    assert Fraction(3, 10) * tight == 1
 
 
 def test_all_vector_roots_below_alpha():

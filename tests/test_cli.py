@@ -160,13 +160,15 @@ def test_gen_env_seed(capsys, tmp_path, monkeypatch):
     assert a.read_text() != c.read_text()
 
 
-@pytest.mark.parametrize("fault", ["env_seed", "out_dir"])
+@pytest.mark.parametrize("fault", ["env_seed", "out_dir", "force_edges"])
 def test_gen_bad_seed_or_output_is_one_error(capsys, tmp_path, monkeypatch, fault):
     args = ["gen", "--n", "10"]
     if fault == "env_seed":
         monkeypatch.setenv("CUBIC_TSP_SEED", "abc")
-    else:
+    elif fault == "out_dir":
         args += ["--out", str(tmp_path / "missing" / "x.ftsp")]
+    else:
+        args += ["--force-edges", "-1"]
     code, out, err = run_cli(capsys, *args)
     assert code == 2
     assert out == ""

@@ -129,13 +129,13 @@ def test_blocks_cut_is_consecutive_edge_pair(rng):
 
 
 def brute_small_three_cuts(inst, comp, cap):
-    """Every vertex subset of at most ``cap`` vertices that is connected in
-    the component and has exactly three component edges leaving it."""
+    """Every vertex subset of 2 to ``cap`` vertices that is connected in the
+    component and has exactly three component edges leaving it."""
     verts = sorted(comp.vertices)
     idx = {v: i for i, v in enumerate(verts)}
     ends = [(e, idx[inst.eu[e]], idx[inst.ev[e]]) for e in comp.edges]
     out = set()
-    for size in range(1, min(cap, len(verts)) + 1):
+    for size in range(2, min(cap, len(verts)) + 1):
         for chosen in itertools.combinations(range(len(verts)), size):
             mask = sum(1 << i for i in chosen)
             cut = [e for e, a, b in ends if (mask >> a ^ mask >> b) & 1]
@@ -155,15 +155,34 @@ def brute_small_three_cuts(inst, comp, cap):
     return out
 
 
+def _exact_side(inst, start, cut, walk_forced=True):
+    """The vertices reached from ``start`` without crossing ``cut`` (nor a
+    forced edge, unless ``walk_forced``), if every edge of ``cut`` leaves
+    them; else None."""
+    xs, stack = {start}, [start]
+    while stack:
+        v = stack.pop()
+        for g in inst.adj[v]:
+            if g in cut or not walk_forced and inst.eforced[g]:
+                continue
+            w = inst.other_end(g, v)
+            if w not in xs:
+                xs.add(w)
+                stack.append(w)
+    if all((inst.eu[g] in xs) != (inst.ev[g] in xs) for g in cut):
+        return xs
+    return None
+
+
 def _triple_sides(inst, comp):
     """``component_cut_structure``'s triples with each side X rebuilt from
-    its root, as (e, f, h, X); the root must be an end of e."""
+    its root by a flood fill, as (e, f, h, X); the root must be an end of e."""
     out = []
     for e, f, h, root in conn.component_cut_structure(inst, comp)[1]:
         assert root in (inst.eu[e], inst.ev[e])
-        xs = conn.bounded_side(inst, root, (e, f, h), unforced_only=True)
+        xs = _exact_side(inst, root, (e, f, h), walk_forced=False)
         assert xs is not None
-        out.append((e, f, h, xs))
+        out.append((e, f, h, frozenset(xs)))
     return out
 
 
@@ -226,12 +245,11 @@ def cut_search_family(seed=3, trials=160):
         yield inst
 
 
-def test_fingerprint_collisions_cost_no_answer(monkeypatch):
-    # a 2-bit fingerprint makes labels collide all the time, and gives every
-    # fourth back edge label 0; both label users must stay exact
-    monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+def test_label_users_match_brute_force():
+    # cut pairs, circuits and small 3-cuts of every component, bridged or
+    # not, against flood fills
     conn.clear_caches()
-    zero_labels = checked = bridged = 0
+    checked = bridged = 0
     for inst in cut_search_family():
         for comp in inst.u_components():
             if comp.trivial:
@@ -256,23 +274,18 @@ def test_fingerprint_collisions_cost_no_answer(monkeypatch):
                 classes[b].add(a)
             circuits = {frozenset(c.edges) for c in circuit_partition(inst, comp)}
             assert circuits == {frozenset(c) for c in classes.values()}
-            zero_labels += 0 in conn._cover_labels(inst, comp)[0].values()
             got = _triple_sides(inst, comp)
             assert len(got) == len(set(got))
             assert set(got) == brute_small_three_cuts(inst, comp, conn.SMALL_SIDE)
             order = [(e, f, h, inst.eu[e] not in xs) for e, f, h, xs in got]
             assert order == sorted(order)
             checked += 1
-    assert checked >= 45 and zero_labels >= 30 and bridged >= 100
+    assert checked >= 45 and bridged >= 100
     conn.clear_caches()
 
 
-@pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
-def test_bridges_from_cover_counts_match_flood_fill(monkeypatch, fingerprint):
-    # cover counts are exact integers, so even labels that collide all the
-    # time leave the bridges of every component, bridged or not, unchanged
-    if fingerprint == "colliding":
-        monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+def test_bridges_from_cover_counts_match_flood_fill():
+    # the bridges of every component, bridged or not
     conn.clear_caches()
     bridged = 0
     for inst in cut_search_family():
@@ -310,51 +323,53 @@ def _connected_edge_sets(inst):
     return sets
 
 
-FINGERPRINTS = {"exact": None, "two_bits": lambda e: e & 3, "constant": lambda e: 1}
-
-
-@pytest.mark.parametrize("fingerprint", list(FINGERPRINTS))
-def test_cut_classes_split_label_groups_exactly(monkeypatch, fingerprint):
-    # colliding labels lump edges with different cover sets into one label
-    # group; the tree test must split every such group exactly, and no
-    # bridge sweep may be used to do it
-    if FINGERPRINTS[fingerprint] is not None:
-        monkeypatch.setattr(conn, "_edge_fingerprint", FINGERPRINTS[fingerprint])
-
+def test_cut_classes_match_flood_fill(monkeypatch):
+    # the groups of equal nonzero labels are exactly the classes, and no
+    # bridge sweep is used to find them
     def no_sweep(self):
         raise AssertionError("cut_classes ran a bridge sweep")
 
     monkeypatch.setattr(Instance, "bridges", no_sweep)
     conn.clear_caches()
-    checked = split = 0
+    checked = 0
     for inst in cut_search_family():
         for comp in _connected_edge_sets(inst):
-            got = conn.cut_classes(inst, comp)
-            assert got == _brute_cut_classes(inst, comp)
-            _, _, tree_edge, _, _ = conn._dfs_tree(inst, comp)
-            label, covers, _ = conn._cover_labels(inst, comp)
-            groups: dict = {}
-            for i in range(1, len(tree_edge)):
-                if covers[i] > 1:
-                    groups.setdefault(label[tree_edge[i]], set()).add(tree_edge[i])
-            for group in groups.values():
-                split += len(group) > 1 and not any(group <= set(c) for c in got)
+            assert conn.cut_classes(inst, comp) == _brute_cut_classes(inst, comp)
             checked += 1
     assert checked >= 250
-    if fingerprint == "exact":
-        assert split == 0
-    else:
-        assert split >= 20
     conn.clear_caches()
 
 
-@pytest.mark.parametrize("fingerprint", ["exact", "two_bits"])
-def test_whole_graph_facts_match_the_component_form(monkeypatch, fingerprint):
+def test_tree_labels_match_naive_cover_sets():
+    # bit j is set on an edge iff it is back edge j or lies on its tree
+    # path, and a label is 0 iff its edge is a bridge
+    seen = {"edge sets": 0, "bridges": 0}
+    for inst in cut_search_family():
+        for comp in _connected_edge_sets(inst):
+            tree = conn._dfs_tree(inst, comp)
+            _, parent, tree_edge, _, back = tree
+            want = {e: 0 for e in comp.edges}
+            for j, (e, a, d) in enumerate(back):
+                want[e] |= 1 << j
+                x = d
+                while x != a:
+                    want[tree_edge[x]] |= 1 << j
+                    x = parent[x]
+            label = conn._tree_labels(tree)
+            assert label == want
+            verts, eset = sorted(comp.vertices), set(comp.edges)
+            for e in comp.edges:
+                bridge = _disconnects(inst, verts, eset, e, e)
+                assert (label[e] == 0) == bridge
+                seen["bridges"] += bridge
+            seen["edge sets"] += 1
+    assert seen["edge sets"] >= 250 and seen["bridges"] >= 100
+
+
+def test_whole_graph_facts_match_the_component_form():
     # the instance's memo answers for the whole graph what the cached
     # component functions answer for the whole graph passed as a component,
     # and puts no whole-graph entry in the component cache
-    if FINGERPRINTS[fingerprint] is not None:
-        monkeypatch.setattr(conn, "_edge_fingerprint", FINGERPRINTS[fingerprint])
     conn.clear_caches()
     checked = with_classes = 0
     for inst in cut_search_family():
@@ -377,44 +392,22 @@ def test_whole_graph_facts_match_the_component_form(monkeypatch, fingerprint):
     conn.clear_caches()
 
 
-def _exact_side(inst, start, cut, unforced_only=False):
-    """``bounded_side`` without its size cap: the vertices reached from
-    ``start`` without crossing ``cut``, if every edge of ``cut`` leaves them."""
-    xs, stack = {start}, [start]
-    while stack:
-        v = stack.pop()
-        for g in inst.adj[v]:
-            if g in cut or unforced_only and inst.eforced[g]:
-                continue
-            w = inst.other_end(g, v)
-            if w not in xs:
-                xs.add(w)
-                stack.append(w)
-    if all((inst.eu[g] in xs) != (inst.ev[g] in xs) for g in cut):
-        return xs
-    return None
-
-
-def _assert_tree_side(tree, index, cut, start, xs, verts):
+def _assert_tree_side(tree, index, cut, start, xs):
     """The tree's size of ``start``'s side is |xs|, and it puts exactly xs
     on ``start``'s side; returns whether two of the cut's subtree intervals
     nest."""
-    pos, child = index
     assert conn.side_size(tree, index, cut, start) == len(xs)
-    ivs, _ = conn._odd_side(tree[3], child, cut)
-    own = conn._on_odd_side(ivs, pos[start])
-    assert {v for v in verts if conn._on_odd_side(ivs, pos[v]) == own} == xs
+    assert conn.tree_side(tree, index, cut, start) == xs
+    ivs, _ = conn._odd_side(tree[3], index[1], cut)
     return any(lo < end for i, (lo, _) in enumerate(ivs) for _, end in ivs[:i])
 
 
-@pytest.mark.parametrize("fingerprint", ["exact", "two_bits"])
-def test_cut_sides_from_the_tree_match_the_fills(monkeypatch, fingerprint):
-    # whenever a fill finds a side of a candidate cut, the tree gives its
-    # size and its vertices: for both ends of the lowest edge of every label
-    # triple of every component, and for every side that the whole graph's
-    # 3-cut search weighs while solving (each pair with every forced edge)
-    if FINGERPRINTS[fingerprint] is not None:
-        monkeypatch.setattr(conn, "_edge_fingerprint", FINGERPRINTS[fingerprint])
+def test_cut_sides_from_the_tree_match_the_fills(monkeypatch):
+    # every label triple of a component is a cut, and the tree gives the
+    # size and vertices of the flood fill from either end of its lowest
+    # edge; every side that the whole graph's 3-cut search weighs while
+    # solving (each pair with every forced edge) is a cut iff its labels XOR
+    # to 0, and then the tree gives its fill too
     conn.clear_caches()
     seen = {"component": 0, "whole": 0, "nested": 0}
     for inst in cut_search_family():
@@ -425,18 +418,15 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch, fingerprint):
             index = conn.tree_index(tree)
             for cut in conn._label_triples(inst, comp):
                 for start in inst.endpoints(cut[0]):
-                    xs = _exact_side(inst, start, cut, unforced_only=True)
-                    if xs is not None:
-                        seen["nested"] += _assert_tree_side(
-                            tree, index, cut, start, xs, comp.vertices
-                        )
-                        seen["component"] += 1
+                    xs = _exact_side(inst, start, cut, walk_forced=False)
+                    assert xs is not None
+                    seen["nested"] += _assert_tree_side(tree, index, cut, start, xs)
+                    seen["component"] += 1
     found = red.find_small_cut_candidate
 
     def checked(inst, rejected=frozenset()):
         tree, index = inst.memo(alive_tree), inst.memo(conn.whole_tree_index)
-        label = inst.memo(conn.whole_labels)[0]
-        verts = inst.alive_vertices()
+        label = inst.memo(conn.whole_labels)
         for comp in inst.u_components():
             if comp.trivial or len(comp.edges) < 2:
                 continue
@@ -450,9 +440,9 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch, fingerprint):
             sides += [(root, (e, f, h)) for e, f, h, root in triples3]
             for start, cut in sides:
                 xs = _exact_side(inst, start, cut)
+                assert (xs is not None) == (label[cut[0]] ^ label[cut[1]] ^ label[cut[2]] == 0)
                 if xs is not None:
-                    assert label[cut[0]] ^ label[cut[1]] ^ label[cut[2]] == 0
-                    seen["nested"] += _assert_tree_side(tree, index, cut, start, xs, verts)
+                    seen["nested"] += _assert_tree_side(tree, index, cut, start, xs)
                     seen["whole"] += 1
         return found(inst, rejected)
 
@@ -463,22 +453,6 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch, fingerprint):
         solve(inject_forced(inst, seed % 5, seed=seed))
     conn.clear_caches()
     assert seen["component"] >= 1000 and seen["whole"] >= 800 and seen["nested"] >= 1000
-
-
-def test_highpoints_match_naive_maximum():
-    seen = 0
-    for inst in cut_search_family(trials=60):
-        for comp in _connected_edge_sets(inst):
-            _, parent, _, size, back = conn._dfs_tree(inst, comp)
-            want = [-1] * len(parent)
-            for i in range(1, len(parent)):
-                # back edges covering tree_edge[i]: descendant end in sub(i),
-                # ancestor end above i
-                ends = [a for _, a, d in back if i <= d < i + size[i] and a < i]
-                want[i] = max(ends, default=-1)
-            assert conn._highpoints(parent, back) == want
-            seen += sum(h >= 0 for h in want)
-    assert seen >= 500
 
 
 def test_cut_structure_rejects_a_bridge():

@@ -562,12 +562,8 @@ def _reference_reducible_edge(inst):
     )
 
 
-@pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
-def test_find_reducible_edge_matches_brute_force(monkeypatch, fingerprint):
-    # every call the fixpoint makes while solving small random cubic graphs;
-    # a 2-bit fingerprint makes the cut-class labels collide all the time
-    if fingerprint == "colliding":
-        monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+def test_find_reducible_edge_matches_brute_force(monkeypatch):
+    # every call the fixpoint makes while solving small random cubic graphs
     calls = []
     found = red.find_reducible_edge
 
@@ -606,32 +602,25 @@ def _reference_three_cut_sides(inst):
     return out
 
 
-@pytest.mark.parametrize("fingerprint", ["exact", "colliding"])
-def test_three_cut_candidates_match_brute_force(monkeypatch, fingerprint):
+def test_three_cut_candidates_match_brute_force(monkeypatch):
     # at every call the fixpoint makes while solving small random cubic
     # graphs, the 3-cut sides offered one after another (each rejected in
-    # turn) are exactly the 3-edge boundaries, and every side a fill returns
-    # has exactly its cut as boundary; a 2-bit fingerprint makes the labels
-    # collide all the time
-    if fingerprint == "colliding":
-        monkeypatch.setattr(conn, "_edge_fingerprint", lambda e: e & 3)
+    # turn) are exactly the 3-edge boundaries, and every side the tree gives
+    # holds its start and has exactly its cut as boundary
     sides = {"forced": 0, "unforced": 0}
     found = red.find_small_cut_candidate
-    fill = conn.bounded_side
+    tree_side = conn.tree_side
+    current = []  # the instance being searched
 
-    def exact_fill(inst, start, cut, unforced_only=False):
-        xs = fill(inst, start, cut, unforced_only)
-        if xs is not None:
-            leaving = [
-                g
-                for g in inst.alive_edges()
-                if (inst.eu[g] in xs) != (inst.ev[g] in xs)
-                and not (unforced_only and inst.eforced[g])
-            ]
-            assert leaving == sorted(cut)
+    def exact_side(tree, index, cut, start):
+        xs = tree_side(tree, index, cut, start)
+        inst = current[0]
+        leaving = [g for g in inst.alive_edges() if (inst.eu[g] in xs) != (inst.ev[g] in xs)]
+        assert start in xs and leaving == sorted(cut)
         return xs
 
     def checked(inst, rejected=frozenset()):
+        current[:] = [inst]
         offered = set()
         while (cand := found(inst, offered)) is not None and cand[0] == "3cut":
             offered.add(cand[1])
@@ -641,7 +630,7 @@ def test_three_cut_candidates_match_brute_force(monkeypatch, fingerprint):
         return found(inst, rejected)
 
     monkeypatch.setattr(red, "find_small_cut_candidate", checked)
-    monkeypatch.setattr(conn, "bounded_side", exact_fill)
+    monkeypatch.setattr(conn, "tree_side", exact_side)
     for seed in range(60):
         n = 6 + 2 * (seed % 4)
         inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
