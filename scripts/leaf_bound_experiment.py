@@ -8,21 +8,30 @@ testable stand-in for the exponential worst-case claim.
 """
 
 import argparse
+import sys
 import time
-from fractions import Fraction
 
-from cubictsp.analysis import MeasureAudit, leaf_bound
+from cubictsp.analysis import MeasureAudit
 from cubictsp.generators import GeneratorSpec, generate
+from cubictsp.graph import GraphError
 from cubictsp.search import solve
 
 
-def main() -> None:
+def main() -> int:
     ap = argparse.ArgumentParser(description=__doc__)
     ap.add_argument("--sizes", type=int, nargs="+", default=[10, 16, 22, 28, 34, 40])
     ap.add_argument("--per-size", type=int, default=10)
     ap.add_argument("--seed", type=int, default=0)
     args = ap.parse_args()
+    try:
+        sweep(args)
+    except GraphError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 2
+    return 0
 
+
+def sweep(args) -> None:
     print("n\truns\tmax_leaves\tbound\tworst_ratio\ttotal_seconds")
     for n in args.sizes:
         worst_leaves = 0
@@ -47,4 +56,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    sys.exit(main())

@@ -6,17 +6,17 @@ its classes are the *circuits*.  The connected pieces left between two
 consecutive circuit edges are the *blocks*.  Branching and the deterministic
 propagation of include/delete decisions both walk this structure.
 
-Bridges, cut classes (the circuits' edge sets), cut pairs, small 3-cuts,
-and every circuit's cyclic order and blocks come from one depth-first tree
-per component, ``graph.dfs_tree``; cut classes and labels also from the
-whole graph's tree, for reducible circuits and 3-cuts.  A bridge is a tree
+Bridges, cut classes (the circuits' edge sets), cut pairs, and every
+circuit's cyclic order and blocks come from one depth-first tree per
+component, ``graph.dfs_tree``; cut classes and labels also from the whole
+graph's tree, for reducible circuits and small 3-cuts.  A bridge is a tree
 edge that no back edge covers (``graph.cover_counts``).  Every edge is
 labelled with the set of fundamental cycles through it, as a bitmask over
-the back edges (``_tree_labels``).  These are the edge's coordinates in the
-cycle space, so an edge set is a cut iff its labels XOR to 0: cut classes
-are the edges of one nonzero label, 3-cuts are label triples (a, b, a ^ b),
-and the whole graph's labels place the forced edge of a 3-cut whose other
-two edges disconnect a component.  The side of a cut is the XOR of the
+the back edges (``_tree_labels``).  These are the edge's coordinates in
+the cycle space, so an edge set is a cut iff its labels XOR to 0: cut
+classes are the edges of one nonzero label, and the 3-cuts of the whole
+graph are its label triples (a, b, a ^ b), so the third edge of two
+unforced ones is looked up by label.  The side of a cut is the XOR of the
 subtrees below its tree edges, for a 3-cut at most three nested or
 disjoint preorder intervals; so a side's size, whether it holds a given
 vertex, and its vertices are read off the tree (``_odd_side``,
@@ -31,16 +31,16 @@ the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
 One module-level cache, keyed on a component's labelled unforced edges,
 shares results across search-tree siblings that did not touch them.  It
 may hold only facts of those labelled edges, none of which reads a forced
-mark: bridges, the DFS tree and its cover labels, cut classes, cut pairs
-and small 3-cuts, and the circuit partition.  A component object keeps
-its entry, so the key is built once per object and clear.  A cut entry
-names a side by one vertex on it, never by a vertex set; the
-only vertex sets cached are the preorder and block slices a circuit
-carries.  Anything that reads forced edges, such as a block's
-``cut_forced``, is recomputed on every call.  Labels, cut classes and the
-tree index are pure functions of a tree, so the whole graph's
-(``whole_labels``, ``whole_cut_classes``, ``whole_tree_index``) come from
-its tree without the cache, once per instance state through
+mark or a setting: bridges, the DFS tree and its cover labels, cut
+classes, cut pairs and the circuit partition.  A component object keeps
+its entry, so the key is built once per object.  A cut entry names a side
+by one vertex on it, never by a vertex set; the only vertex sets cached
+are the preorder and block slices a circuit carries.  Anything that reads
+forced edges or the whole graph, such as a block's ``cut_forced`` or a
+component's small 3-cuts, is recomputed on every call.  Labels, cut
+classes and the tree index are pure functions of a tree, so the whole
+graph's (``whole_labels``, ``whole_cut_classes``, ``whole_tree_index``)
+come from its tree without the cache, once per instance state through
 ``Instance.memo``.
 """
 
@@ -59,30 +59,28 @@ SMALL_SIDE = 10
 # labelled unforced edges of a component -> {function name: result}
 _CACHE: dict = {}
 _CACHE_LIMIT = 200_000
-_generation = 0  # bumped by every clear, which voids the entries components hold
 
 
 def clear_caches() -> None:
-    global _generation
     _CACHE.clear()
-    _generation += 1
 
 
 def _cache_entry(inst: Instance, comp: UComponent) -> dict:
     """The cache entry of a component's labelled edges.  The key is built
-    and looked up once per component object and clear; the object keeps the
-    entry in ``comp.cache_slot``.  Edge ids are never reused, so an object's
-    edges keep their ends in every copy and later state of its instance."""
+    and looked up once per component object; the object keeps the entry in
+    ``comp.cache_slot``.  Edge ids are never reused, so an object's edges
+    keep their ends in every copy and later state of its instance, and the
+    entry it holds stays true after a clear."""
     slot = comp.cache_slot
-    if slot and slot[0] == _generation:
-        return slot[1]
+    if slot:
+        return slot[0]
     key = tuple((e, inst.eu[e], inst.ev[e]) for e in comp.edges)
     entry = _CACHE.get(key)
     if entry is None:
         entry = {}
         if len(_CACHE) < _CACHE_LIMIT:
             _CACHE[key] = entry
-    slot[:] = (_generation, entry)
+    slot.append(entry)
     return entry
 
 
@@ -164,63 +162,33 @@ def component_pairs2(inst: Instance, comp: UComponent):
     return pairs2
 
 
-@_cached
 def component_cut_structure(inst: Instance, comp: UComponent):
     """Small-cut skeleton of one 2-edge-connected component.
 
     Returns (pairs2, triples3): ``pairs2`` is ``component_pairs2``;
-    ``triples3`` holds an entry ``(e, f, h, root)`` for every vertex set X of
-    2 to ``SMALL_SIDE`` vertices whose boundary inside the component is
-    exactly the three edges e < f < h.  ``root`` is the end of e inside X.
-    Entries are sorted by their triple; when both sides of one triple fit,
-    the one with root ``inst.eu[e]`` comes first.  The cached list assumes
-    ``SMALL_SIDE`` has not changed since the last ``clear_caches()``.  A
+    ``triples3`` lists every triple e < f < h of the component's edges whose
+    whole-graph labels (``whole_labels``) XOR to 0, that is, every 3-edge cut
+    of the whole graph made of the component's edges, in ascending order.  A
     component with a bridge raises ``GraphError``.
 
-    The cuts are ``_label_triples``.  In a bridgeless component a 3-edge
-    cut is a bond: both sides are connected and every cut edge crosses, so
-    the lowest edge has one end on each side.  The sides' sizes are read off
-    the component's tree (``_odd_side``).
+    It serves the small-cut stage only, where the whole graph is bridgeless
+    and ``reductions.find_reducible_edge`` has found no unforced edge in a
+    2-edge cut of it: so every unforced edge's whole label is nonzero and
+    unique, and the third edge of a pair is the one edge labelled with
+    their XOR.
     """
     if not is_2_edge_connected(inst, comp):
         raise GraphError("component is not 2-edge-connected")
-    cap = SMALL_SIDE
-    tree = _dfs_tree(inst, comp)
-    size = tree[3]
-    pos, child = tree_index(tree)
-    n = len(size)
+    label = inst.memo(whole_labels)
+    edges = comp.edges
+    edge_of = {label[e]: e for e in edges}
     triples3 = []
-    for cut in _label_triples(inst, comp):
-        ivs, k = _odd_side(size, child, cut)
-        ends = inst.eu[cut[0]], inst.ev[cut[0]]
-        sides = (k, n - k) if _on_odd_side(ivs, pos[ends[0]]) else (n - k, k)
-        for root, side in zip(ends, sides):
-            if 2 <= side <= cap:
-                triples3.append(cut + (root,))
-    triples3.sort(key=lambda t: t[:3])  # stable: the side of eu stays first
+    for i, e in enumerate(edges):
+        for f in edges[i + 1 :]:
+            h = edge_of.get(label[e] ^ label[f])
+            if h is not None and h > f:
+                triples3.append((e, f, h))
     return component_pairs2(inst, comp), triples3
-
-
-def _label_triples(inst: Instance, comp: UComponent):
-    """Every 3-edge cut of a 2-edge-connected component, each as a sorted
-    triple.
-
-    The labels of an edge set XOR to 0 iff it is a cut (``_tree_labels``).
-    No edge of a bridgeless component has label 0, and no two edges of a
-    3-edge cut share a label, or the third would be a bridge; so the cuts
-    are the label triples a < b < a ^ b.
-    """
-    label = _cover_labels(inst, comp)
-    classes: dict[int, list[int]] = {}
-    for e in comp.edges:
-        classes.setdefault(label[e], []).append(e)
-    keys = sorted(classes)
-    for i, a in enumerate(keys):
-        for b in keys[i + 1 :]:
-            c = a ^ b
-            if c > b and c in classes:
-                for cut in itertools.product(classes[a], classes[b], classes[c]):
-                    yield tuple(sorted(cut))
 
 
 @_cached
@@ -232,17 +200,12 @@ def _dfs_tree(inst: Instance, comp: UComponent):
     return tree
 
 
-def tree_index(tree) -> tuple[dict, dict]:
-    """(pos, child) of a ``dfs_tree``: each vertex's preorder position, and
-    each tree edge's child position."""
-    pre, _, tree_edge, _, _ = tree
-    return {v: i for i, v in enumerate(pre)}, {e: i for i, e in enumerate(tree_edge) if i}
-
-
-def whole_tree_index(inst: Instance):
-    """``tree_index`` of the whole alive graph's tree; ask it through
+def whole_tree_index(inst: Instance) -> tuple[dict, dict]:
+    """(pos, child) of the whole alive graph's ``dfs_tree``: each vertex's
+    preorder position, and each tree edge's child position; ask it through
     ``inst.memo``."""
-    return tree_index(inst.memo(alive_tree))
+    pre, _, tree_edge, _, _ = inst.memo(alive_tree)
+    return {v: i for i, v in enumerate(pre)}, {e: i for i, e in enumerate(tree_edge) if i}
 
 
 def _odd_side(size: list, child: dict, cut) -> tuple[list, int]:
@@ -281,7 +244,8 @@ def _on_odd_side(ivs: list, p: int) -> bool:
 
 def side_size(tree, index, cut, start: int) -> int:
     """Size of ``start``'s side of the edge cut ``cut`` of the graph that
-    ``tree`` (a ``dfs_tree`` with its ``tree_index``) spans."""
+    ``tree`` spans, given that ``dfs_tree`` and its index, as
+    ``whole_tree_index`` builds it."""
     size = tree[3]
     pos, child = index
     ivs, k = _odd_side(size, child, cut)

@@ -27,8 +27,8 @@ class UComponent:
     vertices: frozenset
     edges: tuple  # unforced edge ids, sorted
     boundary_forced: int
-    # [clear generation, entry] of ``connectivity``'s cache for these edges,
-    # kept here so that the entry's key is built once per object
+    # [entry] of ``connectivity``'s cache for these edges, kept here so
+    # that the entry's key is built once per object
     cache_slot: list = field(default_factory=list, compare=False, repr=False)
 
     @property

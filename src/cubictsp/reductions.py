@@ -11,8 +11,10 @@ until nothing applies.  Forced cycles are found by a union-find over the
 forced edges.  An unforced bridge's side is read off its component's DFS
 tree (``connectivity._dfs_tree``).  Reducible circuits are read off the
 whole graph's cut classes (``connectivity.whole_cut_classes``), and the
-forced edge of a small 3-cut off the whole graph's cut labels.  Each small
-side is read off the whole graph's tree (``connectivity.side_size``,
+third edge of a small 3-cut off the whole graph's cut labels: a forced
+partner of a component's cut pair, or the unforced edge that closes a
+triple (``connectivity.component_cut_structure``).  Each small side is read
+off the whole graph's tree (``connectivity.side_size``,
 ``connectivity.tree_side``) from a start vertex that a component's cut
 structure gives.  The forced-cycle scan and the whole graph's tree, its
 index, labels and cut classes are asked through ``Instance.memo``, so a
@@ -678,17 +680,20 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 # cut-forced edge remains.  A 3-edge boundary is then either two unforced
 # edges of one component plus one forced edge, or three unforced edges of one
 # component: any other kind needs a component with an odd boundary or a bridge
-# inside a component, which the earlier screens rule out.  The component's
-# cut structure gives one vertex of the side's piece in that component: a
-# side of a disconnecting pair, or the piece behind a triple.  The whole
-# graph's labels decide which of these are cuts of the whole graph: an edge
-# set is a cut iff its labels XOR to 0, so the forced partners of a pair
-# e, f are the forced edges labelled label[e] ^ label[f], tried in ascending
-# order, and a triple is kept iff its labels XOR to 0.  The whole graph is
+# inside a component, which the earlier screens rule out.  The whole
+# graph's labels decide which edge sets are cuts of the whole graph: an
+# edge set is a cut iff its labels XOR to 0, so the forced partners of a
+# disconnecting pair e, f of a component are the forced edges labelled
+# label[e] ^ label[f], tried in ascending order, and the component's
+# triples are its three-edge cuts of the whole graph.  A pair's sides are
+# tried from a vertex of each of its pieces in the component, a triple's
+# from both ends of its lowest edge, eu first.  The whole graph is
 # bridgeless, so each such cut is a bond, and each side is read off the
 # whole graph's tree: its size (``connectivity.side_size``) first, and its
 # vertices (``connectivity.tree_side``) only if a rewrite accepts that
-# size.
+# size.  A side holds the component piece of its start, so the size test
+# also bounds that piece; and a one-vertex piece of a triple has no forced
+# edge, so its side is that vertex, which the test rejects.
 
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
@@ -697,7 +702,9 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
     ``SMALL_SIDE`` vertices and at least 2; sets in ``rejected`` are skipped.
 
     The whole graph must be connected and bridgeless, as
-    ``check_feasibility`` makes it before the fixpoint asks.
+    ``check_feasibility`` makes it, and no unforced edge may lie in a
+    2-edge cut of it, as ``find_reducible_edge`` finds before the fixpoint
+    asks.
     """
     cap = conn.SMALL_SIDE
     comps = inst.u_components()
@@ -725,9 +732,9 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
             for g in partners.get(label[e] ^ label[f], ())
         ]
         sides += [
-            (root, (e, f, h))
-            for e, f, h, root in triples3
-            if label[e] ^ label[f] ^ label[h] == 0
+            (start, (e, f, h))
+            for e, f, h in triples3
+            for start in (inst.eu[e], inst.ev[e])
         ]
         for start, cut in sides:
             k = conn.side_size(tree, index, cut, start)

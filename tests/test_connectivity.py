@@ -128,42 +128,14 @@ def test_blocks_cut_is_consecutive_edge_pair(rng):
                     assert len(cf) == block.cut_forced
 
 
-def brute_small_three_cuts(inst, comp, cap):
-    """Every vertex subset of 2 to ``cap`` vertices that is connected in the
-    component and has exactly three component edges leaving it."""
-    verts = sorted(comp.vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    ends = [(e, idx[inst.eu[e]], idx[inst.ev[e]]) for e in comp.edges]
-    out = set()
-    for size in range(2, min(cap, len(verts)) + 1):
-        for chosen in itertools.combinations(range(len(verts)), size):
-            mask = sum(1 << i for i in chosen)
-            cut = [e for e, a, b in ends if (mask >> a ^ mask >> b) & 1]
-            if len(cut) != 3:
-                continue
-            reach = 1 << chosen[0]
-            while True:
-                grown = reach
-                for _, a, b in ends:
-                    if mask >> a & mask >> b & 1 and (reach >> a | reach >> b) & 1:
-                        grown |= 1 << a | 1 << b
-                if grown == reach:
-                    break
-                reach = grown
-            if reach == mask:
-                out.add(tuple(cut) + (frozenset(verts[i] for i in chosen),))
-    return out
-
-
-def _exact_side(inst, start, cut, walk_forced=True):
-    """The vertices reached from ``start`` without crossing ``cut`` (nor a
-    forced edge, unless ``walk_forced``), if every edge of ``cut`` leaves
-    them; else None."""
+def _exact_side(inst, start, cut):
+    """The vertices reached from ``start`` without crossing ``cut``, if every
+    edge of ``cut`` leaves them; else None."""
     xs, stack = {start}, [start]
     while stack:
         v = stack.pop()
         for g in inst.adj[v]:
-            if g in cut or not walk_forced and inst.eforced[g]:
+            if g in cut:
                 continue
             w = inst.other_end(g, v)
             if w not in xs:
@@ -174,60 +146,9 @@ def _exact_side(inst, start, cut, walk_forced=True):
     return None
 
 
-def _triple_sides(inst, comp):
-    """``component_cut_structure``'s triples with each side X rebuilt from
-    its root by a flood fill, as (e, f, h, X); the root must be an end of e."""
-    out = []
-    for e, f, h, root in conn.component_cut_structure(inst, comp)[1]:
-        assert root in (inst.eu[e], inst.ev[e])
-        xs = _exact_side(inst, root, (e, f, h), walk_forced=False)
-        assert xs is not None
-        out.append((e, f, h, frozenset(xs)))
-    return out
-
-
-def test_small_three_cuts_match_brute_force(monkeypatch):
-    rng = random.Random(3)
-    shapes = {"degree2": 0, "parallel": 0}
-    checked = 0
-    for trial in range(160):
-        n = rng.choice([6, 8, 10, 12, 14, 16])
-        if trial % 2:
-            inst = random_degree3_multigraph(rng, n)
-        else:
-            inst = generate(
-                GeneratorSpec(kind="random_cubic", n=n, seed=trial, allow_parallel=True)
-            )
-            for e in list(inst.alive_edges()):
-                if rng.random() < 0.15:
-                    u, v = inst.endpoints(e)
-                    if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
-                        inst.include_edge(e)
-        for comp in inst.u_components():
-            if comp.trivial or not is_2_edge_connected(inst, comp):
-                continue
-            if any(inst.degrees(v)[2] == 2 for v in comp.vertices):
-                shapes["degree2"] += 1
-            if len({tuple(sorted(inst.endpoints(e))) for e in comp.edges}) < len(
-                comp.edges
-            ):
-                shapes["parallel"] += 1
-            for cap in (4, 10) if len(comp.vertices) <= 12 else (10,):
-                monkeypatch.setattr(conn, "SMALL_SIDE", cap)
-                conn.clear_caches()
-                got = _triple_sides(inst, comp)
-                assert len(got) == len(set(got))
-                assert set(got) == brute_small_three_cuts(inst, comp, cap)
-                # sorted by triple; the side holding eu of the first edge first
-                order = [(e, f, h, inst.eu[e] not in xs) for e, f, h, xs in got]
-                assert order == sorted(order)
-                checked += 1
-    assert checked >= 60
-    assert shapes["degree2"] >= 30 and shapes["parallel"] >= 20
-
-
 def cut_search_family(seed=3, trials=160):
-    """The graph families of test_small_three_cuts_match_brute_force."""
+    """Random cubic graphs with parallel edges and some forced edges, and
+    random degree-3 multigraphs, n = 6 to 16."""
     rng = random.Random(seed)
     for trial in range(trials):
         n = rng.choice([6, 8, 10, 12, 14, 16])
@@ -246,8 +167,8 @@ def cut_search_family(seed=3, trials=160):
 
 
 def test_label_users_match_brute_force():
-    # cut pairs, circuits and small 3-cuts of every component, bridged or
-    # not, against flood fills
+    # cut pairs and circuits of every component, bridged or not, against
+    # flood fills
     conn.clear_caches()
     checked = bridged = 0
     for inst in cut_search_family():
@@ -274,11 +195,6 @@ def test_label_users_match_brute_force():
                 classes[b].add(a)
             circuits = {frozenset(c.edges) for c in circuit_partition(inst, comp)}
             assert circuits == {frozenset(c) for c in classes.values()}
-            got = _triple_sides(inst, comp)
-            assert len(got) == len(set(got))
-            assert set(got) == brute_small_three_cuts(inst, comp, conn.SMALL_SIDE)
-            order = [(e, f, h, inst.eu[e] not in xs) for e, f, h, xs in got]
-            assert order == sorted(order)
             checked += 1
     assert checked >= 45 and bridged >= 100
     conn.clear_caches()
@@ -403,25 +319,12 @@ def _assert_tree_side(tree, index, cut, start, xs):
 
 
 def test_cut_sides_from_the_tree_match_the_fills(monkeypatch):
-    # every label triple of a component is a cut, and the tree gives the
-    # size and vertices of the flood fill from either end of its lowest
-    # edge; every side that the whole graph's 3-cut search weighs while
-    # solving (each pair with every forced edge) is a cut iff its labels XOR
-    # to 0, and then the tree gives its fill too
+    # every side that the whole graph's 3-cut search weighs while solving
+    # (each pair with every forced edge, each triple from both ends of its
+    # lowest edge) is a cut iff its labels XOR to 0, and then the tree gives
+    # its size and the vertices of its flood fill
     conn.clear_caches()
-    seen = {"component": 0, "whole": 0, "nested": 0}
-    for inst in cut_search_family():
-        for comp in inst.u_components():
-            if comp.trivial or not is_2_edge_connected(inst, comp):
-                continue
-            tree = conn._dfs_tree(inst, comp)
-            index = conn.tree_index(tree)
-            for cut in conn._label_triples(inst, comp):
-                for start in inst.endpoints(cut[0]):
-                    xs = _exact_side(inst, start, cut, walk_forced=False)
-                    assert xs is not None
-                    seen["nested"] += _assert_tree_side(tree, index, cut, start, xs)
-                    seen["component"] += 1
+    seen = {"whole": 0, "nested": 0}
     found = red.find_small_cut_candidate
 
     def checked(inst, rejected=frozenset()):
@@ -437,7 +340,7 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch):
                 for start in (min(comp.vertices), v)
                 for g in inst.forced_edges()
             ]
-            sides += [(root, (e, f, h)) for e, f, h, root in triples3]
+            sides += [(start, cut) for cut in triples3 for start in inst.endpoints(cut[0])]
             for start, cut in sides:
                 xs = _exact_side(inst, start, cut)
                 assert (xs is not None) == (label[cut[0]] ^ label[cut[1]] ^ label[cut[2]] == 0)
@@ -447,12 +350,12 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch):
         return found(inst, rejected)
 
     monkeypatch.setattr(red, "find_small_cut_candidate", checked)
-    for seed in range(30):
+    for seed in range(60):
         n = 8 + 2 * (seed % 4)
         inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
         solve(inject_forced(inst, seed % 5, seed=seed))
     conn.clear_caches()
-    assert seen["component"] >= 1000 and seen["whole"] >= 800 and seen["nested"] >= 1000
+    assert seen["whole"] >= 800 and seen["nested"] >= 1000
 
 
 def test_cut_structure_rejects_a_bridge():

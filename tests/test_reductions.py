@@ -604,10 +604,12 @@ def _reference_three_cut_sides(inst):
 
 def test_three_cut_candidates_match_brute_force(monkeypatch):
     # at every call the fixpoint makes while solving small random cubic
-    # graphs, the 3-cut sides offered one after another (each rejected in
-    # turn) are exactly the 3-edge boundaries, and every side the tree gives
-    # holds its start and has exactly its cut as boundary
-    sides = {"forced": 0, "unforced": 0}
+    # graphs, under a small and the default side cap, the 3-cut sides
+    # offered one after another (each rejected in turn) are exactly the
+    # 3-edge boundaries, and every side the tree gives holds its start and
+    # has exactly its cut as boundary; the unforced edges' whole-graph
+    # labels are nonzero and distinct there, as component_cut_structure
+    # requires
     found = red.find_small_cut_candidate
     tree_side = conn.tree_side
     current = []  # the instance being searched
@@ -621,22 +623,29 @@ def test_three_cut_candidates_match_brute_force(monkeypatch):
 
     def checked(inst, rejected=frozenset()):
         current[:] = [inst]
+        label = inst.memo(conn.whole_labels)
+        unforced = [label[e] for e in inst.alive_edges() if not inst.eforced[e]]
+        assert 0 not in unforced and len(set(unforced)) == len(unforced)
         offered = set()
         while (cand := found(inst, offered)) is not None and cand[0] == "3cut":
             offered.add(cand[1])
         assert offered == _reference_three_cut_sides(inst)
         for xs in offered:
-            sides["forced" if inst.cut(xs)[0] else "unforced"] += 1
+            sides[conn.SMALL_SIDE]["forced" if inst.cut(xs)[0] else "unforced"] += 1
         return found(inst, rejected)
 
     monkeypatch.setattr(red, "find_small_cut_candidate", checked)
     monkeypatch.setattr(conn, "tree_side", exact_side)
-    for seed in range(60):
-        n = 6 + 2 * (seed % 4)
-        inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
-        solve(inject_forced(inst, seed % 5, seed=seed))
+    sides = {}
+    for cap in (4, 10):
+        monkeypatch.setattr(conn, "SMALL_SIDE", cap)
+        sides[cap] = {"forced": 0, "unforced": 0}
+        for seed in range(60):
+            n = 6 + 2 * (seed % 4)
+            inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
+            solve(inject_forced(inst, seed % 5, seed=seed))
     conn.clear_caches()
-    assert sides["forced"] >= 100 and sides["unforced"] >= 100
+    assert all(n >= 100 for by_kind in sides.values() for n in by_kind.values())
 
 
 # -- fixpoint driver ------------------------------------------------------------------
