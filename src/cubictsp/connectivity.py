@@ -8,21 +8,20 @@ propagation of include/delete decisions both walk this structure.
 
 Bridges, cut classes (the circuits' edge sets), cut pairs, and every
 circuit's cyclic order and blocks come from one depth-first tree per
-component, ``graph.dfs_tree``; cut classes and labels also from the whole
-graph's tree, for reducible circuits and small 3-cuts.  A bridge is a tree
-edge that no back edge covers (``graph.cover_counts``).  Every edge is
-labelled with the set of fundamental cycles through it, as a bitmask over
-the back edges (``_tree_labels``).  These are the edge's coordinates in
-the cycle space, so an edge set is a cut iff its labels XOR to 0: cut
-classes are the edges of one nonzero label, and the 3-cuts of the whole
-graph are its label triples (a, b, a ^ b), so the third edge of two
-unforced ones is looked up by label.  The side of a cut is the XOR of the
-subtrees below its tree edges, for a 3-cut at most three nested or
-disjoint preorder intervals; so a side's size, whether it holds a given
-vertex, and its vertices are read off the tree (``_odd_side``,
-``side_size``, ``tree_side``) without a walk.  A circuit's tree edges lie
-on one root path, so each of its blocks is at most three slices of the
-preorder, and its size is read off their bounds.
+component, ``graph.dfs_tree``, and its one fold, ``graph.tree_labels``; the
+whole graph's labels (``graph.whole_labels``) serve its bridges, reducible
+circuits and small 3-cuts.  Every edge is labelled with the set of
+fundamental cycles through it, as a bitmask over the back edges.  These are
+the edge's coordinates in the cycle space, so an edge set is a cut iff its
+labels XOR to 0: bridges are the edges labelled 0, cut classes are the
+edges of one nonzero label, and the 3-cuts of the whole graph are its label
+triples (a, b, a ^ b), so the third edge of two unforced ones is looked up
+by label.  The side of a cut is the XOR of the subtrees below its tree
+edges, for a 3-cut at most three nested or disjoint preorder intervals; so
+a side's size, whether it holds a given vertex, and its vertices are read
+off the tree (``_odd_side``, ``side_size``, ``tree_side``) without a walk.
+A circuit's tree edges lie on one root path, so each of its blocks is at
+most three slices of the preorder, and its size is read off their bounds.
 
 The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
 the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
@@ -31,17 +30,16 @@ the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
 One module-level cache, keyed on a component's labelled unforced edges,
 shares results across search-tree siblings that did not touch them.  It
 may hold only facts of those labelled edges, none of which reads a forced
-mark or a setting: bridges, the DFS tree and its cover labels, cut
-classes, cut pairs and the circuit partition.  A component object keeps
-its entry, so the key is built once per object.  A cut entry names a side
-by one vertex on it, never by a vertex set; the only vertex sets cached
-are the preorder and block slices a circuit carries.  Anything that reads
-forced edges or the whole graph, such as a block's ``cut_forced`` or a
-component's small 3-cuts, is recomputed on every call.  Labels, cut
-classes and the tree index are pure functions of a tree, so the whole
-graph's (``whole_labels``, ``whole_cut_classes``, ``whole_tree_index``)
-come from its tree without the cache, once per instance state through
-``Instance.memo``.
+mark or a setting: the DFS tree and its labels, cut classes, cut pairs
+and the circuit partition.  A component object keeps its entry, so the
+key is built once per object.  A cut entry names a side by one vertex on
+it, never by a vertex set; the only vertex sets cached are the preorder
+and block slices a circuit carries.  Anything that reads forced edges or
+the whole graph, such as a block's ``cut_forced`` or a component's small
+3-cuts, is recomputed on every call.  Labels and the
+tree index are pure functions of a tree, so the whole graph's
+(``whole_labels``, ``whole_tree_index``) come from its tree without the
+cache, once per instance state through ``Instance.memo``.
 """
 
 from __future__ import annotations
@@ -50,7 +48,7 @@ import itertools
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .graph import GraphError, Instance, UComponent, alive_tree, cover_counts, dfs_tree
+from .graph import GraphError, Instance, UComponent, alive_tree, dfs_tree, tree_labels, whole_labels
 
 # Largest side, in vertices, that the small-cut searches and rewrites
 # consider; read at call time.
@@ -128,18 +126,11 @@ NORMAL = "normal"
 
 
 def is_2_edge_connected(inst: Instance, comp: UComponent) -> bool:
-    """No single unforced edge disconnects the component."""
+    """No single unforced edge disconnects the component: no edge of it is
+    labelled 0."""
     if comp.trivial:
         raise GraphError("component is trivial")
-    return not _unforced_bridges(inst, comp)
-
-
-@_cached
-def _unforced_bridges(inst: Instance, comp: UComponent) -> list[int]:
-    """Sorted bridges of a component: the tree edges no back edge covers."""
-    _, parent, tree_edge, _, back = _dfs_tree(inst, comp)
-    covers = cover_counts(parent, back)
-    return sorted(tree_edge[i] for i in range(1, len(parent)) if covers[i] == 0)
+    return all(_cover_labels(inst, comp).values())
 
 
 @_cached
@@ -272,64 +263,21 @@ def _gather(pre: tuple, bounds: tuple) -> frozenset:
 
 
 @_cached
-def _cover_labels(inst: Instance, comp: UComponent):
-    """``_tree_labels`` of a component's DFS tree."""
-    return _tree_labels(_dfs_tree(inst, comp))
-
-
-def _tree_labels(tree) -> dict:
-    """Cycle-space labels of the edges of a ``dfs_tree``, as a map from edge
-    id to label.
-
-    Back edge j of the tree (its place in ``back``) is labelled ``1 << j``,
-    and a tree edge with the XOR of the bits of the back edges covering it,
-    that is, whose fundamental cycle runs through it.  Bit j of a label is
-    then set iff the edge lies on fundamental cycle j, so the label is the
-    edge's coordinates in the cycle space: an edge set is a cut iff its
-    labels XOR to 0, a bridge's label is 0, and two edges that are no
-    bridges form a cut iff their labels are equal.
-    """
-    _, parent, tree_edge, _, back = tree
-    acc = [0] * len(parent)
-    label = {}
-    for j, (e, a, d) in enumerate(back):
-        bit = label[e] = 1 << j
-        acc[a] ^= bit
-        acc[d] ^= bit
-    # folded in reverse preorder, as in ``cover_counts``
-    for i in range(len(parent) - 1, 0, -1):
-        label[tree_edge[i]] = acc[i]
-        acc[parent[i]] ^= acc[i]
-    return label
-
-
-def whole_labels(inst: Instance):
-    """``_tree_labels`` of the whole alive graph; ask it through
-    ``inst.memo``."""
-    return _tree_labels(inst.memo(alive_tree))
+def _cover_labels(inst: Instance, comp: UComponent) -> dict:
+    """``graph.tree_labels`` of a component's DFS tree."""
+    return tree_labels(_dfs_tree(inst, comp))
 
 
 @_cached
 def cut_classes(inst: Instance, comp: UComponent) -> list[tuple]:
-    """``_tree_cut_classes`` of a component's labels."""
-    return _tree_cut_classes(_cover_labels(inst, comp))
-
-
-def whole_cut_classes(inst: Instance) -> list[tuple]:
-    """``_tree_cut_classes`` of the whole alive graph, which must be
-    connected; ask it through ``inst.memo``."""
-    return _tree_cut_classes(inst.memo(whole_labels))
-
-
-def _tree_cut_classes(label: dict) -> list[tuple]:
-    """Nontrivial circuits of the connected edge set whose ``_tree_labels``
-    are ``label``, each as a sorted tuple of edge ids, sorted by lowest
-    edge: the classes of edges that are not bridges by themselves and of
-    which any two disconnect the set.  These are the groups of more than one
-    edge with one nonzero label.  No forced mark is read.
+    """Nontrivial circuits of a component, each as a sorted tuple of edge
+    ids, sorted by lowest edge: the classes of edges that are not bridges by
+    themselves and of which any two disconnect the component.  These are the
+    groups of more than one edge with one nonzero label.  No forced mark is
+    read.
     """
     groups: dict[int, list[int]] = {}
-    for e, a in label.items():
+    for e, a in _cover_labels(inst, comp).items():
         if a:
             groups.setdefault(a, []).append(e)
     return sorted(tuple(sorted(group)) for group in groups.values() if len(group) > 1)
@@ -534,13 +482,9 @@ def is_four_cycle_shape(inst: Instance, comp: UComponent) -> bool:
 
 
 def _standalone_component(inst: Instance, verts) -> UComponent:
-    edges = tuple(sorted(_edges_inside(inst, verts, False)))
-    boundary = 0
-    for v in verts:
-        for e in inst.adj[v]:
-            if inst.eforced[e] and inst.other_end(e, v) not in verts:
-                boundary += 1
-    return UComponent(frozenset(verts), edges, boundary)
+    """The unforced edges inside ``verts`` as a component; its forced
+    boundary is left 0, since nothing asked of it reads one."""
+    return UComponent(frozenset(verts), tuple(sorted(_edges_inside(inst, verts, False))), 0)
 
 
 def _has_normal_subblock(inst: Instance, verts) -> bool:

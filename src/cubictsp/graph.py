@@ -4,9 +4,12 @@ Vertices and edges carry dense integer ids.  Deletions tombstone the slot
 instead of renumbering, so rewrite logs can refer to ids forever.  Weights
 are exact rationals throughout.
 
-``dfs_tree`` is the package's one depth-first walk.  The whole alive graph's
-tree answers ``is_connected`` and ``bridges``; it, the unforced components
-and other facts of one state are kept by ``Instance.memo`` until a mutation.
+``dfs_tree`` is the package's one depth-first walk, and ``tree_labels`` the
+one fold over a tree's back edges: it labels every edge with the set of
+fundamental cycles through it, so an edge is a bridge iff its label is 0.
+The whole alive graph's tree answers ``is_connected``, and its labels
+(``whole_labels``) answer ``bridges``; they, the unforced components and
+other facts of one state are kept by ``Instance.memo`` until a mutation.
 """
 
 from __future__ import annotations
@@ -253,13 +256,11 @@ class Instance:
         return n > 0 and len(self.memo(alive_tree)[0]) == n
 
     def bridges(self) -> list[int]:
-        """Bridge edge ids of the connected alive graph: the tree edges no
-        back edge covers.  Parallel edges never count."""
+        """Bridge edge ids of the connected alive graph: the edges whose
+        ``whole_labels`` entry is 0.  Parallel edges never count."""
         if not self.is_connected():
             raise GraphError("graph is not connected")
-        _, parent, tree_edge, _, back = self.memo(alive_tree)
-        covers = cover_counts(parent, back)
-        return sorted(tree_edge[i] for i in range(1, len(parent)) if covers[i] == 0)
+        return sorted(e for e, a in self.memo(whole_labels).items() if not a)
 
     def is_2_edge_connected_graph(self) -> bool:
         return self.is_connected() and not self.bridges()
@@ -295,6 +296,12 @@ class Instance:
 def alive_tree(inst: Instance):
     """``dfs_tree`` of the whole alive graph; ask it through ``inst.memo``."""
     return dfs_tree(inst, inst.alive_vertices(), inst.alive_edges())
+
+
+def whole_labels(inst: Instance) -> dict:
+    """``tree_labels`` of the whole alive graph; ask it through
+    ``inst.memo``."""
+    return tree_labels(inst.memo(alive_tree))
 
 
 def dfs_tree(inst: Instance, vertices, edges):
@@ -345,18 +352,31 @@ def dfs_tree(inst: Instance, vertices, edges):
     return tuple(pre), parent, tree_edge, size, back
 
 
-def cover_counts(parent: list, back: list) -> list[int]:
-    """For every preorder position i > 0 of a ``dfs_tree``, the number of
-    back edges covering its tree edge; 0 marks a bridge.  Children follow
-    their parent in preorder, so folding in reverse preorder completes i
-    before i is added to its parent."""
-    cnt = [0] * len(parent)
-    for _, a, d in back:
-        cnt[a] -= 1
-        cnt[d] += 1
+def tree_labels(tree) -> dict:
+    """Cycle-space labels of the edges of a ``dfs_tree``, as a map from edge
+    id to label.
+
+    Back edge j of the tree (its place in ``back``) is labelled ``1 << j``,
+    and a tree edge with the XOR of the bits of the back edges covering it,
+    that is, whose fundamental cycle runs through it.  Bit j of a label is
+    then set iff the edge lies on fundamental cycle j, so the label is the
+    edge's coordinates in the cycle space: an edge set is a cut iff its
+    labels XOR to 0, an edge is a bridge iff its label is 0, and two edges
+    that are no bridges form a cut iff their labels are equal.  Children
+    follow their parent in preorder, so folding in reverse preorder
+    completes i before i is added to its parent.
+    """
+    _, parent, tree_edge, _, back = tree
+    acc = [0] * len(parent)
+    label = {}
+    for j, (e, a, d) in enumerate(back):
+        bit = label[e] = 1 << j
+        acc[a] ^= bit
+        acc[d] ^= bit
     for i in range(len(parent) - 1, 0, -1):
-        cnt[parent[i]] += cnt[i]
-    return cnt
+        label[tree_edge[i]] = acc[i]
+        acc[parent[i]] ^= acc[i]
+    return label
 
 
 # -- text format -------------------------------------------------------------

@@ -8,23 +8,25 @@ The fixpoint driver applies, in a fixed priority:
   3-cut replacement -> 4-cut replacement
 
 until nothing applies.  Forced cycles are found by a union-find over the
-forced edges.  An unforced bridge's side is read off its component's DFS
-tree (``connectivity._dfs_tree``).  Reducible circuits are read off the
-whole graph's cut classes (``connectivity.whole_cut_classes``), and the
-third edge of a small 3-cut off the whole graph's cut labels: a forced
-partner of a component's cut pair, or the unforced edge that closes a
-triple (``connectivity.component_cut_structure``).  Each small side is read
-off the whole graph's tree (``connectivity.side_size``,
+forced edges.  An unforced bridge is an edge its component's labels
+(``connectivity._cover_labels``) mark 0, and its side is read off the
+component's DFS tree (``connectivity._dfs_tree``).  A reducible edge is an
+unforced edge whose whole-graph label (``graph.whole_labels``) another edge
+shares, and the third edge of a small 3-cut is read off the same labels: a
+forced partner of a component's cut pair, or the unforced edge that closes
+a triple (``connectivity.component_cut_structure``).  Each small side is
+read off the whole graph's tree (``connectivity.side_size``,
 ``connectivity.tree_side``) from a start vertex that a component's cut
 structure gives.  The forced-cycle scan and the whole graph's tree, its
-index, labels and cut classes are asked through ``Instance.memo``, so a
-pass that rewrites nothing between two questions walks the graph once.
+index and labels are asked through ``Instance.memo``, so a pass that
+rewrites nothing between two questions walks the graph once.
 Every rewrite appends a log entry; ``expand_solution`` replays the log
 backwards to translate edge ids and re-insert replaced subgraphs.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -348,22 +350,23 @@ def eliminate_bridges(inst: Instance, log: ReductionLog):
 
     The fixpoint calls this only when saturation, contraction and the
     parallel rule have nothing left to do and more than two vertices are
-    alive, so each round starts at the lowest bridge and saturates after
-    deciding it.  The bridge's side is the half of its component that holds
-    its first end: the subtree below it in the component's DFS tree, or
-    everything else.
+    alive, so each round starts at the lowest bridge, the lowest edge that
+    its component's labels mark 0, and saturates after deciding it.  The
+    bridge's side is the half of its component that holds its first end: the
+    subtree below it in the component's DFS tree, or everything else.
     """
     changed = False
     while True:
-        bridge = None
-        for comp in inst.u_components():
-            if comp.trivial:
-                continue
-            cand = conn._unforced_bridges(inst, comp)
-            if cand and (bridge is None or cand[0] < bridge):
-                bridge, host = cand[0], comp
-        if bridge is None:
+        bridges = [
+            (e, comp)
+            for comp in inst.u_components()
+            if not comp.trivial
+            for e, a in conn._cover_labels(inst, comp).items()
+            if not a
+        ]
+        if not bridges:
             return changed, None
+        bridge, host = min(bridges, key=lambda b: b[0])
         pre, _, tree_edge, size, _ = conn._dfs_tree(inst, host)
         i = tree_edge.index(bridge)
         below = frozenset(pre[i : i + size[i]])
@@ -388,9 +391,9 @@ def find_reducible_edge(inst: Instance) -> Optional[int]:
 
     Degree-2 vertices witness such edges immediately: the lowest unforced
     edge at one is taken first.  Otherwise the edge is the lowest unforced
-    member of the whole graph's ``cut_classes``.  The whole graph must be
-    connected and bridgeless, as ``check_feasibility`` makes it before the
-    fixpoint asks.
+    one whose nonzero whole-graph label another edge shares: the two form a
+    cut.  The whole graph must be connected and bridgeless, as
+    ``check_feasibility`` makes it before the fixpoint asks.
     """
     best = None
     for v in inst.alive_vertices():
@@ -400,9 +403,12 @@ def find_reducible_edge(inst: Instance) -> Optional[int]:
                     best = e
     if best is not None:
         return best
-    classes = inst.memo(conn.whole_cut_classes)
-    unforced = [e for cls in classes for e in cls if not inst.eforced[e]]
-    return min(unforced, default=None)
+    label = inst.memo(conn.whole_labels)
+    shared = Counter(label.values())
+    return min(
+        (e for e, a in label.items() if a and shared[a] > 1 and not inst.eforced[e]),
+        default=None,
+    )
 
 
 def process_reducible_circuit(inst: Instance, log: ReductionLog, eid: int):
@@ -693,7 +699,10 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
 # vertices (``connectivity.tree_side``) only if a rewrite accepts that
 # size.  A side holds the component piece of its start, so the size test
 # also bounds that piece; and a one-vertex piece of a triple has no forced
-# edge, so its side is that vertex, which the test rejects.
+# edge, so its side is that vertex, which the test rejects.  A triple whose
+# three edges share an end is that vertex's boundary: its sides have 1 and
+# n - 1 vertices, and the size test accepts the larger only when n <= 4, so
+# such a star is sized only then.
 
 
 def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
@@ -734,6 +743,7 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
         sides += [
             (start, (e, f, h))
             for e, f, h in triples3
+            if top <= 2 or not _shared_end(inst, e, f, h)
             for start in (inst.eu[e], inst.ev[e])
         ]
         for start, cut in sides:
@@ -768,6 +778,12 @@ def find_small_cut_candidate(inst: Instance, rejected=frozenset()):
         if is_4cut_reducible(inst, xs):
             return ("4cut", xs)
     return None
+
+
+def _shared_end(inst: Instance, e: int, f: int, h: int) -> bool:
+    """Whether the three edges have an end in common."""
+    ends = {inst.eu[e], inst.ev[e]}
+    return bool(ends.intersection(inst.endpoints(f), inst.endpoints(h)))
 
 
 def _connected_subsets(adjacency: dict, weights: list, cap: int):

@@ -24,12 +24,6 @@ INFEASIBLE = "infeasible"
 
 
 @dataclass(frozen=True)
-class Decision:
-    edge: int
-    action: str  # "include" | "delete"
-
-
-@dataclass(frozen=True)
 class TourResult:
     status: str
     cost: Optional[Fraction] = None

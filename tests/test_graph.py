@@ -258,7 +258,7 @@ def _fill_memo(inst):
     inst.u_components()
     inst.is_connected()
     inst.memo(conn.whole_labels)
-    inst.memo(conn.whole_cut_classes)
+    inst.memo(conn.whole_tree_index)
     inst.memo(red._forced_cycle_scan)
 
 
