@@ -8,10 +8,11 @@ common integer denominator first.
 
 The slow references that tests hold the solver's own primitives against
 live here too: ``brute_force_4cycles`` for the 4-cycle base case,
-``replay`` for the reduction log, ``_disconnects`` for cut pairs,
-``_subgraph_pieces``, the flood fill that splits a vertex set into its
-connected pieces, and ``_circuit_cycle``, which orders a circuit and its
-blocks by those pieces.
+``replay``, which re-runs a reduction log forward through the production
+rewrites and checks that they make the edges it logged, ``_disconnects``
+for cut pairs, ``_subgraph_pieces``, the flood fill that splits a vertex
+set into its connected pieces, and ``_circuit_cycle``, which orders a
+circuit and its blocks by those pieces.
 """
 
 from __future__ import annotations
@@ -23,12 +24,11 @@ from typing import Optional
 from . import connectivity as conn
 from .graph import GraphError, Instance, UComponent
 from .reductions import (
-    ContractPath,
     DeleteEdge,
-    FourCut,
     IncludeEdge,
     ReductionLog,
-    ThreeCut,
+    Rewrite,
+    contract_path,
     reduce_3cut,
     reduce_4cut,
 )
@@ -267,33 +267,19 @@ def brute_force_4cycles(inst: Instance, limit: int = 20) -> TourResult:
 
 
 def replay(log: ReductionLog, inst: Instance) -> Instance:
-    """Re-apply the log forward on a copy of the original instance; ids of
-    created vertices/edges must come out identical."""
+    """Re-apply the log forward on a copy of the original instance: each
+    decision again, and each rewrite by the production rewrite of its kind
+    on the vertices it logged; ids of created edges must come out identical."""
     out = inst.copy()
     scratch = ReductionLog()
+    rewrites = {"contract": contract_path, "3cut": reduce_3cut, "4cut": reduce_4cut}
     for entry in log.entries:
         if isinstance(entry, IncludeEdge):
             out.include_edge(entry.eid)
         elif isinstance(entry, DeleteEdge):
             out.delete_edge(entry.eid)
-        elif isinstance(entry, ContractPath):
-            for e in entry.path_edges:
-                out.delete_edge(e)
-            for v in entry.inner_vertices:
-                out.remove_vertex(v)
-            new_e = out.add_edge(
-                entry.u, entry.v, sum((inst.ew[e] for e in entry.path_edges), Fraction(0)), True
-            )
-            if new_e != entry.new_edge:
-                raise GraphError("replay id drift")
-        elif isinstance(entry, ThreeCut):
-            reduce_3cut(out, scratch, entry.x_vertices)
-            if scratch.entries[-1].new_edges != entry.new_edges:
-                raise GraphError("replay id drift")
-        elif isinstance(entry, FourCut):
-            anchors = entry.anchors
-            xs = set(entry.removed_vertices) | set(anchors)
-            reduce_4cut(out, scratch, xs)
+        elif isinstance(entry, Rewrite):
+            rewrites[entry.kind](out, scratch, entry.vertices)
             if scratch.entries[-1].new_edges != entry.new_edges:
                 raise GraphError("replay id drift")
         else:

@@ -20,8 +20,11 @@ read off the whole graph's tree (``connectivity.side_size``,
 structure gives.  The forced-cycle scan and the whole graph's tree, its
 index and labels are asked through ``Instance.memo``, so a pass that
 rewrites nothing between two questions walks the graph once.
-Every rewrite appends a log entry; ``expand_solution`` replays the log
-backwards to translate edge ids and re-insert replaced subgraphs.
+Every decision appends an ``IncludeEdge`` or a ``DeleteEdge``, and every
+forced-path contraction, 3-cut and 4-cut a ``Rewrite``: the vertices it
+replaced, the edges it made, and for each set of those edges a tour may use,
+the old edges that take their place.  ``expand_solution`` walks the log
+backwards and lifts a tour through each rewrite by that one rule.
 """
 
 from __future__ import annotations
@@ -66,34 +69,15 @@ class DeleteEdge:
 
 
 @dataclass(frozen=True)
-class ContractPath:
-    path_edges: tuple  # ordered along the path
-    inner_vertices: tuple
-    new_edge: int
-    u: int
-    v: int
+class Rewrite:
+    """A structural rewrite.  A tour of the rewritten instance uses some set
+    of ``new_edges``; ``lifts`` pairs each set a tour may use with the old
+    edges that take its place.  A set with no entry is one no tour may use."""
 
-
-@dataclass(frozen=True)
-class ThreeCut:
-    x_vertices: tuple
-    removed_edges: tuple  # edge ids internal to X
-    boundary: tuple  # three (old_eid, x_i, y_i)
-    new_vertex: int
-    new_edges: tuple  # three ids, aligned with boundary order
-    solutions: tuple  # per index i: None or (cost, path edge ids)
-
-
-@dataclass(frozen=True)
-class FourCut:
-    anchors: tuple  # (x1, x2, x3, x4), boundary attachment vertices
-    removed_vertices: tuple  # X minus anchors
-    removed_edges: tuple  # edge ids internal to X
-    case: int  # number of feasible pairings: 0, 1 or 2
-    new_edges: tuple
-    # case 1: ((new_pair_edges, union of both stored paths),)
-    # case 2: two such entries, one per opposite pair of the new 4-cycle
-    solutions: tuple
+    kind: str  # "contract", "3cut" or "4cut"
+    vertices: tuple  # the vertices it replaced, sorted
+    new_edges: tuple  # in the order they were made
+    lifts: tuple  # ((frozenset of new edge ids, tuple of old edge ids), ...)
 
 
 class ReductionLog:
@@ -248,16 +232,27 @@ def saturation_and_contraction(inst: Instance, log: ReductionLog):
             continue  # removed as some earlier chain's interior
         d, df, _ = inst.degrees(v)
         if d == 2 and df == 2:
-            edges, inner, ends = _forced_chain_through(inst, v)
-            weight = sum((inst.ew[e] for e in edges), Fraction(0))
-            for e in edges:
-                inst.delete_edge(e)
-            for w in inner:
-                inst.remove_vertex(w)
-            new_e = inst.add_edge(ends[0], ends[1], weight, forced=True)
-            log.append(ContractPath(tuple(edges), tuple(inner), new_e, ends[0], ends[1]))
+            contract_path(inst, log, (v,))
             changed = True
     return changed, None
+
+
+def contract_path(inst: Instance, log: ReductionLog, vertices) -> None:
+    """Contract the maximal forced path through ``vertices[0]``, a vertex
+    with two edges, both forced, to one forced edge between its ends.
+
+    The path's interior is logged sorted: the fixpoint reaches a path at its
+    lowest interior vertex, so a replay from ``vertices[0]`` walks it the
+    same way round."""
+    edges, inner, ends = _forced_chain_through(inst, vertices[0])
+    weight = sum((inst.ew[e] for e in edges), Fraction(0))
+    for e in edges:
+        inst.delete_edge(e)
+    for w in inner:
+        inst.remove_vertex(w)
+    new_e = inst.add_edge(ends[0], ends[1], weight, forced=True)
+    lifts = ((frozenset((new_e,)), tuple(edges)),)
+    log.append(Rewrite("contract", tuple(sorted(inner)), (new_e,), lifts))
 
 
 def _forced_chain_through(inst: Instance, v: int):
@@ -519,7 +514,8 @@ def reduce_3cut(inst: Instance, log: ReductionLog, x_vertices):
 
     internal_edges = _internal_edges(inst, xs)
     old_w = [inst.ew[e] for e, _, _ in b_info]
-    old_sign = [inst.eforced[e] for e, _, _ in b_info]
+    # an edge whose spared pairing has no internal path must be used
+    sign = [inst.eforced[e] or sols[i] is None for i, (e, _, _) in enumerate(b_info)]
 
     for e, _, _ in b_info:
         inst.delete_edge(e)
@@ -529,46 +525,29 @@ def reduce_3cut(inst: Instance, log: ReductionLog, x_vertices):
         inst.remove_vertex(v)
     x = inst.add_vertex()
 
-    if len(feas) == 0:
-        sign = [True, True, True]
-        cost = old_w
-    elif len(feas) == 1:
+    cost = list(old_w)
+    if len(feas) == 1:
         (j1,) = feas
-        j2, j3 = [t for t in range(3) if t != j1]
-        sign = [False, False, False]
-        sign[j1] = old_sign[j1]
-        sign[j2] = True
-        sign[j3] = True
-        cost = list(old_w)
+        j2 = next(t for t in range(3) if t != j1)
         cost[j2] = old_w[j2] + sols[j1][0]
     elif len(feas) == 2:
         j1, j2 = feas
-        (j3,) = [t for t in range(3) if t not in feas]
-        sign = list(old_sign)
-        sign[j3] = True
-        cost = list(old_w)
         cost[j1] = old_w[j1] + sols[j2][0]
         cost[j2] = old_w[j2] + sols[j1][0]
-    else:
+    elif len(feas) == 3:
         total = sum((s[0] for s in sols), Fraction(0))
-        sign = list(old_sign)
         cost = [old_w[i] + total / 2 - sols[i][0] for i in range(3)]
 
     new_edges = tuple(
         inst.add_edge(x, b_info[i][2], cost[i], sign[i]) for i in range(3)
     )
-    log.append(
-        ThreeCut(
-            tuple(sorted(xs)),
-            tuple(internal_edges),
-            tuple(b_info),
-            x,
-            new_edges,
-            tuple(
-                None if s is None else (s[0], tuple(sorted(s[1][0]))) for s in sols
-            ),
-        )
-    )
+    # a tour through x uses the two new edges of a pairing i that has a path
+    lifts = []
+    for i in feas:
+        j, k = [t for t in range(3) if t != i]
+        old = (b_info[j][0], b_info[k][0]) + tuple(sorted(sols[i][1][0]))
+        lifts.append((frozenset((new_edges[j], new_edges[k])), old))
+    log.append(Rewrite("3cut", tuple(sorted(xs)), new_edges, tuple(lifts)))
 
 
 # -- 4-cut replacement ----------------------------------------------------------------
@@ -627,16 +606,14 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
     if len(feas) >= 3:
         raise GraphError("subgraph is not 4-cut reducible")
 
-    internal_edges = _internal_edges(inst, xs)
-    inner_vertices = sorted(xs - set(anchors))
-    for e in internal_edges:
+    for e in _internal_edges(inst, xs):
         inst.delete_edge(e)
-    for v in inner_vertices:
+    for v in sorted(xs - set(anchors)):
         inst.remove_vertex(v)
 
     x4 = anchors[3]
     new_edges: tuple = ()
-    solutions: tuple = ()
+    lifts: tuple = ()
     if len(feas) == 1:
         (i0,) = feas
         pairs = probs[i0]
@@ -646,7 +623,7 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
         e_b = inst.add_edge(pairs[1][0], pairs[1][1], cost1, forced=True)
         new_edges = (e_a, e_b)
         union = frozenset(sols[i0][1][0]) | frozenset(sols[i0][1][1])
-        solutions = ((frozenset(new_edges), tuple(sorted(union))),)
+        lifts = ((frozenset(new_edges), tuple(sorted(union))),)
     elif len(feas) == 2:
         i1, i2 = feas
         (j,) = [t for t in range(3) if t not in feas]
@@ -663,20 +640,11 @@ def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
         new_edges = (e1, e2, e3, e4)
         union1 = frozenset(s1[1][0]) | frozenset(s1[1][1])
         union2 = frozenset(s2[1][0]) | frozenset(s2[1][1])
-        solutions = (
+        lifts = (
             (frozenset((e1, e3)), tuple(sorted(union1))),
             (frozenset((e2, e4)), tuple(sorted(union2))),
         )
-    log.append(
-        FourCut(
-            tuple(anchors),
-            tuple(inner_vertices),
-            tuple(internal_edges),
-            len(feas),
-            new_edges,
-            solutions,
-        )
-    )
+    log.append(Rewrite("4cut", tuple(sorted(xs)), new_edges, lifts))
 
 
 # -- small-cut candidate search --------------------------------------------------------
@@ -918,39 +886,17 @@ def _measure_safe_3cut(inst: Instance, xs) -> bool:
 
 def expand_solution(log: ReductionLog, tour_edges, cost: Fraction):
     """Replay the log backwards, mapping a tour of the rewritten instance to
-    a tour of the instance the log started from."""
+    a tour of the instance the log started from.  Decisions rename nothing;
+    through each rewrite, the new edges the tour uses give way to the old
+    edges their lift names."""
     edges = set(tour_edges)
     for entry in reversed(log.entries):
-        if isinstance(entry, (IncludeEdge, DeleteEdge)):
+        if not isinstance(entry, Rewrite):
             continue
-        if isinstance(entry, ContractPath):
-            if entry.new_edge not in edges:
-                raise GraphError("contracted forced edge missing from tour")
-            edges.remove(entry.new_edge)
-            edges.update(entry.path_edges)
-        elif isinstance(entry, ThreeCut):
-            used = [i for i in range(3) if entry.new_edges[i] in edges]
-            if len(used) != 2:
-                raise GraphError("tour must cross a replaced 3-cut exactly twice")
-            (spared,) = [i for i in range(3) if i not in used]
-            sol = entry.solutions[spared]
-            if sol is None:
-                raise GraphError("tour crossed an unsolvable pairing")
-            for i in used:
-                edges.remove(entry.new_edges[i])
-                edges.add(entry.boundary[i][0])
-            edges.update(sol[1])
-        elif isinstance(entry, FourCut):
-            present = frozenset(e for e in entry.new_edges if e in edges)
-            match = None
-            for pair, path_edges in entry.solutions:
-                if pair == present:
-                    match = path_edges
-                    break
-            if match is None:
-                raise GraphError("tour inconsistent with replaced 4-cut")
-            edges -= present
-            edges.update(match)
-        else:
-            raise GraphError(f"unknown log entry {entry!r}")
+        used = frozenset(e for e in entry.new_edges if e in edges)
+        old = dict(entry.lifts).get(used)
+        if old is None:
+            raise GraphError(f"tour crosses a replaced {entry.kind} in a way with no lift")
+        edges -= used
+        edges.update(old)
     return frozenset(edges), cost

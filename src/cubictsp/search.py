@@ -267,8 +267,9 @@ def _solve_rec(inst: Instance, strategy, audit):
     child_mus = []
     for action in ("include", "delete"):
         child = inst.copy()
-        clog = red.ReductionLog()
-        feas = circuit_procedure(child, clog, comp, circuit, pivot, action)
+        # the child's log holds only decisions, which rename no edge, so a
+        # tour of the child is a tour of this node's instance as it stands
+        feas = circuit_procedure(child, red.ReductionLog(), comp, circuit, pivot, action)
         if feas.infeasible:
             results.append(INFEASIBLE_RESULT)
             child_mus.append(Fraction(0))
@@ -277,9 +278,6 @@ def _solve_rec(inst: Instance, strategy, audit):
             continue
         sub, child_mu = _solve_rec(child, strategy, audit)
         child_mus.append(child_mu)
-        if sub.optimal:
-            edges, cost = red.expand_solution(clog, sub.edges, sub.cost)
-            sub = TourResult(OPTIMAL, cost, edges)
         results.append(sub)
     audit.branch(mu, child_mus)
 

@@ -1,5 +1,6 @@
 import itertools
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -426,7 +427,7 @@ def test_reduce_4cut_single_pairing_gives_forced_pair():
     log = ReductionLog()
     reduce_4cut(inst, log, xs)
     entry = log.entries[-1]
-    assert entry.case == 1
+    assert len(entry.lifts) == 1
     assert len(entry.new_edges) == 2
     assert all(inst.eforced[e] for e in entry.new_edges)
 
@@ -438,10 +439,10 @@ def test_reduce_4cut_two_pairings_give_4cycle():
     log = ReductionLog()
     reduce_4cut(inst, log, xs)
     entry = log.entries[-1]
-    assert entry.case == 2
+    assert len(entry.lifts) == 2
     assert len(entry.new_edges) == 4
     assert all(not inst.eforced[e] for e in entry.new_edges)
-    comp = inst.component_of(entry.anchors[0])
+    comp = inst.component_of(inst.eu[entry.new_edges[0]])
     assert len(comp.vertices) == 4 and len(comp.edges) == 4
 
 
@@ -461,7 +462,7 @@ def test_reduce_4cut_none_feasible_isolates_anchors():
     log = ReductionLog()
     if all(s is None for s in sols):
         reduce_4cut(inst, log, xs)
-        assert log.entries[-1].case == 0
+        assert log.entries[-1].lifts == ()
         assert check_feasibility(inst).infeasible
 
 
@@ -760,6 +761,34 @@ def test_replay_reproduces_reduction():
     assert again.valive == reduced.valive
 
 
+def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch):
+    # every node of seeded solves: its rewrites, replayed on a copy of its
+    # input, must leave the same instance as the fixpoint did
+    fixpoint = red.reduce_to_fixpoint
+    replayed = Counter()
+
+    def checked(inst, log=None, audit=None):
+        start = inst.copy()
+        inst, log, outcome = fixpoint(inst, log, audit)
+        again = replay(log, start)
+        assert (again.ealive, again.eforced, again.valive, again.ew) == (
+            inst.ealive,
+            inst.eforced,
+            inst.valive,
+            inst.ew,
+        )
+        replayed.update(e.kind for e in log.entries if isinstance(e, red.Rewrite))
+        return inst, log, outcome
+
+    monkeypatch.setattr(red, "reduce_to_fixpoint", checked)
+    for seed in range(20):
+        base = generate(
+            GeneratorSpec(kind="random_cubic", n=16 + 2 * (seed % 4), seed=seed, weights="random")
+        )
+        solve(inject_forced(base, seed % 4, seed=seed))
+    assert replayed["contract"] and replayed["3cut"] and replayed["4cut"] >= 5
+
+
 def test_fixpoint_appends_to_the_callers_log():
     # an empty log is falsy; it must still be the log that gets the entries
     inst = inject_forced(
@@ -777,6 +806,58 @@ def test_expand_solution_empty_log_is_identity():
     log = ReductionLog()
     edges, cost = expand_solution(log, {1, 2, 3}, Fraction(5))
     assert edges == {1, 2, 3} and cost == 5
+
+
+def _made_since(inst, first):
+    """Ids of the alive edges made at or after edge id ``first``."""
+    return [e for e in inst.alive_edges() if e >= first]
+
+
+def _lift(log, tour):
+    return expand_solution(log, tour, Fraction(0))[0]
+
+
+def test_expand_rejects_a_tour_without_the_contracted_edge():
+    inst = cycle_instance(6)
+    inst.include_edge(0)
+    inst.include_edge(1)
+    log = ReductionLog()
+    red.saturation_and_contraction(inst, log)
+    (new,) = _made_since(inst, 6)
+    rest = [e for e in inst.alive_edges() if e != new]
+    assert _lift(log, rest + [new]) == set(range(6))
+    with pytest.raises(GraphError):
+        _lift(log, rest)
+
+
+def test_expand_rejects_3cut_crossings_with_no_lift():
+    # prism with one forced triangle edge: X = {0, 1, 2} has no path from
+    # 0 to 1 through 2 that uses the forced edge 0-1
+    inst = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)], forced=(0,))
+    log = ReductionLog()
+    first = len(inst.ealive)
+    reduce_3cut(inst, log, {0, 1, 2})
+    x = len(inst.valive) - 1
+    n3, n4, n5 = sorted(_made_since(inst, first), key=lambda e: inst.other_end(e, x))
+    assert _lift(log, [n3, n5, 3, 4, 5]) == {6, 8, 0, 1, 3, 4, 5}
+    # one crossing, three, and the pairing that spares 2-5
+    for used in ([n3], [n3, n4, n5], [n3, n4]):
+        with pytest.raises(GraphError):
+            _lift(log, used + [3, 4, 5])
+
+
+def test_expand_rejects_a_4cut_crossing_one_edge_of_each_pairing():
+    inst = four_cut_host([(0, 1), (1, 2), (2, 3), (3, 0)])
+    log = ReductionLog()
+    first = len(inst.ealive)
+    reduce_4cut(inst, log, {0, 1, 2, 3})
+    a, *rest = _made_since(inst, first)
+    (b,) = [e for e in rest if not set(inst.endpoints(e)) & set(inst.endpoints(a))]
+    c = next(e for e in rest if e != b)
+    # a and b are opposite edges of the new 4-cycle, a and c adjacent ones
+    assert _lift(log, [a, b]) in ({0, 2}, {1, 3})
+    with pytest.raises(GraphError):
+        _lift(log, [a, c])
 
 
 def test_parallel_multigraphs_against_oracle():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 from fractions import Fraction
 
@@ -5,6 +6,7 @@ import pytest
 
 import cubictsp.connectivity as conn
 import cubictsp.reductions as red
+import cubictsp.search as search
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance
 from cubictsp.oracles import brute_force_4cycles, exhaustive_forced, held_karp
@@ -415,3 +417,38 @@ def test_branch_children_cover_include_and_delete():
         if tested >= 5:
             break
     assert tested >= 3
+
+
+# -- pinned search -----------------------------------------------------------------
+
+# sha256 over the corpus below; a change that moves it changes the search
+SEARCH_DIGEST = "211ffe848721dc11b647f90f18cf2d6db850031d25b18397ef7ed03c0a00f2f5"
+
+
+def test_search_digest_is_pinned(monkeypatch):
+    """Every small-cut pick, branch pick and answer over a seeded corpus
+    hashes to a pinned digest, so a refactor that means to keep the search
+    as it is can show that it did."""
+    digest = hashlib.sha256()
+    find_cut = red.find_small_cut_candidate
+    pick = search.select_branch_circuit
+
+    def find_small_cut_candidate(inst, rejected=frozenset()):
+        got = find_cut(inst, rejected)
+        digest.update(repr(got and (got[0], sorted(got[1]))).encode())
+        return got
+
+    def select_branch_circuit(inst):
+        comp, circuit, pivot = pick(inst)
+        digest.update(repr((min(comp.vertices), tuple(circuit.edges), pivot)).encode())
+        return comp, circuit, pivot
+
+    monkeypatch.setattr(red, "find_small_cut_candidate", find_small_cut_candidate)
+    monkeypatch.setattr(search, "select_branch_circuit", select_branch_circuit)
+    for seed in range(12):
+        base = generate(
+            GeneratorSpec(kind="random_cubic", n=16 + 2 * (seed % 8), seed=seed, weights="random")
+        )
+        result = solve(inject_forced(base, seed % 4, seed=seed))
+        digest.update(repr((result.status, result.cost, sorted(result.edges))).encode())
+    assert digest.hexdigest() == SEARCH_DIGEST
