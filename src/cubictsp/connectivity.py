@@ -48,7 +48,16 @@ import itertools
 from dataclasses import dataclass, field
 from functools import wraps
 
-from .graph import GraphError, Instance, UComponent, alive_tree, dfs_tree, tree_labels, whole_labels
+from .graph import (
+    GraphError,
+    Instance,
+    UComponent,
+    alive_tree,
+    dfs_tree,
+    edge_lists,
+    tree_labels,
+    whole_labels,
+)
 
 # Largest side, in vertices, that the small-cut searches and rewrites
 # consider; read at call time.
@@ -185,7 +194,7 @@ def component_cut_structure(inst: Instance, comp: UComponent):
 @_cached
 def _dfs_tree(inst: Instance, comp: UComponent):
     """``graph.dfs_tree`` of a component, which it must span."""
-    tree = dfs_tree(inst, comp.vertices, comp.edges)
+    tree = dfs_tree(inst, min(comp.vertices), edge_lists(inst, comp.vertices, comp.edges))
     if len(tree[0]) != len(comp.vertices):
         raise GraphError("subgraph is not connected")
     return tree

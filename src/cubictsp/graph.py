@@ -4,12 +4,19 @@ Vertices and edges carry dense integer ids.  Deletions tombstone the slot
 instead of renumbering, so rewrite logs can refer to ids forever.  Weights
 are exact rationals throughout.
 
-``dfs_tree`` is the package's one depth-first walk, and ``tree_labels`` the
-one fold over a tree's back edges: it labels every edge with the set of
-fundamental cycles through it, so an edge is a bridge iff its label is 0.
-The whole alive graph's tree answers ``is_connected``, and its labels
-(``whole_labels``) answer ``bridges``; they, the unforced components and
-other facts of one state are kept by ``Instance.memo`` until a mutation.
+``dfs_tree`` is the package's one depth-first walk, over per-vertex edge
+lists: ``Instance.adj`` for the whole alive graph, ``edge_lists`` for a
+subgraph.  ``tree_labels`` is the one fold over a tree's back edges: it
+labels every edge with the set of fundamental cycles through it, so an edge
+is a bridge iff its label is 0.  The whole alive graph's tree answers
+``is_connected``, and its labels (``whole_labels``) answer ``bridges``;
+they, the unforced components and other facts of one state are kept by
+``Instance.memo`` until a mutation.
+
+Every mutation also records the vertices whose edges it changed, so that the
+reductions' vertex-local rules can visit only those (``Instance.pending``).
+The record starts as None, meaning every vertex, so a parsed instance holds
+no set; ``Instance.rest`` empties it once those rules have nothing to do.
 """
 
 from __future__ import annotations
@@ -48,8 +55,9 @@ class Instance:
 
     Every query treats dead vertices/edges as absent.  Mutations go through
     ``include_edge`` / ``delete_edge`` / ``remove_vertex`` / ``add_*`` so the
-    adjacency and the forced-degree counters stay consistent and the memo of
-    facts is cleared; writing ``eforced`` directly bypasses both.
+    adjacency and the forced-degree counters stay consistent, the memo of
+    facts is cleared and the vertices they touch are recorded as pending;
+    writing ``eforced`` directly bypasses all three.
     """
 
     __slots__ = (
@@ -62,6 +70,7 @@ class Instance:
         "adj",
         "fdeg",
         "_memo",
+        "_pending",
     )
 
     def __init__(self) -> None:
@@ -74,6 +83,8 @@ class Instance:
         self.adj: list[list[int]] = []
         self.fdeg: list[int] = []  # alive forced edges at each vertex
         self._memo: dict = {}  # fact function -> its value on this state
+        # vertices touched since the last ``rest``; None until the first
+        self._pending: set[int] | None = None
 
     # -- construction -----------------------------------------------------
 
@@ -82,7 +93,9 @@ class Instance:
         self.adj.append([])
         self.fdeg.append(0)
         self._memo.clear()
-        return len(self.valive) - 1
+        v = len(self.valive) - 1
+        self._touch(v, v)
+        return v
 
     def add_edge(self, u: int, v: int, w, forced: bool = False) -> int:
         if u == v:
@@ -101,6 +114,7 @@ class Instance:
             self.fdeg[u] += 1
             self.fdeg[v] += 1
         self._memo.clear()
+        self._touch(u, v)
         return eid
 
     def copy(self) -> "Instance":
@@ -114,6 +128,7 @@ class Instance:
         other.adj = [a[:] for a in self.adj]
         other.fdeg = self.fdeg[:]
         other._memo = {}
+        other._pending = None if self._pending is None else set(self._pending)
         return other
 
     # -- mutation ----------------------------------------------------------
@@ -121,21 +136,25 @@ class Instance:
     def include_edge(self, eid: int) -> None:
         if not self.ealive[eid] or self.eforced[eid]:
             raise GraphError("can only include a live unforced edge")
+        u, v = self.eu[eid], self.ev[eid]
         self.eforced[eid] = True
-        self.fdeg[self.eu[eid]] += 1
-        self.fdeg[self.ev[eid]] += 1
+        self.fdeg[u] += 1
+        self.fdeg[v] += 1
         self._memo.clear()
+        self._touch(u, v)
 
     def delete_edge(self, eid: int) -> None:
         if not self.ealive[eid]:
             raise GraphError("edge already dead")
+        u, v = self.eu[eid], self.ev[eid]
         self.ealive[eid] = False
-        self.adj[self.eu[eid]].remove(eid)
-        self.adj[self.ev[eid]].remove(eid)
+        self.adj[u].remove(eid)
+        self.adj[v].remove(eid)
         if self.eforced[eid]:
-            self.fdeg[self.eu[eid]] -= 1
-            self.fdeg[self.ev[eid]] -= 1
+            self.fdeg[u] -= 1
+            self.fdeg[v] -= 1
         self._memo.clear()
+        self._touch(u, v)
 
     def remove_vertex(self, v: int) -> None:
         if self.adj[v]:
@@ -144,6 +163,27 @@ class Instance:
             raise GraphError("vertex already dead")
         self.valive[v] = False
         self._memo.clear()
+        self._touch(v, v)
+
+    def _touch(self, u: int, v: int) -> None:
+        pending = self._pending
+        if pending is not None:
+            pending.add(u)
+            pending.add(v)
+
+    # -- pending vertices ----------------------------------------------------
+
+    def pending(self) -> list[int]:
+        """The alive vertices whose edges changed since the last ``rest``,
+        ascending; every alive vertex before the first."""
+        if self._pending is None:
+            return self.alive_vertices()
+        return sorted(v for v in self._pending if self.valive[v])
+
+    def rest(self) -> None:
+        """Mark every vertex settled: from now on ``pending`` reports only
+        the vertices that later mutations touch."""
+        self._pending = set()
 
     # -- queries -----------------------------------------------------------
 
@@ -289,13 +329,16 @@ class Instance:
         if not all(self.ealive[e] for e in eids) or not eids.issuperset(self.forced_edges()):
             return False
         n = self.n_alive()
-        _, parent, _, _, back = dfs_tree(self, self.alive_vertices(), eids)
+        verts = self.alive_vertices()
+        _, parent, _, _, back = dfs_tree(self, verts[0], edge_lists(self, verts, eids))
         return parent == list(range(-1, n - 1)) and [(a, d) for _, a, d in back] == [(0, n - 1)]
 
 
 def alive_tree(inst: Instance):
-    """``dfs_tree`` of the whole alive graph; ask it through ``inst.memo``."""
-    return dfs_tree(inst, inst.alive_vertices(), inst.alive_edges())
+    """``dfs_tree`` of the whole alive graph; ask it through ``inst.memo``.
+    ``inst.adj`` lists each vertex's alive edges by ascending id, as
+    ``edge_lists`` would."""
+    return dfs_tree(inst, inst.valive.index(True), inst.adj)
 
 
 def whole_labels(inst: Instance) -> dict:
@@ -304,9 +347,19 @@ def whole_labels(inst: Instance) -> dict:
     return tree_labels(inst.memo(alive_tree))
 
 
-def dfs_tree(inst: Instance, vertices, edges):
-    """Depth-first tree of the subgraph (vertices, edges), rooted at its
-    lowest vertex and spanning that vertex's piece.
+def edge_lists(inst: Instance, vertices, edges) -> dict:
+    """Each vertex's edges in the subgraph (vertices, edges), in the order of
+    ``edges``: the neighbour lists ``dfs_tree`` walks."""
+    nbr: dict[int, list[int]] = {v: [] for v in vertices}
+    for e in edges:
+        nbr[inst.eu[e]].append(e)
+        nbr[inst.ev[e]].append(e)
+    return nbr
+
+
+def dfs_tree(inst: Instance, root: int, nbr):
+    """Depth-first tree of the piece around ``root`` of the graph whose
+    edges at each vertex v are ``nbr[v]``, walked in that order.
 
     Returns (pre, parent, tree_edge, size, back), indexed by preorder
     position: ``pre`` is the tuple of reached vertices in preorder, node
@@ -314,30 +367,27 @@ def dfs_tree(inst: Instance, vertices, edges):
     sub(i) is the slice ``pre[i:i + size[i]]``.  ``back`` lists every other
     edge of the piece as (edge id, ancestor position, descendant position);
     of a parallel bundle, the first copy walked is the tree edge and the rest
-    are back edges.  Neighbours are walked in the order of ``edges``.
+    are back edges.
     """
-    verts = sorted(vertices)
-    idx = {v: i for i, v in enumerate(verts)}
-    nbr: list[list[tuple[int, int]]] = [[] for _ in verts]
-    for e in edges:
-        u, v = idx[inst.eu[e]], idx[inst.ev[e]]
-        nbr[u].append((e, v))
-        nbr[v].append((e, u))
-    num = [-1] * len(nbr)
-    num[0] = 0
-    pre = [verts[0]]
+    eu, ev = inst.eu, inst.ev
+    num = [-1] * len(inst.valive)
+    num[root] = 0
+    pre = [root]
     parent = [-1]
     tree_edge = [-1]
     back = []
-    stack = [(0, iter(nbr[0]))]
+    stack = [(root, iter(nbr[root]))]
     while stack:
         v, it = stack[-1]
         i = num[v]
-        for e, w in it:
+        for e in it:
+            w = eu[e]
+            if w == v:
+                w = ev[e]
             j = num[w]
             if j == -1:
                 num[w] = len(pre)
-                pre.append(verts[w])
+                pre.append(w)
                 parent.append(i)
                 tree_edge.append(e)
                 stack.append((w, iter(nbr[w])))

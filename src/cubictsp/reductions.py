@@ -3,12 +3,26 @@ tour of the rewritten instance back to the original graph.
 
 The fixpoint driver applies, in a fixed priority:
 
-  feasibility screen -> saturation cleanup + forced-path contraction ->
+  saturation cleanup + forced-path contraction -> feasibility screen ->
   parallel edges -> unforced-bridge determination -> reducible circuits ->
   3-cut replacement -> 4-cut replacement
 
-until nothing applies.  Forced cycles are found by a union-find over the
-forced edges.  An unforced bridge is an edge its component's labels
+until nothing applies.  Saturation and contraction go before the screen
+because they never turn a state it rejects into one it accepts: deleting
+edges repairs no bridge or degree deficit, contraction keeps every cut and
+every component's boundary parity, and a spanning forced cycle is a tour.
+
+The vertex-local rules (saturation, contraction, the parallel rule) and the
+screen's degree sweep and forced-cycle scan visit only the vertices that
+``Instance.pending`` reports: those whose edges changed since the fixpoint
+last found all of them with nothing to do and called ``Instance.rest``.  A
+vertex nothing touched since then still has nothing to do, so each rule
+acts on the same vertices, bundles and cycles, in the same order, as a
+sweep of the whole graph would.  The rest is called only in a pass where
+saturation and the parallel rule changed nothing and the screen passed.
+
+Forced cycles are found by walking the forced paths through pending
+vertices.  An unforced bridge is an edge its component's labels
 (``connectivity._cover_labels``) mark 0, and its side is read off the
 component's DFS tree (``connectivity._dfs_tree``).  A reducible edge is an
 unforced edge whose whole-graph label (``graph.whole_labels``) another edge
@@ -121,14 +135,16 @@ class ReduceOutcome:
 def check_feasibility(inst: Instance) -> Feasibility:
     """Screen for states that cannot contain a tour.
 
-    Checks vertex degrees, 2-edge-connectivity of the whole graph, forced
-    subcycles and the boundary parity of every unforced component.  The
+    Checks the degrees of the pending vertices (the rest passed when the
+    fixpoint last rested and have not changed since), 2-edge-connectivity
+    of the whole graph, forced subcycles and the boundary parity of every
+    unforced component.  The
     blocks of a circuit partition its component, so their forced boundary
     counts sum to the component's plus twice the forced edges between
     blocks: an even component boundary leaves an even number of odd blocks
     on every circuit, and needs no screen of its own.
     """
-    for v in inst.alive_vertices():
+    for v in inst.pending():
         d, df, _ = inst.degrees(v)
         if d < 2 or df > 2:
             return Feasibility(INFEASIBLE, "degree_deficit")
@@ -148,28 +164,28 @@ def _forced_cycle_scan(inst: Instance):
     vertex may carry more than two forced edges; both callers reject that
     first.
 
-    Forced edges join their ends in a union-find, and one whose ends are
-    already joined closes a cycle.  With forced degree at most 2 that cycle
-    is its whole forced component, and a spanning cycle is the only one, so
-    the first cycle closed decides.
+    With forced degree at most 2, every forced component is a path or a
+    cycle, and a spanning cycle is the only one, so the first cycle found
+    decides.  A cycle runs through vertices of forced degree 2 only, and one
+    the last ``Instance.rest`` did not see (it saw none) through a pending
+    vertex, so only the forced components of those are walked, both ways
+    from each until the walk closes or meets a path end.
     """
-    parent: dict[int, int] = {}
-    size: dict[int, int] = {}
-
-    def find(v):
-        while parent.get(v, v) != v:
-            v = parent[v]
-        return v
-
-    for e in inst.forced_edges():
-        a, b = find(inst.eu[e]), find(inst.ev[e])
-        if a == b:
-            return "spanning" if size[a] == inst.n_alive() else "partial"
-        ka, kb = size.get(a, 1), size.get(b, 1)
-        if ka > kb:
-            a, b = b, a
-        parent[a] = b
-        size[b] = ka + kb
+    fdeg, adj, eforced = inst.fdeg, inst.adj, inst.eforced
+    seen: set[int] = set()
+    for v in inst.pending():
+        if fdeg[v] != 2 or v in seen:
+            continue
+        seen.add(v)
+        for e in [e for e in adj[v] if eforced[e]]:
+            k, cur = 1, inst.other_end(e, v)
+            while cur != v and fdeg[cur] == 2:
+                seen.add(cur)
+                k += 1
+                e = next(g for g in adj[cur] if eforced[g] and g != e)
+                cur = inst.other_end(e, cur)
+            if cur == v:
+                return "spanning" if k == inst.n_alive() else "partial"
     return None
 
 
@@ -204,14 +220,16 @@ def apply_decision(inst: Instance, log: ReductionLog, eid: int, action: str) -> 
 
 def saturation_and_contraction(inst: Instance, log: ReductionLog):
     """Drop the remaining unforced edge at vertices with two forced edges,
-    then contract every maximal forced path to one forced edge.
+    then contract every maximal forced path to one forced edge.  Both loops
+    visit the pending vertices in ascending order; the second reads them
+    after the first's deletions.
 
     Returns (changed, outcome-or-None).  A forced cycle through every vertex
     becomes a direct solution; through a proper subset, infeasibility.
     """
     changed = False
     # deleting unforced edges lowers no forced degree, so one pass does it all
-    for v in inst.alive_vertices():
+    for v in inst.pending():
         _, df, du = inst.degrees(v)
         if df > 2:
             return True, ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
@@ -227,7 +245,7 @@ def saturation_and_contraction(inst: Instance, log: ReductionLog):
         return True, ReduceOutcome(OK, DirectSolution(inst.tour_cost(edges), edges))
     if scan == "partial":
         return True, ReduceOutcome(Feasibility(INFEASIBLE, "forced_subcycle"))
-    for v in inst.alive_vertices():
+    for v in inst.pending():
         if not inst.valive[v]:
             continue  # removed as some earlier chain's interior
         d, df, _ = inst.degrees(v)
@@ -306,10 +324,11 @@ def reduce_parallel(inst: Instance, log: ReductionLog):
     """Resolve parallel bundles: two forced copies are fatal (beyond two
     vertices); all-unforced bundles keep only the cheapest copy.  A mixed
     forced+unforced bundle is settled by the saturation and reducible-edge
-    rules, which force its neighbourhood first."""
+    rules, which force its neighbourhood first.  Only bundles at a pending
+    vertex are gathered; they are settled in order of their ends."""
     changed = False
     bundles: dict[tuple[int, int], list[int]] = {}
-    for e in inst.alive_edges():
+    for e in {e for v in inst.pending() for e in inst.adj[v]}:
         u, v = inst.endpoints(e)
         bundles.setdefault((min(u, v), max(u, v)), []).append(e)
     for key in sorted(bundles):
@@ -804,30 +823,33 @@ def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit
 
 def _reduce_loop(inst: Instance, log: ReductionLog, audit):
     while True:
-        feas = check_feasibility(inst)
-        if feas.infeasible:
-            return inst, log, ReduceOutcome(feas)
-        if inst.n_alive() == 2:
-            return inst, log, solve_two_vertices(inst)
-
         # A pass ends at the first rule that changes the instance, and no
         # rule or check touches it without reporting a change (a rejected
         # 3-cut only probes a copy), so one reading of mu serves the pass.
         before = audit.measure_of(inst)
-        # Built per pass, not at import, so that rules replaced on the module
-        # (by a tracer, say) are the ones called.  Each rule returns
-        # (changed, outcome) and reports changed whenever it has an outcome.
-        local_rules = (
-            ("contract", saturation_and_contraction),
-            ("parallel", reduce_parallel),
-            ("normalize", eliminate_bridges),
-        )
-        for kind, rule in local_rules:
-            changed, outcome = rule(inst, log)
-            if changed:
-                audit.step(kind, before, inst, outcome)
-                break
+        # Rules are called through the module's globals, so that rules
+        # replaced on the module (by a tracer, say) are the ones called.
+        # Each returns (changed, outcome) and reports changed whenever it
+        # has an outcome.
+        kind = "contract"
+        changed, outcome = saturation_and_contraction(inst, log)
+        if not changed:
+            feas = check_feasibility(inst)
+            if feas.infeasible:
+                return inst, log, ReduceOutcome(feas)
+            if inst.n_alive() == 2:
+                return inst, log, solve_two_vertices(inst)
+            kind = "parallel"
+            changed, outcome = reduce_parallel(inst, log)
+        if not changed:
+            # saturation, the screen and the parallel rule hold at every
+            # vertex now, so from here on they need visit only the
+            # vertices that later rewrites touch
+            inst.rest()
+            kind = "normalize"
+            changed, outcome = eliminate_bridges(inst, log)
         if changed:
+            audit.step(kind, before, inst, outcome)
             if outcome is not None:
                 return inst, log, outcome
             continue

@@ -336,6 +336,41 @@ def test_forced_degrees_match_a_recount_after_every_mutation():
     assert min(done.values()) >= 100
 
 
+def test_mutations_record_the_vertices_they_touch():
+    # until the first rest every alive vertex is pending, and a parsed
+    # instance stores no record at all
+    inst = cycle_instance(6)
+    assert inst.pending() == inst.alive_vertices()
+    parsed = parse_instance(format_instance(inst))
+    assert parsed._pending is None and parsed.pending() == list(range(6))
+    # after a rest, each mutation records exactly the vertices it touches
+    inst.rest()
+    assert inst.pending() == []
+    x = inst.add_vertex()
+    assert inst._pending == {x}
+    inst.rest()
+    e = inst.add_edge(x, 4, 1)
+    assert inst._pending == {x, 4}
+    inst.rest()
+    inst.include_edge(e)
+    assert inst._pending == {x, 4}
+    inst.rest()
+    inst.delete_edge(2)  # between 2 and 3
+    assert inst._pending == {2, 3}
+    inst.rest()
+    inst.delete_edge(e)
+    inst.rest()
+    inst.remove_vertex(x)
+    assert inst._pending == {x} and inst.pending() == []
+    # a copy's record is its own, and so is a copy of no record
+    inst.rest()
+    other = inst.copy()
+    other.include_edge(0)
+    inst.delete_edge(4)
+    assert other.pending() == [0, 1] and inst.pending() == [4, 5]
+    assert parsed.copy()._pending is None
+
+
 def _is_tour_by_degrees(inst, edge_ids):
     """Reference: every alive vertex has degree 2 in the edge set, which
     holds every forced edge, and one flood fill reaches every vertex."""

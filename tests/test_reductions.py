@@ -9,7 +9,7 @@ import cubictsp.connectivity as conn
 import cubictsp.reductions as red
 from cubictsp.analysis import DEFAULT_CONFIG, measure
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
-from cubictsp.graph import GraphError, Instance
+from cubictsp.graph import GraphError, Instance, format_instance
 from cubictsp.oracles import _disconnects, exhaustive_forced, replay
 from cubictsp.reductions import (
     ReductionLog,
@@ -27,7 +27,7 @@ from cubictsp.reductions import (
 )
 from cubictsp.search import solve
 
-from conftest import build, cycle_instance, six_cycle_with_pendants
+from conftest import build, cycle_instance, random_degree3_multigraph, six_cycle_with_pendants
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -694,6 +694,60 @@ def test_fixpoint_idempotent_and_reduced_properties(rng):
         assert not out2.infeasible and not out2.solved
         assert len(log2) == 0
         assert sorted(probe.alive_edges()) == sorted(inst.alive_edges())
+
+
+def _fixpoint_result(inst):
+    """Reduce a copy of ``inst`` (pending record included) and return what
+    the fixpoint left: the instance's arrays, the log and the outcome."""
+    probe = inst.copy()
+    _, log, outcome = reduce_to_fixpoint(probe, ReductionLog())
+    return (probe.ealive, probe.eforced, probe.valive, probe.ew), log.entries, outcome
+
+
+def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch):
+    # every rule that visits only pending vertices must leave the same
+    # instance, log and outcome (witness included) as one that sweeps every
+    # alive vertex in every pass
+    rng = random.Random(19)
+    starts = []
+    for trial in range(60):
+        base = generate(
+            GeneratorSpec(kind="random_cubic", n=rng.choice(range(10, 26, 2)), seed=trial, weights="random")
+        )
+        starts.append(inject_forced(base, rng.randint(0, 6), seed=trial))
+    for _ in range(60):  # degree-2 vertices and parallel bundles
+        inst = random_degree3_multigraph(rng, rng.randint(4, 12))
+        for e in inst.alive_edges():
+            u, v = inst.endpoints(e)
+            if rng.random() < 0.2 and inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                inst.include_edge(e)
+        starts.append(inst)
+
+    # every node of seeded solves, each with the record its parent left
+    fixpoint = red.reduce_to_fixpoint
+
+    def capturing(inst, log=None, audit=None):
+        starts.append(inst.copy())
+        return fixpoint(inst, log, audit)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(red, "reduce_to_fixpoint", capturing)
+        for seed in range(8):
+            base = generate(
+                GeneratorSpec(kind="random_cubic", n=24 + 2 * (seed % 4), seed=seed, weights="random")
+            )
+            solve(inject_forced(base, seed % 4, seed=seed))
+    assert sum(inst._pending is not None for inst in starts) > 150
+
+    pending = [_fixpoint_result(inst) for inst in starts]
+    with monkeypatch.context() as patch:
+        patch.setattr(Instance, "pending", Instance.alive_vertices)
+        swept = [_fixpoint_result(inst) for inst in starts]
+    witnesses = Counter()
+    for inst, got, want in zip(starts, pending, swept):
+        assert got == want, format_instance(inst)
+        witnesses[want[2].feasibility.witness or ("solved" if want[2].solved else "open")] += 1
+    assert len(witnesses) >= 4, witnesses
 
 
 def test_optimality_preserved_through_reductions(rng):

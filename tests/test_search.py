@@ -421,14 +421,14 @@ def test_branch_children_cover_include_and_delete():
 
 # -- pinned search -----------------------------------------------------------------
 
-# sha256 over the corpus below; a change that moves it changes the search
+# sha256 over each corpus below; a change that moves one changes the search
 SEARCH_DIGEST = "211ffe848721dc11b647f90f18cf2d6db850031d25b18397ef7ed03c0a00f2f5"
+FORCED_SEARCH_DIGEST = "4c0aed6aeaa3f9d7a547406a0643cb1d60ed28be90fa5647fa73b2fe24e05165"
 
 
-def test_search_digest_is_pinned(monkeypatch):
-    """Every small-cut pick, branch pick and answer over a seeded corpus
-    hashes to a pinned digest, so a refactor that means to keep the search
-    as it is can show that it did."""
+def _search_digest(monkeypatch, instances) -> str:
+    """sha256 over every small-cut pick, branch pick and answer of solving
+    each instance in turn."""
     digest = hashlib.sha256()
     find_cut = red.find_small_cut_candidate
     pick = search.select_branch_circuit
@@ -445,10 +445,38 @@ def test_search_digest_is_pinned(monkeypatch):
 
     monkeypatch.setattr(red, "find_small_cut_candidate", find_small_cut_candidate)
     monkeypatch.setattr(search, "select_branch_circuit", select_branch_circuit)
-    for seed in range(12):
-        base = generate(
-            GeneratorSpec(kind="random_cubic", n=16 + 2 * (seed % 8), seed=seed, weights="random")
-        )
-        result = solve(inject_forced(base, seed % 4, seed=seed))
+    for inst in instances:
+        result = solve(inst)
         digest.update(repr((result.status, result.cost, sorted(result.edges))).encode())
-    assert digest.hexdigest() == SEARCH_DIGEST
+    return digest.hexdigest()
+
+
+def test_search_digest_is_pinned(monkeypatch):
+    """Every small-cut pick, branch pick and answer over a seeded corpus
+    hashes to a pinned digest, so a refactor that means to keep the search
+    as it is can show that it did."""
+    corpus = (
+        inject_forced(
+            generate(
+                GeneratorSpec(kind="random_cubic", n=16 + 2 * (seed % 8), seed=seed, weights="random")
+            ),
+            seed % 4,
+            seed=seed,
+        )
+        for seed in range(12)
+    )
+    assert _search_digest(monkeypatch, corpus) == SEARCH_DIGEST
+
+
+def test_forced_search_digest_is_pinned(monkeypatch):
+    """The same digest over larger graphs with many forced edges, where the
+    reductions do most of the work and many states are infeasible."""
+    corpus = (
+        inject_forced(
+            generate(GeneratorSpec(kind="random_cubic", n=40 + 4 * (seed % 6), seed=seed, weights="random")),
+            10 + seed,
+            seed=seed,
+        )
+        for seed in range(8)
+    )
+    assert _search_digest(monkeypatch, corpus) == FORCED_SEARCH_DIGEST
