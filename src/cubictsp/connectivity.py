@@ -35,8 +35,11 @@ and the circuit partition.  A component object keeps its entry, so the
 key is built once per object.  A cut entry names a side by one vertex on
 it, never by a vertex set; the only vertex sets cached are the preorder
 and block slices a circuit carries.  Anything that reads forced edges or
-the whole graph, such as a block's ``cut_forced`` or a component's small
-3-cuts, is recomputed on every call.  Labels and the
+the whole graph, such as a block's parity or a component's small 3-cuts,
+is recomputed on every call.  A block's or a component's forced boundary
+is only ever asked for its parity, which is that of the forced degrees
+(``Instance.fdeg``) summed over its vertices: each forced edge inside
+counts twice.  Labels and the
 tree index are pure functions of a tree, so the whole graph's
 (``whole_labels``, ``whole_tree_index``) come from its tree without the
 cache, once per instance state through ``Instance.memo``.
@@ -107,14 +110,11 @@ def _cached(fn):
 
 @dataclass(frozen=True)
 class Block:
-    """Piece of a component between two consecutive circuit edges."""
+    """Piece of a component between two consecutive circuit edges; ``odd``
+    when an odd number of forced edges leave it."""
 
     vertices: frozenset
-    cut_forced: int
-
-    @property
-    def odd(self) -> bool:
-        return self.cut_forced % 2 == 1
+    odd: bool
 
 
 @dataclass(frozen=True, slots=True)  # cached, up to one per component edge
@@ -365,15 +365,11 @@ def blocks_along(inst: Instance, comp: UComponent, circuit: Circuit) -> list[Blo
     edges i and i+1 (cyclic)."""
     if circuit.trivial:
         raise GraphError("trivial circuit has no block decomposition")
+    fdeg = inst.fdeg
     blocks = []
     for bounds in circuit.slices:
         piece = _gather(circuit.preorder, bounds)
-        cf = 0
-        for v in piece:
-            for g in inst.adj[v]:
-                if inst.eforced[g] and inst.other_end(g, v) not in piece:
-                    cf += 1
-        blocks.append(Block(piece, cf))
+        blocks.append(Block(piece, sum(fdeg[v] for v in piece) % 2 == 1))
     return blocks
 
 
@@ -467,8 +463,9 @@ def _is_two_pendent_critical(inst: Instance, verts) -> bool:
 
 
 def is_critical_component(inst: Instance, comp: UComponent) -> bool:
-    """Chordless 6-cycle or 6-cycle extension with six forced boundary edges."""
-    return comp.boundary_forced == 6 and _is_critical_shape(inst, comp.vertices)
+    """Chordless 6-cycle or 6-cycle extension with six forced boundary edges:
+    six forced ends, none of them on an edge inside."""
+    return comp.forced_ends == 6 and _is_critical_shape(inst, comp.vertices)
 
 
 def is_standard_four_cycle(inst: Instance, comp: UComponent) -> bool:
@@ -491,8 +488,8 @@ def is_four_cycle_shape(inst: Instance, comp: UComponent) -> bool:
 
 
 def _standalone_component(inst: Instance, verts) -> UComponent:
-    """The unforced edges inside ``verts`` as a component; its forced
-    boundary is left 0, since nothing asked of it reads one."""
+    """The unforced edges inside ``verts`` as a component; its forced ends
+    are left 0, since nothing asked of it reads them."""
     return UComponent(frozenset(verts), tuple(sorted(_edges_inside(inst, verts, False))), 0)
 
 
@@ -518,24 +515,16 @@ def _has_normal_subblock(inst: Instance, verts) -> bool:
     return False
 
 
-def find_minimal_normal_block(inst: Instance, comp: UComponent):
-    """A normal block containing no nested normal block, with the circuit it
-    lies on.  Preference: fewest vertices, then lexicographic vertex ids;
-    when every normal block nests another, the first by that order."""
-    candidates = []
-    for circuit in circuit_partition(inst, comp):
-        if circuit.trivial:
-            continue
-        for block in blocks_along(inst, comp, circuit):
-            if classify_block(inst, block) == NORMAL:
-                candidates.append((circuit, block))
+def find_minimal_normal_block(inst: Instance, candidates):
+    """The branch block among ``candidates``, a component's normal blocks as
+    ``(circuit, i, block)`` with ``block`` the i-th of ``blocks_along``, in
+    circuit-partition order and then block order: one containing no nested
+    normal block.  Preference: fewest vertices, then lexicographic vertex
+    ids; when every candidate nests one, the first by that order."""
     if not candidates:
         raise GraphError("no normal block in component")
-    candidates.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
-    return next(
-        (cb for cb in candidates if not _has_normal_subblock(inst, cb[1].vertices)),
-        candidates[0],
-    )
+    ranked = sorted(candidates, key=lambda c: (len(c[2].vertices), tuple(sorted(c[2].vertices))))
+    return next((c for c in ranked if not _has_normal_subblock(inst, c[2].vertices)), ranked[0])
 
 
 def dump_structure(inst: Instance) -> str:

@@ -32,11 +32,15 @@ class GraphError(ValueError):
 
 @dataclass(frozen=True)
 class UComponent:
-    """Maximal set of vertices connected through unforced edges."""
+    """Maximal set of vertices connected through unforced edges.
+
+    ``forced_ends`` sums the forced degrees of its vertices: twice its inner
+    forced edges plus its forced boundary, so it has the boundary's parity.
+    """
 
     vertices: frozenset
     edges: tuple  # unforced edge ids, sorted
-    boundary_forced: int
+    forced_ends: int
     # [entry] of ``connectivity``'s cache for these edges, kept here so
     # that the entry's key is built once per object
     cache_slot: list = field(default_factory=list, compare=False, repr=False)
@@ -47,7 +51,7 @@ class UComponent:
 
     @property
     def odd(self) -> bool:
-        return self.boundary_forced % 2 == 1
+        return self.forced_ends % 2 == 1
 
 
 class Instance:
@@ -261,8 +265,10 @@ class Instance:
             edges = set()
             stack = [root]
             seen.add(root)
+            ends = 0
             while stack:
                 v = stack.pop()
+                ends += self.fdeg[v]
                 for e in self.adj[v]:
                     if self.eforced[e]:
                         continue
@@ -272,14 +278,7 @@ class Instance:
                         seen.add(w)
                         verts.add(w)
                         stack.append(w)
-            boundary = 0
-            for v in verts:
-                for e in self.adj[v]:
-                    if self.eforced[e] and self.other_end(e, v) not in verts:
-                        boundary += 1
-            comps.append(
-                UComponent(frozenset(verts), tuple(sorted(edges)), boundary)
-            )
+            comps.append(UComponent(frozenset(verts), tuple(sorted(edges)), ends))
         comps.sort(key=lambda c: min(c.vertices))
         return comps
 

@@ -773,36 +773,22 @@ def _shared_end(inst: Instance, e: int, f: int, h: int) -> bool:
     return bool(ends.intersection(inst.endpoints(f), inst.endpoints(h)))
 
 
-def _connected_subsets(adjacency: dict, weights: list, cap: int):
-    """Connected node subsets with bounded total weight, each exactly once
-    (grown from its smallest node, never touching smaller ones)."""
-    nodes = sorted(adjacency)
-    out = []
-    for root in nodes:
-        if weights[root] > cap:
-            continue
-        frontier = sorted(n for n in adjacency[root] if n > root)
-        stack = [({root}, frozenset(), frontier, weights[root])]
-        out.append(frozenset((root,)))
-        while stack:
-            cur, banned, frontier, wsum = stack.pop()
-            for idx, cand in enumerate(frontier):
-                if cand in cur or cand in banned:
-                    continue
-                w2 = wsum + weights[cand]
-                if w2 > cap:
-                    continue
-                nxt = set(cur)
-                nxt.add(cand)
-                out.append(frozenset(nxt))
-                tail = [n for n in frontier[idx + 1 :] if n not in nxt]
-                extra = sorted(
-                    n
-                    for n in adjacency[cand]
-                    if n > root and n not in nxt and n not in banned and n not in tail
-                )
-                stack.append((nxt, banned | set(frontier[:idx]), tail + extra, w2))
-    return list(dict.fromkeys(out))
+def _connected_subsets(adjacency: dict, weights: list, cap: int) -> set:
+    """Connected node subsets with total weight at most ``cap``: the single
+    nodes within it, then level by level every subset of the last level
+    grown by one neighbour while the weight stays within it."""
+    level = {frozenset((v,)): weights[v] for v in adjacency if weights[v] <= cap}
+    out = set(level)
+    while level:
+        level = {
+            s | {n}: w + weights[n]
+            for s, w in level.items()
+            for v in s
+            for n in adjacency[v]
+            if n not in s and w + weights[n] <= cap
+        }
+        out.update(level)
+    return out
 
 
 # -- fixpoint driver --------------------------------------------------------------------

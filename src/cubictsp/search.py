@@ -72,33 +72,29 @@ def circuit_procedure(
     return status
 
 
-def _pivot_at_block(circuit: conn.Circuit, blocks, target) -> int:
-    """Pivot edge so propagation crosses ``target`` first (one of the two
-    circuit edges on its boundary)."""
-    for i in range(len(circuit.edges)):
-        if blocks[i].vertices == target.vertices:
-            return circuit.edges[i]
-    raise GraphError("block not on circuit")
-
-
 def select_branch_circuit(inst: Instance):
-    """Deterministic branch target for the two-step policy: prefer a circuit
+    """Deterministic branch target for the two-step policy, from one pass
+    over the first branchable component's circuits: prefer a circuit
     carrying only single-vertex or settled-critical blocks; otherwise branch
-    at a minimal normal block, pivoting on one of its boundary edges."""
+    at a minimal normal block among those the pass met, pivoting on the
+    circuit edge before it, so that propagation crosses it first."""
     for comp in inst.u_components():
         if comp.trivial or conn.is_four_cycle_shape(inst, comp):
             continue
         circuits = conn.circuit_partition(inst, comp)
         nontrivial = [c for c in circuits if not c.trivial]
+        normal = []  # (circuit, i, block) of every normal block, in order
         for circuit in nontrivial:
             blocks = conn.blocks_along(inst, comp, circuit)
             kinds = [conn.classify_block(inst, b) for b in blocks]
             if all(k in (conn.TRIVIAL, conn.TWO_PENDENT_CRITICAL) for k in kinds):
                 return comp, circuit, circuit.edges[0]
+            normal += [
+                (circuit, i, b) for i, (b, k) in enumerate(zip(blocks, kinds)) if k == conn.NORMAL
+            ]
         if nontrivial:
-            circuit, block = conn.find_minimal_normal_block(inst, comp)
-            blocks = conn.blocks_along(inst, comp, circuit)
-            return comp, circuit, _pivot_at_block(circuit, blocks, block)
+            circuit, i, _ = conn.find_minimal_normal_block(inst, normal)
+            return comp, circuit, circuit.edges[i]
         # fully 3-edge-connected component: branch on a single edge
         return comp, circuits[0], circuits[0].edges[0]
     raise GraphError("no branchable component")

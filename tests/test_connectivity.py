@@ -125,7 +125,7 @@ def test_blocks_cut_is_consecutive_edge_pair(rng):
                     cf, cu = inst.cut(block.vertices)
                     expect = {circuit.edges[i], circuit.edges[(i + 1) % p]}
                     assert set(cu) == expect
-                    assert len(cf) == block.cut_forced
+                    assert block.odd == (len(cf) % 2 == 1)
 
 
 def _exact_side(inst, start, cut):
@@ -380,7 +380,7 @@ def test_cache_shares_no_forced_edge_facts():
     assert circuit_partition(b, comp_b) is circuit_partition(a, comp_a)
     blocks_b = blocks_along(b, comp_b, circuit)
     for block in blocks_b:
-        assert block.cut_forced == len(b.cut(block.vertices)[0])
+        assert block.odd == (len(b.cut(block.vertices)[0]) % 2 == 1)
     kinds_a = [classify_block(a, x) for x in blocks_a]
     assert kinds_a != [classify_block(b, x) for x in blocks_b]
 
@@ -492,7 +492,33 @@ def test_two_pendent_four_cycle_is_normal():
 
 def test_is_critical_component_six_cycle():
     inst = six_cycle_with_pendants()
-    assert is_critical_component(inst, inst.component_of(0))
+    comp = inst.component_of(0)
+    assert comp.forced_ends == 6 == len(inst.cut(comp.vertices)[0])
+    assert is_critical_component(inst, comp)
+
+
+def test_six_cycle_with_forced_chord_is_not_critical():
+    # six forced ends, but two of them on the chord: the forced boundary is
+    # 4, even like the six ends, and the component is not critical
+    inst = build(10, [(k, (k + 1) % 6) for k in range(6)] + [(6, 7), (7, 8), (8, 9), (9, 6)])
+    inst.add_edge(0, 3, 1, forced=True)
+    for u, v in ((1, 6), (2, 7), (4, 8), (5, 9)):
+        inst.add_edge(u, v, 1, forced=True)
+    comp = inst.component_of(0)
+    assert comp.forced_ends == 6 and len(inst.cut(comp.vertices)[0]) == 4
+    assert not comp.odd
+    assert not is_critical_component(inst, comp)
+
+
+def test_block_with_forced_chord_is_even():
+    # block Z = {4..7} of the nested instance holds the forced chord 5-7 and
+    # no forced edge leaves it: two forced ends, an even block
+    inst = nested_block_instance()
+    comp = inst.component_of(0)
+    (circuit,) = [c for c in circuit_partition(inst, comp) if set(c.edges) == {5, 6}]
+    (z,) = [b for b in blocks_along(inst, comp, circuit) if b.vertices == frozenset({4, 5, 6, 7})]
+    assert sum(inst.fdeg[v] for v in z.vertices) == 2 and inst.cut(z.vertices)[0] == []
+    assert not z.odd
 
 
 def extension_instance(i, j):
@@ -632,15 +658,28 @@ def test_six_cycle_extension_matches_chain_walk():
     assert seen[True] > 100 and seen[False] > 100
 
 
+def normal_candidates(inst, comp):
+    """The normal blocks of a component as ``(circuit, i, block)``, in
+    circuit-partition order and then block order."""
+    return [
+        (circuit, i, block)
+        for circuit in circuit_partition(inst, comp)
+        if not circuit.trivial
+        for i, block in enumerate(blocks_along(inst, comp, circuit))
+        if classify_block(inst, block) == NORMAL
+    ]
+
+
 def test_minimal_normal_block_on_nested_structure():
     # the five-vertex block of the chain-2 instance nests further normal
     # pieces, so the fallback pool applies; the pick is still deterministic
     inst = chain2_instance()
     comp = inst.component_of(0)
-    circuit, block = find_minimal_normal_block(inst, comp)
+    circuit, i, block = find_minimal_normal_block(inst, normal_candidates(inst, comp))
     assert classify_block(inst, block) == NORMAL
-    again = find_minimal_normal_block(inst, comp)
-    assert again[1].vertices == block.vertices
+    assert blocks_along(inst, comp, circuit)[i] == block
+    again = find_minimal_normal_block(inst, normal_candidates(inst, comp))
+    assert again[2].vertices == block.vertices
 
 
 def four_cycle_block_instance():
@@ -664,7 +703,7 @@ def four_cycle_block_instance():
 def test_minimal_normal_block_prefers_lowest_vertices():
     inst = four_cycle_block_instance()
     comp = inst.component_of(0)
-    circuit, block = find_minimal_normal_block(inst, comp)
+    circuit, _, block = find_minimal_normal_block(inst, normal_candidates(inst, comp))
     assert classify_block(inst, block) == NORMAL
     assert not conn._has_normal_subblock(inst, block.vertices)
     assert block.vertices == frozenset({0, 1, 2, 3})
@@ -673,8 +712,10 @@ def test_minimal_normal_block_prefers_lowest_vertices():
 
 def test_find_minimal_normal_block_errors_when_all_trivial():
     inst = six_cycle_with_pendants()
+    candidates = normal_candidates(inst, inst.component_of(0))
+    assert candidates == []
     with pytest.raises(GraphError):
-        find_minimal_normal_block(inst, inst.component_of(0))
+        find_minimal_normal_block(inst, candidates)
 
 
 def test_dump_structure_mentions_circuits():
@@ -733,7 +774,7 @@ def test_tree_slices_match_flood_fill_reference():
                 blocks = blocks_along(inst, comp, circuit)
                 assert [b.vertices for b in blocks] == pieces
                 for block in blocks:
-                    assert block.cut_forced == len(inst.cut(block.vertices)[0])
+                    assert block.odd == (len(inst.cut(block.vertices)[0]) % 2 == 1)
                 seen["two_edge" if len(order) == 2 else "longer"] += 1
     assert seen["two_edge"] >= 100 and seen["longer"] >= 40
     assert seen["degree2"] >= 30 and seen["parallel"] >= 10 and seen["pairs2"] >= 300
@@ -756,18 +797,10 @@ def nested_block_instance():
 
 def _eager_minimal_normal_block(inst, comp):
     """Filter every normal candidate, then sort; None without candidates."""
-    candidates = [
-        (circuit, block)
-        for circuit in circuit_partition(inst, comp)
-        if not circuit.trivial
-        for block in blocks_along(inst, comp, circuit)
-        if classify_block(inst, block) == NORMAL
-    ]
-    minimal = [
-        (c, b) for c, b in candidates if not conn._has_normal_subblock(inst, b.vertices)
-    ]
+    candidates = normal_candidates(inst, comp)
+    minimal = [c for c in candidates if not conn._has_normal_subblock(inst, c[2].vertices)]
     pool = minimal if minimal else candidates
-    pool.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
+    pool.sort(key=lambda c: (len(c[2].vertices), tuple(sorted(c[2].vertices))))
     return pool[0] if pool else None
 
 
@@ -860,10 +893,10 @@ def test_nested_block_test_matches_circuit_partition(monkeypatch):
 def test_minimal_normal_block_matches_eager_rule():
     inst = nested_block_instance()
     comp = inst.component_of(0)
-    circuit, block = find_minimal_normal_block(inst, comp)
+    circuit, i, block = find_minimal_normal_block(inst, normal_candidates(inst, comp))
     assert block.vertices == frozenset({4, 5, 6, 7}) and set(circuit.edges) == {5, 6}
     assert conn._has_normal_subblock(inst, frozenset({0, 1, 2, 3}))
-    assert (circuit, block) == _eager_minimal_normal_block(inst, comp)
+    assert (circuit, i, block) == _eager_minimal_normal_block(inst, comp)
 
     rng = random.Random(7)
     seen = {"minimal": 0, "all_nested": 0}
@@ -879,11 +912,12 @@ def test_minimal_normal_block_matches_eager_rule():
             if comp.trivial or not is_2_edge_connected(inst, comp):
                 continue
             want = _eager_minimal_normal_block(inst, comp)
+            candidates = normal_candidates(inst, comp)
             if want is None:
                 with pytest.raises(GraphError):
-                    find_minimal_normal_block(inst, comp)
+                    find_minimal_normal_block(inst, candidates)
                 continue
-            assert find_minimal_normal_block(inst, comp) == want
-            nested = conn._has_normal_subblock(inst, want[1].vertices)
+            assert find_minimal_normal_block(inst, candidates) == want
+            nested = conn._has_normal_subblock(inst, want[2].vertices)
             seen["all_nested" if nested else "minimal"] += 1
     assert seen["minimal"] >= 20 and seen["all_nested"] >= 20

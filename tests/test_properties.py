@@ -113,6 +113,14 @@ def test_four_cycle_assembly_equals_bruteforce(seed, k):
         assert fast.cost == slow.cost
 
 
+def _forced_boundary(inst, verts) -> int:
+    """Forced edges leaving ``verts``, as ``Instance.cut`` counts them; none
+    leave the whole alive graph."""
+    if len(verts) == inst.n_alive():
+        return 0
+    return len(inst.cut(verts)[0])
+
+
 @settings(max_examples=50, deadline=None)
 @given(seed=seeds, n=st.sampled_from([8, 10, 12, 14]), pins=st.integers(1, 6))
 def test_odd_blocks_match_component_parity(seed, n, pins):
@@ -130,4 +138,22 @@ def test_odd_blocks_match_component_parity(seed, n, pins):
         for circuit in conn.circuit_partition(inst, comp):
             if not circuit.trivial:
                 odd = sum(b.odd for b in conn.blocks_along(inst, comp, circuit))
-                assert odd % 2 == comp.boundary_forced % 2
+                assert odd % 2 == _forced_boundary(inst, comp.vertices) % 2
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=seeds, n=st.sampled_from([6, 8, 10, 12, 14]), pins=st.integers(1, 10))
+def test_forced_degree_parity_matches_the_cut(seed, n, pins):
+    # the forced degrees summed over a vertex set count each forced edge
+    # inside twice, so components and blocks read their forced boundary's
+    # parity off them, forced edges inside included
+    inst = inject_forced(random_degree3_multigraph(random.Random(seed), n), count=pins, seed=seed)
+    for comp in inst.u_components():
+        assert comp.odd == (_forced_boundary(inst, comp.vertices) % 2 == 1)
+        if comp.trivial or not conn.is_2_edge_connected(inst, comp):
+            continue
+        for circuit in conn.circuit_partition(inst, comp):
+            if circuit.trivial:
+                continue
+            for block in conn.blocks_along(inst, comp, circuit):
+                assert block.odd == (_forced_boundary(inst, block.vertices) % 2 == 1)

@@ -948,3 +948,36 @@ def test_expand_through_nested_reductions(rng):
         if want.optimal:
             assert got.cost == want.cost
             assert inst.tour_cost(got.edges) == got.cost
+
+
+def test_connected_subsets_match_brute_force():
+    # every node subset that is connected and within the weight cap, on
+    # small random graphs with weights, isolated nodes and a few caps
+    rng = random.Random(5)
+    seen = {"subsets": 0, "over_cap": 0}
+    for trial in range(60):
+        n = rng.randint(1, 8)
+        adjacency = {v: set() for v in range(n)}
+        for u, v in itertools.combinations(range(n), 2):
+            if rng.random() < 0.35:
+                adjacency[u].add(v)
+                adjacency[v].add(u)
+        weights = [rng.randint(1, 4) for _ in range(n)]
+        cap = rng.randint(1, 12)
+        want = set()
+        for k in range(1, n + 1):
+            for subset in itertools.combinations(range(n), k):
+                if sum(weights[v] for v in subset) > cap:
+                    seen["over_cap"] += 1
+                    continue
+                reached, stack = {subset[0]}, [subset[0]]
+                while stack:
+                    for w in adjacency[stack.pop()]:
+                        if w in subset and w not in reached:
+                            reached.add(w)
+                            stack.append(w)
+                if len(reached) == k:
+                    want.add(frozenset(subset))
+        assert red._connected_subsets(adjacency, weights, cap) == want
+        seen["subsets"] += len(want)
+    assert seen["subsets"] >= 300 and seen["over_cap"] >= 300

@@ -1,3 +1,4 @@
+import collections
 import hashlib
 import random
 from fractions import Fraction
@@ -19,6 +20,7 @@ from cubictsp.search import (
     solve_all_4cycles,
 )
 
+import test_connectivity as families_of
 from conftest import build, cycle_instance, six_cycle_with_pendants
 
 
@@ -220,6 +222,103 @@ def test_select_is_deterministic():
     a = select_branch_circuit(inst)
     b = select_branch_circuit(inst)
     assert a[1].edges == b[1].edges and a[2] == b[2]
+
+
+def _three_pass_minimal_normal_block(inst, comp):
+    """The earlier ``find_minimal_normal_block(inst, comp)``: gather every
+    normal block of the component anew, then take the first by size and
+    vertex ids with no nested normal block, else the first of all."""
+    candidates = []
+    for circuit in conn.circuit_partition(inst, comp):
+        if circuit.trivial:
+            continue
+        for block in conn.blocks_along(inst, comp, circuit):
+            if conn.classify_block(inst, block) == conn.NORMAL:
+                candidates.append((circuit, block))
+    if not candidates:
+        raise GraphError("no normal block in component")
+    candidates.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
+    return next(
+        (cb for cb in candidates if not conn._has_normal_subblock(inst, cb[1].vertices)),
+        candidates[0],
+    )
+
+
+def _three_pass_pivot(circuit, blocks, target):
+    """The earlier ``_pivot_at_block``: the circuit edge before ``target``."""
+    for i in range(len(circuit.edges)):
+        if blocks[i].vertices == target.vertices:
+            return circuit.edges[i]
+    raise GraphError("block not on circuit")
+
+
+def _three_pass_branch_circuit(inst):
+    """The branch rule as it was before one pass picked it: the circuits'
+    blocks classified by the circuit loop, again by the normal-block pick
+    and a third time to find the pivot.  Returns the pick and which case
+    made it."""
+    for comp in inst.u_components():
+        if comp.trivial or conn.is_four_cycle_shape(inst, comp):
+            continue
+        circuits = conn.circuit_partition(inst, comp)
+        nontrivial = [c for c in circuits if not c.trivial]
+        for circuit in nontrivial:
+            blocks = conn.blocks_along(inst, comp, circuit)
+            kinds = [conn.classify_block(inst, b) for b in blocks]
+            if all(k in (conn.TRIVIAL, conn.TWO_PENDENT_CRITICAL) for k in kinds):
+                return (comp, circuit, circuit.edges[0]), "circuit"
+        if nontrivial:
+            circuit, block = _three_pass_minimal_normal_block(inst, comp)
+            blocks = conn.blocks_along(inst, comp, circuit)
+            nested = conn._has_normal_subblock(inst, block.vertices)
+            pick = (comp, circuit, _three_pass_pivot(circuit, blocks, block))
+            return pick, "nested" if nested else "minimal"
+        return (comp, circuits[0], circuits[0].edges[0]), "edge"
+    raise GraphError("no branchable component")
+
+
+def _pick_or_error(pick, inst):
+    try:
+        return pick(inst)
+    except GraphError as exc:
+        return str(exc)
+
+
+def test_one_pass_pick_matches_the_three_pass_rule(monkeypatch):
+    # at every branch node of seeded solves, and on the nested and critical
+    # families as built, the one-pass pick is the three-pass one
+    seen = collections.Counter()
+    pick = search.select_branch_circuit
+
+    def checked(inst):
+        want, case = _three_pass_branch_circuit(inst)
+        got = pick(inst)
+        assert got == want
+        seen[case] += 1
+        return got
+
+    families = [
+        families_of.chain2_instance(),
+        families_of.four_cycle_block_instance(),
+        families_of.nested_block_instance(),
+        families_of.critical_block_instance(),
+        families_of.critical_inner_block_instance(),
+        six_cycle_with_pendants(),
+        *(families_of.extension_instance(0, j) for j in (1, 2, 3)),
+    ]
+    for inst in families:
+        want = _pick_or_error(lambda x: _three_pass_branch_circuit(x)[0], inst)
+        assert _pick_or_error(pick, inst) == want
+    monkeypatch.setattr(search, "select_branch_circuit", checked)
+    for inst in families:
+        solve(inst)
+    for seed in range(24):
+        base = generate(
+            GeneratorSpec(kind="random_cubic", n=16 + 2 * (seed % 6), seed=seed, weights="random")
+        )
+        solve(inject_forced(base, seed % 7, seed=seed))
+    assert seen["nested"] >= 40 and seen["minimal"] >= 10, seen
+    assert seen["circuit"] >= 5 and seen["edge"] >= 1, seen
 
 
 # -- all-4-cycles base case --------------------------------------------------------
