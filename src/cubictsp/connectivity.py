@@ -27,22 +27,22 @@ The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
 the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
 ``_cycle_order``, which also gives a 4-cycle's two opposite edge pairs.
 
-One module-level cache, keyed on a component's labelled unforced edges,
-shares results across search-tree siblings that did not touch them.  It
-may hold only facts of those labelled edges, none of which reads a forced
-mark or a setting: the DFS tree and its labels, cut classes, cut pairs
-and the circuit partition.  A component object keeps its entry, so the
-key is built once per object.  A cut entry names a side by one vertex on
-it, never by a vertex set; the only vertex sets cached are the preorder
-and block slices a circuit carries.  Anything that reads forced edges or
-the whole graph, such as a block's parity or a component's small 3-cuts,
-is recomputed on every call.  A block's or a component's forced boundary
-is only ever asked for its parity, which is that of the forced degrees
-(``Instance.fdeg``) summed over its vertices: each forced edge inside
-counts twice.  Labels and the
-tree index are pure functions of a tree, so the whole graph's
-(``whole_labels``, ``whole_tree_index``) come from its tree without the
-cache, once per instance state through ``Instance.memo``.
+Facts of a component's labelled unforced edges are memoized on the
+component object (``UComponent.facts``), which ``Instance.memo`` keeps
+until the next mutation; nothing shares them between instance states.
+They are the DFS tree, which ``Instance.u_components`` hands over from the
+walk that found the component, and its labels, cut classes, cut pairs and
+circuit partition.  None of them reads a forced mark or a setting.  A cut
+pair names a side by one vertex on it, never by a vertex set; the only
+vertex sets kept are the preorder and block slices a circuit carries.
+Anything that reads forced edges or the whole graph, such as a block's
+parity or a component's small 3-cuts, is recomputed on every call.  A
+block's or a component's forced boundary is only ever asked for its
+parity, which is that of the forced degrees (``Instance.fdeg``) summed
+over its vertices: each forced edge inside counts twice.  The whole
+graph's labels and tree index (``whole_labels``, ``whole_tree_index``) are
+pure functions of its tree, asked once per instance state through
+``Instance.memo``.
 """
 
 from __future__ import annotations
@@ -66,44 +66,24 @@ from .graph import (
 # consider; read at call time.
 SMALL_SIDE = 10
 
-# labelled unforced edges of a component -> {function name: result}
-_CACHE: dict = {}
-_CACHE_LIMIT = 200_000
-
-
 def clear_caches() -> None:
-    _CACHE.clear()
-
-
-def _cache_entry(inst: Instance, comp: UComponent) -> dict:
-    """The cache entry of a component's labelled edges.  The key is built
-    and looked up once per component object; the object keeps the entry in
-    ``comp.cache_slot``.  Edge ids are never reused, so an object's edges
-    keep their ends in every copy and later state of its instance, and the
-    entry it holds stays true after a clear."""
-    slot = comp.cache_slot
-    if slot:
-        return slot[0]
-    key = tuple((e, inst.eu[e], inst.ev[e]) for e in comp.edges)
-    entry = _CACHE.get(key)
-    if entry is None:
-        entry = {}
-        if len(_CACHE) < _CACHE_LIMIT:
-            _CACHE[key] = entry
-    slot.append(entry)
-    return entry
+    """Does nothing.  Every component fact is memoized on its component
+    object and goes with it; the name stays because the benchmark's layer
+    table (``perfbench/layertrace.LAYERS``) still traces it."""
 
 
 def _cached(fn):
-    """Memoize ``fn(inst, comp)`` in the component's entry of the cache."""
+    """Memoize ``fn(inst, comp)`` in ``comp.facts``.  Edge ids are never
+    reused, so an object's edges keep their ends in every copy and later
+    state of its instance, and what it holds about them stays true."""
     name = fn.__name__
 
     @wraps(fn)
     def lookup(inst: Instance, comp: UComponent):
-        entry = _cache_entry(inst, comp)
-        if name not in entry:
-            entry[name] = fn(inst, comp)
-        return entry[name]
+        facts = comp.facts
+        if name not in facts:
+            facts[name] = fn(inst, comp)
+        return facts[name]
 
     return lookup
 
@@ -117,7 +97,7 @@ class Block:
     odd: bool
 
 
-@dataclass(frozen=True, slots=True)  # cached, up to one per component edge
+@dataclass(frozen=True, slots=True)  # memoized, up to one per component edge
 class Circuit:
     edges: tuple  # ordered edge ids; cyclic when nontrivial
     trivial: bool
@@ -191,13 +171,17 @@ def component_cut_structure(inst: Instance, comp: UComponent):
     return component_pairs2(inst, comp), triples3
 
 
-@_cached
 def _dfs_tree(inst: Instance, comp: UComponent):
-    """``graph.dfs_tree`` of a component, which it must span."""
-    tree = dfs_tree(inst, min(comp.vertices), edge_lists(inst, comp.vertices, comp.edges))
-    if len(tree[0]) != len(comp.vertices):
-        raise GraphError("subgraph is not connected")
-    return tree
+    """``graph.dfs_tree`` of a component, which it must span, walked from
+    its lowest vertex over its edges by ascending id.  A component of
+    ``Instance.u_components`` comes holding it; any other is walked once."""
+    facts = comp.facts
+    if "tree" not in facts:
+        tree = dfs_tree(inst, min(comp.vertices), edge_lists(inst, comp.vertices, comp.edges))
+        if len(tree[0]) != len(comp.vertices):
+            raise GraphError("subgraph is not connected")
+        facts["tree"] = tree
+    return facts["tree"]
 
 
 def whole_tree_index(inst: Instance) -> tuple[dict, dict]:

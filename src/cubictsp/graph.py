@@ -5,13 +5,16 @@ instead of renumbering, so rewrite logs can refer to ids forever.  Weights
 are exact rationals throughout.
 
 ``dfs_tree`` is the package's one depth-first walk, over per-vertex edge
-lists: ``Instance.adj`` for the whole alive graph, ``edge_lists`` for a
-subgraph.  ``tree_labels`` is the one fold over a tree's back edges: it
-labels every edge with the set of fundamental cycles through it, so an edge
-is a bridge iff its label is 0.  The whole alive graph's tree answers
-``is_connected``, and its labels (``whole_labels``) answer ``bridges``;
-they, the unforced components and other facts of one state are kept by
-``Instance.memo`` until a mutation.
+lists: ``Instance.adj`` for the whole alive graph, its unforced part for the
+unforced components, ``edge_lists`` for any other subgraph.
+``tree_labels`` is the one fold over a tree's back edges: it labels every
+edge with the set of fundamental cycles through it, so an edge is a bridge
+iff its label is 0.  The whole alive graph's tree answers ``is_connected``,
+and its labels (``whole_labels``) answer ``bridges``.  The unforced
+components are the pieces of one walk per root over the unforced edges, and
+each nontrivial one keeps its tree in ``UComponent.facts``, where
+``connectivity`` memoizes the rest of its structure.  These and other facts
+of one state are kept by ``Instance.memo`` until a mutation.
 
 Every mutation also records the vertices whose edges it changed, so that the
 reductions' vertex-local rules can visit only those (``Instance.pending``).
@@ -36,14 +39,15 @@ class UComponent:
 
     ``forced_ends`` sums the forced degrees of its vertices: twice its inner
     forced edges plus its forced boundary, so it has the boundary's parity.
+    ``facts`` memoizes what ``connectivity`` derives from the edges, by
+    name; a nontrivial component of ``Instance.u_components`` starts out
+    holding its ``dfs_tree`` under "tree".
     """
 
     vertices: frozenset
     edges: tuple  # unforced edge ids, sorted
     forced_ends: int
-    # [entry] of ``connectivity``'s cache for these edges, kept here so
-    # that the entry's key is built once per object
-    cache_slot: list = field(default_factory=list, compare=False, repr=False)
+    facts: dict = field(default_factory=dict, compare=False, repr=False)
 
     @property
     def trivial(self) -> bool:
@@ -256,30 +260,28 @@ class Instance:
         return self.memo(Instance._u_components)
 
     def _u_components(self) -> list[UComponent]:
-        seen: set[int] = set()
+        """One ``dfs_tree`` over the unforced edges per unreached root, in
+        ascending order.  ``adj`` lists each vertex's edges by ascending id,
+        so each component is walked from its lowest vertex just as
+        ``connectivity._dfs_tree`` would walk it, and keeps that tree."""
+        eforced, fdeg = self.eforced, self.fdeg
+        # each vertex's unforced edges: its ``adj`` list if none is forced
+        nbr = [[e for e in es if not eforced[e]] if f else es for es, f in zip(self.adj, fdeg)]
+        reached = [False] * len(self.valive)
         comps: list[UComponent] = []
-        for root in range(len(self.valive)):
-            if not self.valive[root] or root in seen:
+        for root, alive in enumerate(self.valive):
+            if not alive or reached[root]:
                 continue
-            verts = {root}
-            edges = set()
-            stack = [root]
-            seen.add(root)
-            ends = 0
-            while stack:
-                v = stack.pop()
-                ends += self.fdeg[v]
-                for e in self.adj[v]:
-                    if self.eforced[e]:
-                        continue
-                    edges.add(e)
-                    w = self.other_end(e, v)
-                    if w not in seen:
-                        seen.add(w)
-                        verts.add(w)
-                        stack.append(w)
-            comps.append(UComponent(frozenset(verts), tuple(sorted(edges)), ends))
-        comps.sort(key=lambda c: min(c.vertices))
+            if not nbr[root]:
+                comps.append(UComponent(frozenset((root,)), (), fdeg[root]))
+                continue
+            tree = dfs_tree(self, root, nbr)
+            pre, _, tree_edge, _, back = tree
+            for v in pre:
+                reached[v] = True
+            edges = tuple(sorted(tree_edge[1:] + [e for e, _, _ in back]))
+            ends = sum(fdeg[v] for v in pre)
+            comps.append(UComponent(frozenset(pre), edges, ends, {"tree": tree}))
         return comps
 
     def component_of(self, v: int) -> UComponent:

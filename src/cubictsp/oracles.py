@@ -94,7 +94,9 @@ def held_karp(inst: Instance) -> TourResult:
 
 
 def _fits_int64(wmat, n) -> bool:
-    top = max((w for row in wmat for w in row if w is not None), default=0)
+    """Every sum of up to n + 1 weights, of either sign, stays below the
+    table's infinity, and adding a weight to it stays inside int64."""
+    top = max((abs(w) for row in wmat for w in row if w is not None), default=0)
     return top * (n + 1) < 2**62
 
 
@@ -108,6 +110,8 @@ def _held_karp_numpy(wmat, n):
         for j in range(n):
             if wmat[i][j] is not None:
                 W[i, j] = wmat[i][j]
+    # a missing edge is _INF, which a negative cost would pull below _INF
+    missing = W[: n - 1, : n - 1] >= _INF
     size = 1 << (n - 1)  # vertex n-1 is the anchor
     dp = np.full((size, n - 1), _INF, dtype=np.int64)
     parent = np.full((size, n - 1), -1, dtype=np.int16)
@@ -121,6 +125,7 @@ def _held_karp_numpy(wmat, n):
             continue
         cand = row[:, None] + W[: n - 1, : n - 1]
         cand[~live] = _INF
+        cand[missing] = _INF
         best = cand.min(axis=0)
         arg = cand.argmin(axis=0)
         for j in range(n - 1):
@@ -207,10 +212,15 @@ def exhaustive_forced(inst: Instance) -> TourResult:
             return INFEASIBLE_RESULT
     start = verts[0]
     best: list = [None]
+    # a tour has n edges, so a walk's cost plus the lightest weight, when
+    # negative, for each edge still to come bounds every tour it completes
+    floor = min((inst.ew[e] for e in inst.alive_edges() if inst.ew[e].numerator < 0), default=0)
 
     def walk(cur, visited, used, cost):
-        if best[0] is not None and cost >= best[0][0]:
-            return
+        if best[0] is not None:
+            low = cost + floor * (n - len(used)) if floor else cost
+            if low >= best[0][0]:
+                return
         if len(visited) == n:
             for e in inst.adj[cur]:
                 if e not in used and inst.other_end(e, cur) == start:

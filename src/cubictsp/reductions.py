@@ -477,9 +477,20 @@ def solve_internal_paths(inst: Instance, x_vertices, pairs):
         if a in remaining and b in remaining:
             extend(k + 1, a, remaining - {a}, paths + [frozenset()], used, cost)
 
+    # every solution has one edge fewer per path than it has vertices, so
+    # a partial cost plus the lightest inner weight, when negative, for
+    # each edge still to place bounds every solution it completes; a
+    # weight's sign is its numerator's, which is cheaper to read
+    total = len(verts) - len(pairs)
+    floor = min(
+        (inst.ew[e] for es in adjm.values() for e, _ in es if inst.ew[e].numerator < 0), default=0
+    )
+
     def extend(k, cur, remaining, paths, used, cost):
-        if best[0] is not None and cost >= best[0][0]:
-            return
+        if best[0] is not None:
+            low = cost + floor * (total - len(used)) if floor else cost
+            if low >= best[0][0]:
+                return
         target = pairs[k][1]
         for e, w in adjm[cur]:
             if e in used:

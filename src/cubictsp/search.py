@@ -221,7 +221,6 @@ def solve(inst: Instance, strategy: str = "full", audit=None) -> TourResult:
         raise GraphError(f"unknown strategy {strategy!r}")
     if audit is None:
         audit = NO_OBSERVER
-    conn.clear_caches()
     audit.start(inst)
     result, _ = _solve_rec(inst.copy(), strategy, audit)
     if result.optimal:

@@ -169,7 +169,6 @@ def cut_search_family(seed=3, trials=160):
 def test_label_users_match_brute_force():
     # cut pairs and circuits of every component, bridged or not, against
     # flood fills
-    conn.clear_caches()
     checked = bridged = 0
     for inst in cut_search_family():
         for comp in inst.u_components():
@@ -197,13 +196,11 @@ def test_label_users_match_brute_force():
             assert circuits == {frozenset(c) for c in classes.values()}
             checked += 1
     assert checked >= 45 and bridged >= 100
-    conn.clear_caches()
 
 
 def test_bridges_from_labels_match_flood_fill():
     # the bridges of every component, bridged or not, and of the whole
     # graph when it is connected: the edges labelled 0
-    conn.clear_caches()
     bridged = 0
     for inst in cut_search_family():
         for comp in inst.u_components():
@@ -218,7 +215,6 @@ def test_bridges_from_labels_match_flood_fill():
             want = [e for e in sorted(eset) if _disconnects(inst, verts, eset, e, e)]
             assert inst.bridges() == want
     assert bridged >= 100
-    conn.clear_caches()
 
 
 def _brute_cut_classes(inst, comp):
@@ -251,14 +247,12 @@ def test_cut_classes_match_flood_fill(monkeypatch):
         raise AssertionError("cut_classes ran a bridge sweep")
 
     monkeypatch.setattr(Instance, "bridges", no_sweep)
-    conn.clear_caches()
     checked = 0
     for inst in cut_search_family():
         for comp in _connected_edge_sets(inst):
             assert conn.cut_classes(inst, comp) == _brute_cut_classes(inst, comp)
             checked += 1
     assert checked >= 250
-    conn.clear_caches()
 
 
 def test_tree_labels_match_naive_cover_sets():
@@ -288,25 +282,20 @@ def test_tree_labels_match_naive_cover_sets():
 
 
 def test_whole_graph_facts_match_the_component_form():
-    # the instance's memo answers for the whole graph what the cached
-    # component functions answer for the whole graph passed as a component,
-    # and puts no whole-graph entry in the component cache
-    conn.clear_caches()
+    # the instance's memo answers for the whole graph what the memoized
+    # component functions answer for the whole graph passed as a component
     checked = 0
     for inst in cut_search_family():
         if not inst.is_connected():
             continue
         whole = UComponent(frozenset(inst.alive_vertices()), tuple(inst.alive_edges()), 0)
         labels = inst.memo(conn.whole_labels)
-        assert not conn._CACHE
         assert inst.memo(alive_tree) == conn._dfs_tree(inst, whole)
         assert labels == conn._cover_labels(inst, whole)
-        conn.clear_caches()
         # memoized: the same object until the next mutation
         assert inst.memo(conn.whole_labels) is labels
         checked += 1
     assert checked >= 80
-    conn.clear_caches()
 
 
 def _assert_tree_side(tree, index, cut, start, xs):
@@ -324,7 +313,6 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch):
     # (each pair with every forced edge, each triple from both ends of its
     # lowest edge) is a cut iff its labels XOR to 0, and then the tree gives
     # its size and the vertices of its flood fill
-    conn.clear_caches()
     seen = {"whole": 0, "nested": 0}
     found = red.find_small_cut_candidate
 
@@ -355,29 +343,27 @@ def test_cut_sides_from_the_tree_match_the_fills(monkeypatch):
         n = 8 + 2 * (seed % 4)
         inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
         solve(inject_forced(inst, seed % 5, seed=seed))
-    conn.clear_caches()
     assert seen["whole"] >= 800 and seen["nested"] >= 1000
 
 
 def test_cut_structure_rejects_a_bridge():
     # two triangles joined by an unforced bridge
     inst = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3)])
-    conn.clear_caches()
     with pytest.raises(GraphError):
         conn.component_cut_structure(inst, inst.component_of(0))
 
 
 def test_cache_shares_no_forced_edge_facts():
     # one labelled unforced 6-cycle; its forced edges sit at 0, 1 in a and
-    # at 2, 3 in b, so the two disagree on every forced block boundary
+    # at 2, 3 in b, so the two disagree on every forced block boundary, but
+    # their circuit partitions, which read no forced mark, are equal
     ring = [(i, (i + 1) % 6) for i in range(6)]
     a = build(8, ring + [(0, 6), (1, 7)], forced=(6, 7))
     b = build(8, ring + [(2, 6), (3, 7)], forced=(6, 7))
-    conn.clear_caches()
     comp_a, comp_b = a.component_of(0), b.component_of(0)
     (circuit,) = circuit_partition(a, comp_a)
     blocks_a = blocks_along(a, comp_a, circuit)
-    assert circuit_partition(b, comp_b) is circuit_partition(a, comp_a)
+    assert circuit_partition(b, comp_b) == circuit_partition(a, comp_a)
     blocks_b = blocks_along(b, comp_b, circuit)
     for block in blocks_b:
         assert block.odd == (len(b.cut(block.vertices)[0]) % 2 == 1)
@@ -747,7 +733,6 @@ def test_tree_slices_match_flood_fill_reference():
                     u, v = inst.endpoints(e)
                     if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
                         inst.include_edge(e)
-        conn.clear_caches()
         for comp in inst.u_components():
             if comp.trivial:
                 continue
@@ -869,7 +854,6 @@ def test_nested_block_test_matches_circuit_partition(monkeypatch):
         return got
 
     monkeypatch.setattr(conn, "_is_two_pendent_critical", critical)
-    conn.clear_caches()
     for inst in [critical_inner_block_instance(), *cut_search_family()]:
         for comp in inst.u_components():
             if comp.trivial or not is_2_edge_connected(inst, comp):

@@ -7,7 +7,14 @@ from hypothesis import given, settings, strategies as st
 
 import cubictsp.connectivity as conn
 import cubictsp.reductions as red
-from cubictsp.graph import GraphError, Instance, format_instance, parse_instance
+from cubictsp.graph import (
+    GraphError,
+    Instance,
+    dfs_tree,
+    edge_lists,
+    format_instance,
+    parse_instance,
+)
 from cubictsp.generators import GeneratorSpec, generate
 from cubictsp.oracles import _disconnects, _subgraph_pieces
 
@@ -92,6 +99,51 @@ def test_u_components_partition_property(rng):
             assert not (comp.vertices & seen)
             seen |= comp.vertices
         assert seen == set(inst.alive_vertices())
+
+
+def test_u_components_are_the_unforced_pieces_and_hold_their_trees():
+    # each component is a flood-fill piece of the unforced edges, with its
+    # edges and forced edge ends; a nontrivial one holds the tree walked
+    # from its lowest vertex over its edges by ascending id
+    rng = random.Random(21)
+    seen = {"nontrivial": 0, "trivial": 0, "parallel": 0, "tombstoned": 0}
+    for trial in range(200):
+        if trial % 2:
+            inst = random_degree3_multigraph(rng, rng.randint(2, 14))
+        else:
+            n = rng.choice([4, 6, 8, 10, 12, 14])
+            spec = GeneratorSpec(kind="random_cubic", n=n, seed=trial, allow_parallel=True)
+            inst = generate(spec)
+        for e in inst.alive_edges():
+            if rng.random() < 0.1:
+                inst.delete_edge(e)
+            elif rng.random() < 0.25:
+                u, v = inst.endpoints(e)
+                if inst.degrees(u)[1] < 2 and inst.degrees(v)[1] < 2:
+                    inst.include_edge(e)
+        bare = [v for v in inst.alive_vertices() if not inst.adj[v]]
+        if bare and inst.n_alive() > 2:
+            inst.remove_vertex(bare[0])
+            seen["tombstoned"] += 1
+        unforced = [e for e in inst.alive_edges() if not inst.eforced[e]]
+        forced_ends = [x for e in inst.forced_edges() for x in inst.endpoints(e)]
+        comps = inst.u_components()
+        assert [c.vertices for c in comps] == _subgraph_pieces(
+            inst, inst.alive_vertices(), unforced, ()
+        )
+        for comp in comps:
+            assert comp.edges == tuple(e for e in unforced if inst.eu[e] in comp.vertices)
+            assert comp.forced_ends == sum(x in comp.vertices for x in forced_ends)
+            if comp.trivial:
+                seen["trivial"] += 1
+                continue
+            nbr = edge_lists(inst, comp.vertices, comp.edges)
+            assert comp.facts["tree"] == dfs_tree(inst, min(comp.vertices), nbr)
+            assert conn._dfs_tree(inst, comp) is comp.facts["tree"]
+            seen["nontrivial"] += 1
+            pairs = [frozenset(inst.endpoints(e)) for e in comp.edges]
+            seen["parallel"] += len(set(pairs)) < len(pairs)
+    assert min(seen.values()) >= 30, seen
 
 
 def test_cut_complement_symmetry(rng):

@@ -580,7 +580,6 @@ def test_find_reducible_edge_matches_brute_force(monkeypatch):
         n = 8 + 2 * (seed % 5)
         inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
         solve(inject_forced(inst, seed % 5, seed=seed))
-    conn.clear_caches()
     assert sum(hit and not at_two for hit, at_two in calls) >= 15
     assert sum(at_two for _, at_two in calls) >= 100
     assert sum(not hit for hit, _ in calls) >= 100
@@ -645,7 +644,6 @@ def test_three_cut_candidates_match_brute_force(monkeypatch):
             n = 6 + 2 * (seed % 4)
             inst = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights="random"))
             solve(inject_forced(inst, seed % 5, seed=seed))
-    conn.clear_caches()
     assert all(n >= 100 for by_kind in sides.values() for n in by_kind.values())
 
 
