@@ -12,6 +12,7 @@ default one does nothing, ``MeasureAudit`` checks the measure.
 from __future__ import annotations
 
 import math
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Optional
@@ -31,41 +32,64 @@ class WeightConfig:
     def d3(self) -> Fraction:
         return self.w3 - self.w3p
 
+    @property
+    def four_cycle(self) -> Fraction:
+        """A settled 4-cycle component cancels its vertices' weight."""
+        return -4 * self.w3p
+
 
 DEFAULT_CONFIG = WeightConfig()
 ALPHA = 2 ** Fraction(3, 10)  # float; exact statements use the exponent 3/10
 
 
-def vertex_weight(cfg: WeightConfig, inst: Instance, v: int) -> Fraction:
+# The weight classes: a vertex or component of class c weighs the
+# ``WeightConfig`` entry named c, and one of class None weighs 0.
+
+
+def vertex_class(inst: Instance, v: int) -> Optional[str]:
+    """'w3' for three unforced edges, 'w3p' for two and one forced."""
     _, df, du = inst.degrees(v)
     if du == 3:
-        return cfg.w3
+        return "w3"
     if du == 2 and df == 1:
-        return cfg.w3p
-    return Fraction(0)
+        return "w3p"
+    return None
+
+
+def component_class(inst: Instance, comp: UComponent) -> Optional[str]:
+    """'four_cycle' for a settled 4-cycle, 'gamma' for a critical
+    component, 'delta' for any other nontrivial one."""
+    if comp.trivial:
+        return None
+    if conn.is_standard_four_cycle(inst, comp):
+        return "four_cycle"
+    if conn.is_critical_component(inst, comp):
+        return "gamma"
+    return "delta"
+
+
+def _class_weight(cfg: WeightConfig, cls: Optional[str]) -> Fraction:
+    return Fraction(0) if cls is None else getattr(cfg, cls)
+
+
+def vertex_weight(cfg: WeightConfig, inst: Instance, v: int) -> Fraction:
+    return _class_weight(cfg, vertex_class(inst, v))
 
 
 def component_weight(cfg: WeightConfig, inst: Instance, comp: UComponent) -> Fraction:
-    if comp.trivial:
-        return Fraction(0)
-    if conn.is_standard_four_cycle(inst, comp):
-        return -4 * cfg.w3p
-    if conn.is_critical_component(inst, comp):
-        return cfg.gamma
-    return cfg.delta
+    return _class_weight(cfg, component_class(inst, comp))
 
 
 def measure(cfg: WeightConfig, inst: Instance, infeasible: bool = False) -> Fraction:
     """Sum of vertex and component weights; zero for settled instances
-    (infeasible ones, and the two-vertex terminal solved directly)."""
+    (infeasible ones, and the two-vertex terminal solved directly).  The
+    vertices and components of each class are counted first, and each
+    count is multiplied by its class's weight once."""
     if infeasible or inst.n_alive() <= 2:
         return Fraction(0)
-    total = Fraction(0)
-    for v in inst.alive_vertices():
-        total += vertex_weight(cfg, inst, v)
-    for comp in inst.u_components():
-        total += component_weight(cfg, inst, comp)
-    return total
+    tally = Counter(vertex_class(inst, v) for v in inst.alive_vertices())
+    tally.update(component_class(inst, comp) for comp in inst.u_components())
+    return sum((k * _class_weight(cfg, cls) for cls, k in tally.items()), Fraction(0))
 
 
 # -- reference branching vectors -------------------------------------------------

@@ -139,6 +139,13 @@ class Instance:
         other._pending = None if self._pending is None else set(self._pending)
         return other
 
+    def take_over(self, other: "Instance") -> None:
+        """Become ``other``'s state: take its lists, its memo of facts and
+        its pending vertices as they are.  ``other`` must not be used
+        afterwards, since the two now share them."""
+        for name in Instance.__slots__:
+            setattr(self, name, getattr(other, name))
+
     # -- mutation ----------------------------------------------------------
 
     def include_edge(self, eid: int) -> None:

@@ -7,7 +7,8 @@ same exact rational weights as the main solver: weights are scaled to a
 common integer denominator first.
 
 The slow references that tests hold the solver's own primitives against
-live here too: ``brute_force_4cycles`` for the 4-cycle base case,
+live here too: ``exhaustive_internal_paths`` for the paths inside a small
+cut side, ``brute_force_4cycles`` for the 4-cycle base case,
 ``replay``, which re-runs a reduction log forward through the production
 rewrites and checks that they make the edges it logged, ``_disconnects``
 for cut pairs, ``_subgraph_pieces``, the flood fill that splits a vertex
@@ -244,6 +245,84 @@ def exhaustive_forced(inst: Instance) -> TourResult:
 
 
 # -- references for the solver's own primitives ------------------------------
+
+
+def exhaustive_internal_paths(inst: Instance, x_vertices, pairs):
+    """Minimum-cost vertex-disjoint paths inside a vertex set: path k runs
+    between pairs[k], every vertex lies on exactly one path, and every
+    internal forced edge is used.  Exhaustive; meant for <= 10 vertices.
+
+    Returns (total cost, tuple of per-path edge-id frozensets) or None.
+    The reference for ``reductions.solve_internal_paths``: the same search,
+    over vertex and edge sets and rational costs.
+    """
+    verts = frozenset(x_vertices)
+    adjm: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
+    forced_needed = set()
+    for v in verts:
+        for e in inst.adj[v]:
+            w = inst.other_end(e, v)
+            if w in verts:
+                adjm[v].append((e, w))
+                if inst.eforced[e]:
+                    forced_needed.add(e)
+    best: list = [None]
+
+    if not all(a in verts and b in verts for a, b in pairs):
+        raise GraphError("path endpoints must lie inside the set")
+
+    a0, b0 = pairs[0]
+    if a0 == b0:
+        if len(pairs) == 1 and len(verts) == 1 and not forced_needed:
+            return (Fraction(0), (frozenset(),))
+        return None
+    if any(a == b for a, b in pairs):
+        return None
+
+    def finish(k, remaining, paths, used, cost):
+        if k + 1 == len(pairs):
+            if not remaining and forced_needed <= used:
+                if best[0] is None or cost < best[0][0]:
+                    best[0] = (cost, tuple(paths))
+            return
+        a, b = pairs[k + 1]
+        if a in remaining and b in remaining:
+            extend(k + 1, a, remaining - {a}, paths + [frozenset()], used, cost)
+
+    # every solution has one edge fewer per path than it has vertices, so
+    # a partial cost plus the lightest inner weight, when negative, for
+    # each edge still to place bounds every solution it completes; a
+    # weight's sign is its numerator's, which is cheaper to read
+    total = len(verts) - len(pairs)
+    floor = min(
+        (inst.ew[e] for es in adjm.values() for e, _ in es if inst.ew[e].numerator < 0), default=0
+    )
+
+    def extend(k, cur, remaining, paths, used, cost):
+        if best[0] is not None:
+            low = cost + floor * (total - len(used)) if floor else cost
+            if low >= best[0][0]:
+                return
+        target = pairs[k][1]
+        for e, w in adjm[cur]:
+            if e in used:
+                continue
+            if w == target and target in remaining:
+                ncost = cost + inst.ew[e]
+                npaths = paths[:-1] + [paths[-1] | {e}]
+                finish(k, remaining - {w}, npaths, used | {e}, ncost)
+            elif w in remaining and w != target:
+                extend(
+                    k,
+                    w,
+                    remaining - {w},
+                    paths[:-1] + [paths[-1] | {e}],
+                    used | {e},
+                    cost + inst.ew[e],
+                )
+
+    extend(0, a0, verts - {a0}, [frozenset()], frozenset(), Fraction(0))
+    return best[0]
 
 
 def brute_force_4cycles(inst: Instance, limit: int = 20) -> TourResult:

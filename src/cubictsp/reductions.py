@@ -39,6 +39,12 @@ forced-path contraction, 3-cut and 4-cut a ``Rewrite``: the vertices it
 replaced, the edges it made, and for each set of those edges a tour may use,
 the old edges that take their place.  ``expand_solution`` walks the log
 backwards and lifts a tour through each rewrite by that one rule.
+
+A 3-cut side is rewritten once, on a copy that ``_measure_safe_3cut``
+measures: if the measure does not rise, the instance takes over the copy's
+state and the log its one ``Rewrite``; otherwise both stay as they were.
+The new edges' costs come from ``solve_internal_paths``, an exhaustive
+search over bitmasks whose costs are integers over one common denominator.
 """
 
 from __future__ import annotations
@@ -46,10 +52,10 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from typing import Optional
 
-from . import connectivity as conn
-from .analysis import NO_OBSERVER
+from . import analysis, connectivity as conn
 from .graph import GraphError, Instance, alive_tree
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
@@ -443,74 +449,90 @@ def solve_internal_paths(inst: Instance, x_vertices, pairs):
     internal forced edge is used.  Exhaustive; meant for <= 10 vertices.
 
     Returns (total cost, tuple of per-path edge-id frozensets) or None.
+
+    The search runs on integers: vertex and edge sets are bitmasks over
+    local indices, and weights are scaled by the lcm ``D`` of the inner
+    edges' denominators, so a cost ``c`` stands for ``Fraction(c, D)``.  It
+    walks each vertex's edges in ``inst.adj`` order and keeps the first of
+    equally cheap solutions, as ``oracles.exhaustive_internal_paths``, the
+    rational reference, does.
     """
     verts = frozenset(x_vertices)
-    adjm: dict[int, list[tuple[int, int]]] = {v: [] for v in verts}
-    forced_needed = set()
-    for v in verts:
-        for e in inst.adj[v]:
-            w = inst.other_end(e, v)
-            if w in verts:
-                adjm[v].append((e, w))
-                if inst.eforced[e]:
-                    forced_needed.add(e)
-    best: list = [None]
-
     if not all(a in verts and b in verts for a, b in pairs):
         raise GraphError("path endpoints must lie inside the set")
+    eu, ev = inst.eu, inst.ev
+    local = {v: i for i, v in enumerate(verts)}
+    # the inner edges, numbered as first met; each vertex's inner edges and
+    # their other ends, in its ``inst.adj`` order
+    number: dict[int, int] = {}
+    inner = []
+    for v in verts:
+        at = []
+        for e in inst.adj[v]:
+            w = eu[e]
+            if w == v:
+                w = ev[e]
+            j = local.get(w)
+            if j is not None:
+                at.append((number.setdefault(e, len(number)), j))
+        inner.append(at)
+    eids = list(number)
+    forced = sum(1 << k for k, e in enumerate(eids) if inst.eforced[e])
 
     a0, b0 = pairs[0]
     if a0 == b0:
-        if len(pairs) == 1 and len(verts) == 1 and not forced_needed:
+        if len(pairs) == 1 and len(verts) == 1 and not forced:
             return (Fraction(0), (frozenset(),))
         return None
     if any(a == b for a, b in pairs):
         return None
 
-    def finish(k, remaining, paths, used, cost):
-        if k + 1 == len(pairs):
-            if not remaining and forced_needed <= used:
-                if best[0] is None or cost < best[0][0]:
-                    best[0] = (cost, tuple(paths))
-            return
-        a, b = pairs[k + 1]
-        if a in remaining and b in remaining:
-            extend(k + 1, a, remaining - {a}, paths + [frozenset()], used, cost)
-
+    ws = [inst.ew[e] for e in eids]
+    denom = lcm(*(w.denominator for w in ws))
+    weight = [w.numerator * (denom // w.denominator) for w in ws]
+    nbr = [[(1 << k, 1 << j, j, weight[k]) for k, j in at] for at in inner]
+    ends = [(local[a], local[b]) for a, b in pairs]
+    last = len(pairs) - 1
     # every solution has one edge fewer per path than it has vertices, so
     # a partial cost plus the lightest inner weight, when negative, for
-    # each edge still to place bounds every solution it completes; a
-    # weight's sign is its numerator's, which is cheaper to read
-    total = len(verts) - len(pairs)
-    floor = min(
-        (inst.ew[e] for es in adjm.values() for e, _ in es if inst.ew[e].numerator < 0), default=0
-    )
+    # each edge still to place bounds every solution it completes
+    floor = min([0, *weight])
+    best = None  # (cost, used edges at the end of each path)
 
-    def extend(k, cur, remaining, paths, used, cost):
-        if best[0] is not None:
-            low = cost + floor * (total - len(used)) if floor else cost
-            if low >= best[0][0]:
-                return
-        target = pairs[k][1]
-        for e, w in adjm[cur]:
-            if e in used:
+    def extend(k, cur, remaining, used, left, cost, done):
+        # path k has reached ``cur``; ``left`` edges remain to be placed and
+        # ``done`` holds ``used`` as it stood at the end of each path before
+        nonlocal best
+        if best is not None and cost + floor * left >= best[0]:
+            return
+        target = ends[k][1]
+        for eb, wb, w, c in nbr[cur]:
+            if used & eb or not remaining & wb:
                 continue
-            if w == target and target in remaining:
-                ncost = cost + inst.ew[e]
-                npaths = paths[:-1] + [paths[-1] | {e}]
-                finish(k, remaining - {w}, npaths, used | {e}, ncost)
-            elif w in remaining and w != target:
-                extend(
-                    k,
-                    w,
-                    remaining - {w},
-                    paths[:-1] + [paths[-1] | {e}],
-                    used | {e},
-                    cost + inst.ew[e],
-                )
+            if w != target:
+                extend(k, w, remaining ^ wb, used | eb, left - 1, cost + c, done)
+            elif k == last:
+                if remaining == wb and (used | eb) & forced == forced:
+                    if best is None or cost + c < best[0]:
+                        best = (cost + c, done + (used | eb,))
+            else:
+                a, b = ends[k + 1]
+                rest = remaining ^ wb
+                if rest >> a & 1 and rest >> b & 1:
+                    now = used | eb
+                    extend(k + 1, a, rest ^ (1 << a), now, left - 1, cost + c, done + (now,))
 
-    extend(0, a0, verts - {a0}, [frozenset()], frozenset(), Fraction(0))
-    return best[0]
+    start = ends[0][0]
+    everyone = (1 << len(local)) - 1
+    extend(0, start, everyone ^ (1 << start), 0, len(verts) - len(pairs), 0, ())
+    if best is None:
+        return None
+    cost, done = best
+    paths = tuple(
+        frozenset(e for k, e in enumerate(eids) if (now ^ before) >> k & 1)
+        for before, now in zip((0,) + done, done)
+    )
+    return Fraction(cost, denom), paths
 
 
 def _internal_edges(inst: Instance, xs) -> list[int]:
@@ -812,7 +834,7 @@ def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit
     if log is None:
         log = ReductionLog()
     if audit is None:
-        audit = NO_OBSERVER
+        audit = analysis.NO_OBSERVER
     inst, log, outcome = _reduce_loop(inst, log, audit)
     audit.settle_cascade(inst, outcome)
     return inst, log, outcome
@@ -821,8 +843,9 @@ def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit
 def _reduce_loop(inst: Instance, log: ReductionLog, audit):
     while True:
         # A pass ends at the first rule that changes the instance, and no
-        # rule or check touches it without reporting a change (a rejected
-        # 3-cut only probes a copy), so one reading of mu serves the pass.
+        # rule or check touches it without reporting a change (a 3-cut is
+        # rewritten on a copy, which becomes the instance only if the
+        # measure accepts it), so one reading of mu serves the pass.
         before = audit.measure_of(inst)
         # Rules are called through the module's globals, so that rules
         # replaced on the module (by a tracer, say) are the ones called.
@@ -876,28 +899,35 @@ def _apply_small_cut(inst: Instance, log: ReductionLog, audit, before) -> bool:
             return False
         kind, xs = cand
         if kind == "3cut":
-            if not _measure_safe_3cut(inst, xs):
+            if not _measure_safe_3cut(inst, log, xs):
                 rejected.add(xs)
                 continue
-            reduce_3cut(inst, log, xs)
         else:
             reduce_4cut(inst, log, xs)
         audit.step(kind, before, inst, None, detail=len(xs))
         return True
 
 
-def _measure_safe_3cut(inst: Instance, xs) -> bool:
-    """Only rewrite a 3-cut if it does not raise the search measure.
+def _measure_safe_3cut(inst: Instance, log: ReductionLog, xs) -> bool:
+    """Rewrite a 3-cut only if that does not raise the search measure, and
+    say whether it did.
 
     Slicing into a settled 4-cycle component can turn its negative component
     weight positive; such rewrites are skipped (branching handles the region
-    instead), keeping every reduction step monotone.
+    instead), keeping every reduction step monotone.  The rewrite runs once,
+    on a copy: an accepted copy's state, with the facts that reading its
+    measure memoized, becomes the instance's, and its log entry is appended
+    to ``log``; a rejected one leaves the instance and the log untouched.
     """
-    from .analysis import DEFAULT_CONFIG, measure
-
-    probe = inst.copy()
-    reduce_3cut(probe, ReductionLog(), xs)
-    return measure(DEFAULT_CONFIG, probe) <= measure(DEFAULT_CONFIG, inst)
+    probe, scratch = inst.copy(), ReductionLog()
+    reduce_3cut(probe, scratch, xs)
+    cfg = analysis.DEFAULT_CONFIG
+    if analysis.measure(cfg, probe) > analysis.measure(cfg, inst):
+        return False
+    inst.take_over(probe)
+    (rewrite,) = scratch.entries
+    log.append(rewrite)
+    return True
 
 
 # -- solution lifting --------------------------------------------------------------------

@@ -1,3 +1,4 @@
+from collections import Counter
 from fractions import Fraction
 
 import pytest
@@ -93,6 +94,49 @@ def test_measure_infeasible_and_terminal_zero():
     assert measure(CFG, inst, infeasible=True) == 0
     tiny = build(2, [(0, 1), (0, 1)])
     assert measure(CFG, tiny) == 0
+
+
+class WeightSums(analysis.Observer):
+    """At every reading of mu and after every step, checks that ``measure``,
+    which tallies classes, equals the weights summed one vertex and one
+    component at a time, under the default weights and under weights that
+    differ in every class."""
+
+    CONFIGS = (
+        CFG,
+        WeightConfig(Fraction(11, 10), Fraction(2, 7), Fraction(5, 3), Fraction(13, 9)),
+    )
+
+    def __init__(self):
+        self.classes = Counter()
+
+    def measure_of(self, inst, outcome=None):
+        self.check(inst)
+
+    def step(self, kind, mu_before, inst_after, outcome, detail=None):
+        self.check(inst_after)
+
+    def check(self, inst):
+        if inst.n_alive() <= 2:
+            return
+        comps = inst.u_components()
+        self.classes.update(analysis.vertex_class(inst, v) for v in inst.alive_vertices())
+        self.classes.update(analysis.component_class(inst, c) for c in comps)
+        for cfg in self.CONFIGS:
+            one_by_one = sum(vertex_weight(cfg, inst, v) for v in inst.alive_vertices())
+            one_by_one += sum(component_weight(cfg, inst, c) for c in comps)
+            assert measure(cfg, inst) == one_by_one
+
+
+def test_measure_tally_equals_the_summed_weights():
+    sums = WeightSums()
+    for seed in range(6):
+        for weights, forced in (("unit", 0), ("random", 2), ("random", 9)):
+            base = generate(GeneratorSpec(kind="random_cubic", n=18, seed=seed, weights=weights))
+            search.solve(inject_forced(base, forced, seed=seed), audit=sums)
+    search.solve(six_cycle_with_pendants(), audit=sums)
+    # every class, and a vertex and a component of weight 0, came up
+    assert set(sums.classes) == {"w3", "w3p", "four_cycle", "gamma", "delta", None}, sums.classes
 
 
 # -- reference vectors -----------------------------------------------------------

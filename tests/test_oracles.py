@@ -1,8 +1,10 @@
 import random
+from collections import Counter
 from fractions import Fraction
 
 import pytest
 
+from cubictsp.analysis import MeasureAudit
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, parse_instance
 from cubictsp.oracles import EXHAUSTIVE_LIMIT, HELD_KARP_LIMIT, exhaustive_forced, held_karp
@@ -216,3 +218,56 @@ def test_solver_matches_oracles_with_zero_and_negative_weights():
         assert got.cost == want.cost, seed
         assert inst.is_tour(got.edges) and inst.tour_cost(got.edges) == got.cost
     assert seen["forced"] >= 100 and seen["unforced"] >= 20 and seen["infeasible"] >= 5, seen
+
+
+def _unusual_shape(seed):
+    """A multigraph of a kind the generators never emit: n = 2 to 10,
+    degrees 3 and, for about one vertex in four, 2, matched by a random
+    pairing of stubs drawn again until it makes no loop, with parallel
+    edges kept; weights in [-6, 9] over denominators 1 to 4, zero included;
+    and 0 to 3 forced edges, so a parallel bundle may mix forced and
+    unforced copies.  About one in thirty is not connected."""
+    rng = random.Random(seed)
+    n = rng.randint(2, 10)
+    degrees = [rng.choice((2, 3, 3, 3)) for _ in range(n)]
+    if sum(degrees) % 2:
+        degrees[0] = 5 - degrees[0]
+    stubs = [v for v, d in enumerate(degrees) for _ in range(d)]
+    pairs = [(0, 0)]
+    while any(u == v for u, v in pairs):
+        rng.shuffle(stubs)
+        pairs = list(zip(stubs[::2], stubs[1::2]))
+    inst = build(n, [(u, v, Fraction(rng.randint(-6, 9), rng.randint(1, 4))) for u, v in pairs])
+    for e in rng.sample(range(len(pairs)), min(len(pairs), rng.randint(0, 3))):
+        u, v = inst.endpoints(e)
+        if inst.fdeg[u] < 2 and inst.fdeg[v] < 2:
+            inst.include_edge(e)
+    return inst
+
+
+def _mixed_bundle(inst):
+    ends = {}
+    for e in inst.alive_edges():
+        ends.setdefault(frozenset(inst.endpoints(e)), set()).add(inst.eforced[e])
+    return any(len(marks) == 2 for marks in ends.values())
+
+
+def test_solver_matches_exhaustive_on_unusual_shapes():
+    seen = Counter()
+    for seed in range(3000):
+        inst = _unusual_shape(seed)
+        got = solve(inst)
+        want = exhaustive_forced(inst)
+        assert got.status == want.status, seed
+        if want.optimal:
+            assert got.cost == want.cost, seed
+            assert inst.is_tour(got.edges) and inst.tour_cost(got.edges) == got.cost
+        solve(inst, audit=MeasureAudit())  # raises on a measure violation
+        seen["optimal" if want.optimal else "infeasible"] += 1
+        seen["degree 2"] += any(len(inst.adj[v]) == 2 for v in inst.alive_vertices())
+        seen["mixed bundle"] += _mixed_bundle(inst)
+        seen["negative"] += any(w < 0 for w in inst.ew)
+        seen["forced"] += bool(inst.forced_edges())
+        seen["disconnected"] += not inst.is_connected()
+        seen["n <= 3"] += inst.n_alive() <= 3
+    assert min(seen.values()) >= 50 and len(seen) == 8, seen

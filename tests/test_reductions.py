@@ -10,7 +10,7 @@ import cubictsp.reductions as red
 from cubictsp.analysis import DEFAULT_CONFIG, measure
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance, format_instance
-from cubictsp.oracles import _disconnects, exhaustive_forced, replay
+from cubictsp.oracles import _disconnects, exhaustive_forced, exhaustive_internal_paths, replay
 from cubictsp.reductions import (
     ReductionLog,
     check_feasibility,
@@ -309,6 +309,43 @@ def test_solve_internal_paths_matches_bruteforce(rng):
             assert (got is None) == (want is None)
             if got is not None:
                 assert got[0] == want
+
+
+def _path_problem(seed):
+    """A side of 1 to 9 vertices from ``random_degree3_multigraph``, parallel
+    edges included, with weights in [-6, 9] over denominators 1 to 7, zero
+    included, 0 to 3 forced edges, and the ends of one path or of two."""
+    rng = random.Random(seed)
+    n = rng.randint(1, 9)
+    shape = random_degree3_multigraph(rng, n)
+    edges = [
+        (*shape.endpoints(e), Fraction(rng.randint(-6, 9), rng.randint(1, 7)))
+        for e in shape.alive_edges()
+    ]
+    inst = build(n, edges)
+    for e in rng.sample(range(len(edges)), min(len(edges), rng.randint(0, 3))):
+        u, v = inst.endpoints(e)
+        if inst.fdeg[u] < 2 and inst.fdeg[v] < 2:
+            inst.include_edge(e)
+    if n == 1:
+        return inst, [(0, 0)]
+    if n >= 4 and rng.random() < 0.5:
+        a, b, c, d = rng.sample(range(n), 4)
+        return inst, [(a, b), (c, d)]
+    return inst, [tuple(rng.sample(range(n), 2))]
+
+
+def test_solve_internal_paths_matches_the_rational_reference():
+    # the same tuple, per-path edge sets included, so equally cheap
+    # solutions must be settled the same way too
+    seen = Counter()
+    for seed in range(1200):
+        inst, pairs = _path_problem(seed)
+        xs = set(inst.alive_vertices())
+        got = solve_internal_paths(inst, xs, pairs)
+        assert got == exhaustive_internal_paths(inst, xs, pairs), seed
+        seen[len(pairs), got is not None] += 1
+    assert min(seen[k] for k in itertools.product((1, 2), (False, True))) >= 10, seen
 
 
 # -- 3-cut replacement ----------------------------------------------------------------
@@ -772,6 +809,47 @@ def test_measure_never_increases_through_reductions(rng):
         _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
         after = measure(DEFAULT_CONFIG, inst, infeasible=outcome.infeasible)
         assert after <= before
+
+
+def _state(inst):
+    """Everything a rewrite may change, copied."""
+    lists = (inst.eu, inst.ev, inst.ew, inst.eforced, inst.ealive, inst.valive, inst.fdeg)
+    return [list(a) for a in lists] + [[list(a) for a in inst.adj], inst.pending()]
+
+
+# (n, seed) of unit-weight cubic graphs with three forced edges whose solve
+# meets a 3-cut that would raise the measure
+REJECTING = [(16, 35), (18, 31), (20, 7)]
+
+
+def test_each_probed_3cut_is_rewritten_once(monkeypatch):
+    calls = Counter()
+    rewrite, probe = red.reduce_3cut, red._measure_safe_3cut
+
+    def counted_rewrite(inst, log, xs):
+        calls["rewrite"] += 1
+        return rewrite(inst, log, xs)
+
+    def checked_probe(inst, log, xs):
+        calls["probe"] += 1
+        before, entries = _state(inst), list(log.entries)
+        accepted = probe(inst, log, xs)
+        if accepted:
+            assert log.entries[:-1] == entries and log.entries[-1].kind == "3cut"
+        else:
+            calls["rejected"] += 1
+            assert _state(inst) == before and log.entries == entries
+        return accepted
+
+    monkeypatch.setattr(red, "reduce_3cut", counted_rewrite)
+    monkeypatch.setattr(red, "_measure_safe_3cut", checked_probe)
+    for n, seed in REJECTING + [(14, 3), (16, 4)]:
+        base = generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed))
+        inst = inject_forced(base, 3, seed=seed)
+        got = solve(inst)
+        assert got.optimal and inst.is_tour(got.edges)
+    assert calls["rewrite"] == calls["probe"] > 0
+    assert calls["rejected"] >= len(REJECTING), calls
 
 
 def test_4cut_on_whole_component_decreases_by_its_weight():
