@@ -100,12 +100,16 @@ class Block:
 @dataclass(frozen=True, slots=True)  # memoized, up to one per component edge
 class Circuit:
     edges: tuple  # ordered edge ids; cyclic when nontrivial
-    trivial: bool
     # nontrivial only: the component's vertices in DFS preorder, shared by
     # all its circuits, and per block the flat (lo, hi, ...) bounds of the
     # preorder slices it is made of
     preorder: tuple = field(default=(), compare=False, repr=False)
     slices: tuple = field(default=(), compare=False, repr=False)
+
+    @property
+    def trivial(self) -> bool:
+        """A lone edge: every cut class has two or more edges."""
+        return len(self.edges) == 1
 
 
 TRIVIAL = "trivial"
@@ -301,7 +305,7 @@ def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
     classes = cut_classes(inst, comp)
     circuits = [_cyclic_circuit(cls, pre, child, size) for cls in classes]
     paired = {e for cls in classes for e in cls}
-    circuits += [Circuit((e,), True) for e in comp.edges if e not in paired]
+    circuits += [Circuit((e,)) for e in comp.edges if e not in paired]
     circuits.sort(key=lambda c: c.edges[0])
     return circuits
 
@@ -341,7 +345,7 @@ def _cyclic_circuit(group, pre: tuple, child: dict, size: list) -> Circuit:
     else:
         idx = [(s - t) % m for t in range(m)]
         slices = [blocks[i - 1] for i in idx]
-    return Circuit(tuple(edges[i] for i in idx), False, pre, tuple(slices))
+    return Circuit(tuple(edges[i] for i in idx), pre, tuple(slices))
 
 
 def blocks_along(inst: Instance, comp: UComponent, circuit: Circuit) -> list[Block]:

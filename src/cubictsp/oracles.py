@@ -32,6 +32,7 @@ from .reductions import (
     contract_path,
     reduce_3cut,
     reduce_4cut,
+    solve_two_vertices,
 )
 from .search import INFEASIBLE_RESULT, OPTIMAL, TourResult, _four_cycle_matchings
 
@@ -62,12 +63,8 @@ def held_karp(inst: Instance) -> TourResult:
     if not inst.is_connected():
         return INFEASIBLE_RESULT
     if n == 2:
-        from .reductions import solve_two_vertices
-
         out = solve_two_vertices(inst)
-        if out.infeasible or out.solution is None:
-            return INFEASIBLE_RESULT
-        return TourResult(OPTIMAL, out.solution.cost, out.solution.edges)
+        return INFEASIBLE_RESULT if out.infeasible else out
     remap = {v: i for i, v in enumerate(verts)}
     denom, scaled = _scale(inst, inst.alive_edges())
     big = None

@@ -7,10 +7,15 @@ The fixpoint driver applies, in a fixed priority:
   parallel edges -> unforced-bridge determination -> reducible circuits ->
   3-cut replacement -> 4-cut replacement
 
-until nothing applies.  Saturation and contraction go before the screen
-because they never turn a state it rejects into one it accepts: deleting
-edges repairs no bridge or degree deficit, contraction keeps every cut and
-every component's boundary parity, and a spanning forced cycle is a tour.
+until nothing applies, and returns the node's verdict: None while it is
+still open, the infeasible ``Feasibility`` (with its witness) that stopped
+it, or an optimal ``TourResult`` of the reduced instance when the forced
+edges close a tour or two vertices are left.
+
+Saturation and contraction go before the screen because they never turn a
+state it rejects into one it accepts: deleting edges repairs no bridge or
+degree deficit, contraction keeps every cut and every component's boundary
+parity, and a spanning forced cycle is a tour.
 
 The vertex-local rules (saturation, contraction, the parallel rule) and the
 screen's degree sweep and forced-cycle scan visit only the vertices that
@@ -60,6 +65,7 @@ from .graph import GraphError, Instance, alive_tree
 
 FEASIBLE_UNKNOWN = "feasible_unknown"
 INFEASIBLE = "infeasible"
+OPTIMAL = "optimal"
 
 
 @dataclass(frozen=True)
@@ -73,6 +79,23 @@ class Feasibility:
 
 
 OK = Feasibility(FEASIBLE_UNKNOWN)
+
+
+@dataclass(frozen=True)
+class TourResult:
+    """An optimal tour and its cost, or ``INFEASIBLE`` with neither."""
+
+    status: str
+    cost: Optional[Fraction] = None
+    edges: frozenset = frozenset()
+
+    @property
+    def optimal(self) -> bool:
+        return self.status == OPTIMAL
+
+    @property
+    def infeasible(self) -> bool:
+        return self.status == INFEASIBLE
 
 
 # -- log entries ---------------------------------------------------------------
@@ -111,28 +134,6 @@ class ReductionLog:
 
     def __len__(self) -> int:
         return len(self.entries)
-
-
-@dataclass
-class DirectSolution:
-    """A tour found during reduction (edge ids of the rewritten instance)."""
-
-    cost: Fraction
-    edges: frozenset
-
-
-@dataclass
-class ReduceOutcome:
-    feasibility: Feasibility
-    solution: Optional[DirectSolution] = None
-
-    @property
-    def infeasible(self) -> bool:
-        return self.feasibility.infeasible
-
-    @property
-    def solved(self) -> bool:
-        return self.solution is not None
 
 
 # -- feasibility ----------------------------------------------------------------
@@ -230,27 +231,28 @@ def saturation_and_contraction(inst: Instance, log: ReductionLog):
     visit the pending vertices in ascending order; the second reads them
     after the first's deletions.
 
-    Returns (changed, outcome-or-None).  A forced cycle through every vertex
-    becomes a direct solution; through a proper subset, infeasibility.
+    Returns (changed, verdict-or-None).  A forced cycle through every vertex
+    is an optimal ``TourResult``; through a proper subset, an infeasible
+    ``Feasibility``.
     """
     changed = False
     # deleting unforced edges lowers no forced degree, so one pass does it all
     for v in inst.pending():
         _, df, du = inst.degrees(v)
         if df > 2:
-            return True, ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
+            return True, Feasibility(INFEASIBLE, "degree_deficit")
         if df == 2 and du > 0:
             for e in [e for e in inst.adj[v] if not inst.eforced[e]]:
                 st = _delete(inst, log, e)
                 changed = True
                 if st.infeasible:
-                    return True, ReduceOutcome(st)
+                    return True, st
     scan = inst.memo(_forced_cycle_scan)
     if scan == "spanning":
         edges = frozenset(inst.forced_edges())
-        return True, ReduceOutcome(OK, DirectSolution(inst.tour_cost(edges), edges))
+        return True, TourResult(OPTIMAL, inst.tour_cost(edges), edges)
     if scan == "partial":
-        return True, ReduceOutcome(Feasibility(INFEASIBLE, "forced_subcycle"))
+        return True, Feasibility(INFEASIBLE, "forced_subcycle")
     for v in inst.pending():
         if not inst.valive[v]:
             continue  # removed as some earlier chain's interior
@@ -309,21 +311,21 @@ def _forced_chain_through(inst: Instance, v: int):
     return edges, inner, ends
 
 
-def solve_two_vertices(inst: Instance) -> ReduceOutcome:
+def solve_two_vertices(inst: Instance) -> Feasibility | TourResult:
     """Terminal case of two alive vertices: a tour is a cheapest pair of
     distinct parallel edges containing every forced edge."""
     edges = inst.alive_edges()
     forced = [e for e in edges if inst.eforced[e]]
     if len(forced) > 2 or len(edges) < 2:
-        return ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
+        return Feasibility(INFEASIBLE, "degree_deficit")
     rest = sorted(
         (e for e in edges if not inst.eforced[e]), key=lambda e: (inst.ew[e], e)
     )
     pick = forced + rest[: 2 - len(forced)]
     if len(pick) < 2:
-        return ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
+        return Feasibility(INFEASIBLE, "degree_deficit")
     chosen = frozenset(pick)
-    return ReduceOutcome(OK, DirectSolution(inst.tour_cost(chosen), chosen))
+    return TourResult(OPTIMAL, inst.tour_cost(chosen), chosen)
 
 
 def reduce_parallel(inst: Instance, log: ReductionLog):
@@ -343,7 +345,7 @@ def reduce_parallel(inst: Instance, log: ReductionLog):
             continue
         forced = [e for e in group if inst.eforced[e]]
         if len(forced) >= 2:
-            return True, ReduceOutcome(Feasibility(INFEASIBLE, "degree_deficit"))
+            return True, Feasibility(INFEASIBLE, "degree_deficit")
         if forced:
             continue
         group.sort(key=lambda e: (inst.ew[e], e))
@@ -351,7 +353,7 @@ def reduce_parallel(inst: Instance, log: ReductionLog):
             st = _delete(inst, log, e)
             changed = True
             if st.infeasible:
-                return True, ReduceOutcome(st)
+                return True, st
     return changed, None
 
 
@@ -394,7 +396,7 @@ def eliminate_bridges(inst: Instance, log: ReductionLog):
         st = apply_decision(inst, log, bridge, determine_eliminable(inst, side))
         changed = True
         if st.infeasible:
-            return True, ReduceOutcome(st)
+            return True, st
         _, outcome = saturation_and_contraction(inst, log)
         if outcome is not None:
             return True, outcome
@@ -829,8 +831,10 @@ def _connected_subsets(adjacency: dict, weights: list, cap: int) -> set:
 
 def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit=None):
     """Apply every reduction until none fires.  Returns (instance, log,
-    outcome); the instance is mutated in place and ``audit`` (an
-    ``analysis.Observer``) sees every step."""
+    verdict); the instance is mutated in place and ``audit`` (an
+    ``analysis.Observer``) sees every step.  The verdict is None while the
+    node is still open, the infeasible ``Feasibility`` that stopped it, or
+    an optimal ``TourResult`` of the reduced instance."""
     if log is None:
         log = ReductionLog()
     if audit is None:
@@ -849,14 +853,14 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
         before = audit.measure_of(inst)
         # Rules are called through the module's globals, so that rules
         # replaced on the module (by a tracer, say) are the ones called.
-        # Each returns (changed, outcome) and reports changed whenever it
-        # has an outcome.
+        # Each returns (changed, verdict-or-None) and reports changed
+        # whenever it has a verdict.
         kind = "contract"
         changed, outcome = saturation_and_contraction(inst, log)
         if not changed:
             feas = check_feasibility(inst)
             if feas.infeasible:
-                return inst, log, ReduceOutcome(feas)
+                return inst, log, feas
             if inst.n_alive() == 2:
                 return inst, log, solve_two_vertices(inst)
             kind = "parallel"
@@ -878,14 +882,14 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
         if red is not None:
             audit.reducible_circuit(inst, red, before)
             feas = process_reducible_circuit(inst, log, red)
-            outcome = ReduceOutcome(feas) if feas.infeasible else None
+            outcome = feas if feas.infeasible else None
             audit.step("reducible_circuit", before, inst, outcome)
             if outcome is not None:
                 return inst, log, outcome
             continue
 
         if not _apply_small_cut(inst, log, audit, before):
-            return inst, log, ReduceOutcome(OK)
+            return inst, log, None
 
 
 def _apply_small_cut(inst: Instance, log: ReductionLog, audit, before) -> bool:

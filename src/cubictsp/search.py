@@ -3,36 +3,24 @@
 One branching primitive: pick a circuit, include or delete a pivot edge, and
 propagate the decision deterministically along the circuit (a block piece
 must keep an even number of pinned boundary edges).  Between branchings the
-instance is reduced to a fixpoint; once every unforced component is a settled
-4-cycle the remaining choice is one opposite edge pair per 4-cycle, solved in
-polynomial time by cheapest pairs plus a minimum spanning tree of pair swaps.
+instance is reduced to a fixpoint, whose verdict is None (still open), an
+infeasible ``Feasibility`` or an optimal ``TourResult``.  Once every unforced
+component of an open node is a settled 4-cycle, the remaining choice is one
+opposite edge pair per 4-cycle, solved in polynomial time by cheapest pairs
+plus a minimum spanning tree of pair swaps; that ``TourResult`` is one more
+verdict.  A node with a verdict is a leaf, and its tour lifts back through
+the node's log along the same path whichever rule found it.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
-from typing import Optional
 
 from . import connectivity as conn
 from . import reductions as red
 from .analysis import NO_OBSERVER
 from .graph import GraphError, Instance, UComponent
-
-OPTIMAL = "optimal"
-INFEASIBLE = "infeasible"
-
-
-@dataclass(frozen=True)
-class TourResult:
-    status: str
-    cost: Optional[Fraction] = None
-    edges: frozenset = frozenset()
-
-    @property
-    def optimal(self) -> bool:
-        return self.status == OPTIMAL
-
+from .reductions import INFEASIBLE, OPTIMAL, TourResult
 
 INFEASIBLE_RESULT = TourResult(INFEASIBLE)
 
@@ -236,21 +224,13 @@ def _solve_rec(inst: Instance, strategy, audit):
     log = red.ReductionLog()
     inst, log, outcome = red.reduce_to_fixpoint(inst, log, audit)
     mu = audit.measure_of(inst, outcome)
-    if outcome.infeasible:
+    if outcome is None and _base_case_ready(inst):
+        outcome = solve_all_4cycles(inst)
+    if outcome is not None:
         audit.leaf()
-        return INFEASIBLE_RESULT, mu
-    if outcome.solved:
-        audit.leaf()
-        edges, cost = red.expand_solution(
-            log, outcome.solution.edges, outcome.solution.cost
-        )
-        return TourResult(OPTIMAL, cost, edges), mu
-    if _base_case_ready(inst):
-        audit.leaf()
-        base = solve_all_4cycles(inst)
-        if not base.optimal:
+        if outcome.infeasible:
             return INFEASIBLE_RESULT, mu
-        edges, cost = red.expand_solution(log, base.edges, base.cost)
+        edges, cost = red.expand_solution(log, outcome.edges, outcome.cost)
         return TourResult(OPTIMAL, cost, edges), mu
 
     if strategy == "simple":

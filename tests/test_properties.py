@@ -3,16 +3,17 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, settings, strategies as st
+from hypothesis import given, note, settings, strategies as st
 
 import cubictsp.connectivity as conn
 import cubictsp.reductions as red
 from cubictsp.analysis import DEFAULT_CONFIG, MeasureAudit, measure
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
+from cubictsp.graph import format_instance
 from cubictsp.oracles import exhaustive_forced, held_karp
 from cubictsp.search import solve
 
-from conftest import random_degree3_multigraph
+from conftest import build, random_degree3_multigraph
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -61,9 +62,10 @@ def test_reduction_is_idempotent_and_monotone(seed):
     inst = inject_forced(base, count=seed % 5, seed=seed)
     mu_before = measure(DEFAULT_CONFIG, inst)
     _, _, outcome = red.reduce_to_fixpoint(inst, red.ReductionLog())
-    mu_after = measure(DEFAULT_CONFIG, inst, infeasible=outcome.infeasible)
+    infeasible = outcome is not None and outcome.infeasible
+    mu_after = measure(DEFAULT_CONFIG, inst, infeasible=infeasible)
     assert mu_after <= mu_before
-    if not outcome.infeasible and not outcome.solved:
+    if outcome is None:
         probe = inst.copy()
         _, log2, _ = red.reduce_to_fixpoint(probe, red.ReductionLog())
         assert len(log2) == 0
@@ -157,3 +159,52 @@ def test_forced_degree_parity_matches_the_cut(seed, n, pins):
                 continue
             for block in conn.blocks_along(inst, comp, circuit):
                 assert block.odd == (_forced_boundary(inst, block.vertices) % 2 == 1)
+
+
+@st.composite
+def unusual_shapes(draw):
+    """The shapes of ``test_oracles._unusual_shape``, drawn so that a failure
+    shrinks: n = 2 to 10, degrees 2 or 3 matched by a loop-free pairing of
+    stubs with parallel edges kept, weights num/den with num in [-6, 9] and
+    den in [1, 4], and 0 to 3 forced edges keeping forced degree at most 2."""
+    n = draw(st.integers(2, 10))
+    left = draw(st.lists(st.sampled_from((3, 2)), min_size=n, max_size=n))
+    if sum(left) % 2:
+        left[0] = 5 - left[0]
+    pairs = []
+    while any(left):
+        # a stub of the vertex with the most left goes to one whose loss
+        # keeps every vertex at most half of what is left, so the rest of
+        # the stubs still pair without a loop
+        u = max(range(n), key=left.__getitem__)
+        left[u] -= 1
+        options = []
+        for v in range(n):
+            if v != u and left[v]:
+                left[v] -= 1
+                if 2 * max(left) <= sum(left):
+                    options.append(v)
+                left[v] += 1
+        v = draw(st.sampled_from(options))
+        left[v] -= 1
+        pairs.append((u, v))
+    weights = st.builds(Fraction, st.integers(-6, 9), st.integers(1, 4))
+    inst = build(n, [(u, v, draw(weights)) for u, v in pairs])
+    for e in draw(st.lists(st.integers(0, len(pairs) - 1), max_size=3, unique=True)):
+        u, v = inst.endpoints(e)
+        if inst.fdeg[u] < 2 and inst.fdeg[v] < 2:
+            inst.include_edge(e)
+    return inst
+
+
+@settings(max_examples=1000, deadline=None)
+@given(inst=unusual_shapes())
+def test_solver_matches_exhaustive_on_drawn_unusual_shapes(inst):
+    note(format_instance(inst))
+    got = solve(inst)
+    want = exhaustive_forced(inst)
+    assert got.status == want.status
+    if want.optimal:
+        assert got.cost == want.cost
+        assert inst.is_tour(got.edges) and inst.tour_cost(got.edges) == got.cost
+    solve(inst, audit=MeasureAudit())  # raises on a measure violation

@@ -7,7 +7,7 @@ import pytest
 
 import cubictsp.connectivity as conn
 import cubictsp.reductions as red
-from cubictsp.analysis import DEFAULT_CONFIG, measure
+from cubictsp.analysis import DEFAULT_CONFIG, component_weight, measure, vertex_weight
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance, format_instance
 from cubictsp.oracles import _disconnects, exhaustive_forced, exhaustive_internal_paths, replay
@@ -176,8 +176,8 @@ def test_determine_eliminable_requires_one_pendent():
 def test_two_vertices_three_parallel_edges():
     inst = build(2, [(0, 1, 1), (0, 1, 2), (0, 1, 3)])
     _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
-    assert outcome.solved
-    assert outcome.solution.cost == 3  # the two cheapest copies
+    assert outcome.optimal
+    assert outcome.cost == 3  # the two cheapest copies
 
 
 def test_parallel_keeps_min_weight():
@@ -495,12 +495,11 @@ def test_reduce_4cut_none_feasible_isolates_anchors():
             [(2, 3), (0, 1)],
         ]
     ]
-    assert any(s is None for s in sols)
+    assert sols == [None, None, None]
     log = ReductionLog()
-    if all(s is None for s in sols):
-        reduce_4cut(inst, log, xs)
-        assert log.entries[-1].lifts == ()
-        assert check_feasibility(inst).infeasible
+    reduce_4cut(inst, log, xs)
+    assert log.entries[-1].lifts == ()
+    assert check_feasibility(inst).infeasible
 
 
 # -- candidate search -----------------------------------------------------------------
@@ -691,8 +690,8 @@ def test_k4_reduces_to_solved_cost_four():
     inst = generate(GeneratorSpec(kind="named", name="k4"))
     log = ReductionLog()
     _, log, outcome = reduce_to_fixpoint(inst, log)
-    assert outcome.solved
-    edges, cost = expand_solution(log, outcome.solution.edges, outcome.solution.cost)
+    assert outcome.optimal
+    edges, cost = expand_solution(log, outcome.edges, outcome.cost)
     assert cost == 4
     orig = generate(GeneratorSpec(kind="named", name="k4"))
     assert orig.is_tour(edges)
@@ -706,7 +705,7 @@ def test_fixpoint_idempotent_and_reduced_properties(rng):
         )
         inst = inject_forced(base, count=rng.randint(0, 4), seed=trial)
         _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
-        if outcome.infeasible or outcome.solved:
+        if outcome is not None:
             continue
         # no degree-2 vertex, no parallel edges, no triangle
         bundles = set()
@@ -726,7 +725,7 @@ def test_fixpoint_idempotent_and_reduced_properties(rng):
         # second application is the identity
         probe = inst.copy()
         _, log2, out2 = reduce_to_fixpoint(probe, ReductionLog())
-        assert not out2.infeasible and not out2.solved
+        assert out2 is None
         assert len(log2) == 0
         assert sorted(probe.alive_edges()) == sorted(inst.alive_edges())
 
@@ -781,8 +780,44 @@ def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch):
     witnesses = Counter()
     for inst, got, want in zip(starts, pending, swept):
         assert got == want, format_instance(inst)
-        witnesses[want[2].feasibility.witness or ("solved" if want[2].solved else "open")] += 1
+        verdict = want[2]
+        if verdict is None:
+            witnesses["open"] += 1
+        else:
+            witnesses[verdict.witness if verdict.infeasible else "solved"] += 1
     assert len(witnesses) >= 4, witnesses
+
+
+WITNESSES = {"degree_deficit", "not_2ec", "forced_subcycle", "odd_component", "odd_block_count"}
+
+
+def test_fixpoint_verdict_is_none_an_infeasible_feasibility_or_an_optimal_tour(monkeypatch):
+    # every node of seeded solves, with and without forced edges, ends its
+    # fixpoint open, stopped by a named witness, or with a tour of what is left
+    fixpoint = red.reduce_to_fixpoint
+    kinds = Counter()
+
+    def checked(inst, log=None, audit=None):
+        inst, log, outcome = fixpoint(inst, log, audit)
+        if outcome is None:
+            kinds["open"] += 1
+        elif isinstance(outcome, red.Feasibility):
+            assert outcome.infeasible and outcome.witness in WITNESSES, outcome
+            kinds["infeasible"] += 1
+        else:
+            assert isinstance(outcome, red.TourResult) and outcome.optimal, outcome
+            assert inst.is_tour(outcome.edges)
+            assert inst.tour_cost(outcome.edges) == outcome.cost
+            kinds["tour"] += 1
+        return inst, log, outcome
+
+    monkeypatch.setattr(red, "reduce_to_fixpoint", checked)
+    for seed in range(16):
+        base = generate(
+            GeneratorSpec(kind="random_cubic", n=12 + 2 * (seed % 4), seed=seed, weights="random")
+        )
+        solve(inject_forced(base, seed % 3, seed=seed))
+    assert kinds["open"] and kinds["infeasible"] and kinds["tour"], kinds
 
 
 def test_optimality_preserved_through_reductions(rng):
@@ -807,7 +842,8 @@ def test_measure_never_increases_through_reductions(rng):
         inst = inject_forced(base, count=rng.randint(0, 5), seed=trial)
         before = measure(DEFAULT_CONFIG, inst)
         _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
-        after = measure(DEFAULT_CONFIG, inst, infeasible=outcome.infeasible)
+        infeasible = outcome is not None and outcome.infeasible
+        after = measure(DEFAULT_CONFIG, inst, infeasible=infeasible)
         assert after <= before
 
 
@@ -866,15 +902,13 @@ def test_4cut_on_whole_component_decreases_by_its_weight():
     inst.add_edge(7, 9, 1, forced=True)
     comp = inst.component_of(0)
     xs = comp.vertices
-    if is_4cut_reducible(inst, xs):
-        from cubictsp.analysis import component_weight, vertex_weight
-
-        w = sum(vertex_weight(DEFAULT_CONFIG, inst, v) for v in xs)
-        c = component_weight(DEFAULT_CONFIG, inst, comp)
-        before = measure(DEFAULT_CONFIG, inst)
-        reduce_4cut(inst, ReductionLog(), xs)
-        after = measure(DEFAULT_CONFIG, inst)
-        assert before - after == w + c
+    assert is_4cut_reducible(inst, xs)
+    w = sum(vertex_weight(DEFAULT_CONFIG, inst, v) for v in xs)
+    c = component_weight(DEFAULT_CONFIG, inst, comp)
+    before = measure(DEFAULT_CONFIG, inst)
+    reduce_4cut(inst, ReductionLog(), xs)
+    after = measure(DEFAULT_CONFIG, inst)
+    assert before - after == w + c
 
 
 # -- log replay and expansion -----------------------------------------------------------

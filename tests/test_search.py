@@ -487,7 +487,7 @@ def test_branch_children_cover_include_and_delete():
         inst = base.copy()
         log = red.ReductionLog()
         inst, log, outcome = red.reduce_to_fixpoint(inst, log)
-        if outcome.infeasible or outcome.solved:
+        if outcome is not None:
             continue
         comps = inst.u_components()
         if all(c.trivial or conn.is_four_cycle_shape(inst, c) for c in comps):
