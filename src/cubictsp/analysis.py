@@ -288,10 +288,8 @@ def _lemma8_hypothesis(inst: Instance, red_edge: int) -> bool:
         for a in adj[v]:
             if adj[v] & adj[a]:
                 return False
-    circuit = next(
-        (c for c in conn.circuit_partition(inst, comp) if red_edge in c.edges), None
-    )
-    if circuit is None or circuit.trivial:
+    circuit = conn.circuit_through(inst, comp, red_edge)
+    if circuit.trivial:
         return False
     blocks = conn.blocks_along(inst, comp, circuit)
     reducible = sum(

@@ -21,11 +21,13 @@ edges, for a 3-cut at most three nested or disjoint preorder intervals; so
 a side's size, whether it holds a given vertex, and its vertices are read
 off the tree (``_odd_side``, ``side_size``, ``tree_side``) without a walk.
 A circuit's tree edges lie on one root path, so each of its blocks is at
-most three slices of the preorder, and its size is read off their bounds.
+most three slices of the preorder.  One edge's circuit is built alone from
+the edges sharing its label (``circuit_through``).
 
 The shapes the measure singles out, a chordless cycle (the critical 6-cycle,
 the settled 4-cycle) and the 6-cycle extension, are tested by one cycle walk,
-``_cycle_order``, which also gives a 4-cycle's two opposite edge pairs.
+``_cycle_order``.  It also gives a 4-cycle's two opposite edge pairs, and
+tells whether a normal block nests another (``find_minimal_normal_block``).
 
 Facts of a component's labelled unforced edges are memoized on the
 component object (``UComponent.facts``), which ``Instance.memo`` keeps
@@ -250,15 +252,6 @@ def tree_side(tree, index, cut, start: int) -> frozenset:
     return frozenset(v for p, v in enumerate(pre) if _on_odd_side(ivs, p) == own)
 
 
-def _gather(pre: tuple, bounds: tuple) -> frozenset:
-    """Vertices of the preorder slices [bounds[0], bounds[1]), [bounds[2],
-    bounds[3]), ..."""
-    verts = set()
-    for j in range(0, len(bounds), 2):
-        verts.update(pre[bounds[j] : bounds[j + 1]])
-    return frozenset(verts)
-
-
 @_cached
 def _cover_labels(inst: Instance, comp: UComponent) -> dict:
     """``graph.tree_labels`` of a component's DFS tree."""
@@ -296,9 +289,7 @@ def circuit_partition(inst: Instance, comp: UComponent) -> list[Circuit]:
     returned in cyclic order, normalized to start at their lowest edge id
     and run toward the lower-id neighbouring edge.
     """
-    if comp.trivial:
-        raise GraphError("component is trivial")
-    if not is_2_edge_connected(inst, comp):
+    if not is_2_edge_connected(inst, comp):  # raises on a trivial one
         raise GraphError("component is not 2-edge-connected")
     pre, _, tree_edge, size, _ = _dfs_tree(inst, comp)
     child = {e: i for i, e in enumerate(tree_edge) if i}
@@ -348,16 +339,34 @@ def _cyclic_circuit(group, pre: tuple, child: dict, size: list) -> Circuit:
     return Circuit(tuple(edges[i] for i in idx), pre, tuple(slices))
 
 
+def circuit_through(inst: Instance, comp: UComponent, eid: int) -> Circuit:
+    """The entry of ``circuit_partition`` holding ``eid``, an edge of the
+    component that is no bridge of it, built alone: one ``_cyclic_circuit``
+    over the edges sharing its label, or the trivial circuit when no other
+    edge does."""
+    label = _cover_labels(inst, comp)
+    a = label.get(eid)
+    if not a:
+        raise GraphError("edge is a bridge of its component or not in it")
+    group = [e for e, b in label.items() if b == a]
+    if len(group) == 1:
+        return Circuit((eid,))
+    pre, _, tree_edge, size, _ = _dfs_tree(inst, comp)
+    return _cyclic_circuit(group, pre, {e: i for i, e in enumerate(tree_edge) if i}, size)
+
+
 def blocks_along(inst: Instance, comp: UComponent, circuit: Circuit) -> list[Block]:
     """Ordered blocks of a circuit of ``comp``, block i sitting between
     edges i and i+1 (cyclic)."""
     if circuit.trivial:
         raise GraphError("trivial circuit has no block decomposition")
-    fdeg = inst.fdeg
+    pre, fdeg = circuit.preorder, inst.fdeg
     blocks = []
-    for bounds in circuit.slices:
-        piece = _gather(circuit.preorder, bounds)
-        blocks.append(Block(piece, sum(fdeg[v] for v in piece) % 2 == 1))
+    for bounds in circuit.slices:  # flat (lo, hi, ...) preorder slices
+        piece = set()
+        for j in range(0, len(bounds), 2):
+            piece.update(pre[bounds[j] : bounds[j + 1]])
+        blocks.append(Block(frozenset(piece), sum(fdeg[v] for v in piece) % 2 == 1))
     return blocks
 
 
@@ -475,44 +484,31 @@ def is_four_cycle_shape(inst: Instance, comp: UComponent) -> bool:
 # -- minimal normal block -----------------------------------------------------
 
 
-def _standalone_component(inst: Instance, verts) -> UComponent:
-    """The unforced edges inside ``verts`` as a component; its forced ends
-    are left 0, since nothing asked of it reads them."""
-    return UComponent(frozenset(verts), tuple(sorted(_edges_inside(inst, verts, False))), 0)
-
-
-def _has_normal_subblock(inst: Instance, verts) -> bool:
-    """Scan a block as a standalone 2-edge-connected piece for any inner
-    block that would itself deserve branching.
-
-    An inner block of one vertex never does.  A larger one does unless it
-    is two-pendent critical, which needs the 6 or 8 vertices of
-    ``_is_critical_shape``; so only blocks of those sizes, read off as the
-    summed lengths of their preorder slices, are gathered and tested.
-    """
-    sub = _standalone_component(inst, verts)
-    pre, _, tree_edge, size, _ = _dfs_tree(inst, sub)
-    child = {e: i for i, e in enumerate(tree_edge) if i}
-    for group in cut_classes(inst, sub):
-        for bounds in _cyclic_circuit(group, pre, child, size).slices:
-            k = sum(bounds[1::2]) - sum(bounds[::2])
-            if k == 1:
-                continue
-            if k not in (6, 8) or not _is_two_pendent_critical(inst, _gather(pre, bounds)):
-                return True
-    return False
-
-
 def find_minimal_normal_block(inst: Instance, candidates):
     """The branch block among ``candidates``, a component's normal blocks as
-    ``(circuit, i, block)`` with ``block`` the i-th of ``blocks_along``, in
-    circuit-partition order and then block order: one containing no nested
-    normal block.  Preference: fewest vertices, then lexicographic vertex
-    ids; when every candidate nests one, the first by that order."""
+    ``(circuit, i, block)`` with ``block`` the i-th of ``blocks_along``: the
+    first, by fewest vertices and then lexicographic vertex ids, that nests
+    no normal block, else the first of all.
+
+    In a 2-edge-connected component with no vertex of degree above 3, a
+    normal block B nests one (a block of two or more vertices, not two-pendent
+    critical, of a circuit of its inner unforced edges H taken alone) iff H
+    is not one cycle through all of B.  A cycle's one circuit has only
+    single-vertex blocks.  Conversely, B's circuit edges a and b meet it at
+    x != y, or x's one edge into B would be a bridge.  H is connected and
+    bridgeless, as a bridge of H is a cut alone or with a; so x has two H
+    edges, whose cut class K of H has the block {x}.  A block of any circuit
+    of H that holds x has a and two circuit edges as unforced boundary, so
+    it is never two-pendent critical.  If every block of K is one vertex, H
+    is K's cycle.  Else K has a block D of two or more vertices; unless D is
+    normal it is critical, so one of its vertices has only its two H edges,
+    whose cut class is not K, and x's block of that class holds x's H
+    neighbours: it is normal.
+    """
     if not candidates:
         raise GraphError("no normal block in component")
     ranked = sorted(candidates, key=lambda c: (len(c[2].vertices), tuple(sorted(c[2].vertices))))
-    return next((c for c in ranked if not _has_normal_subblock(inst, c[2].vertices)), ranked[0])
+    return next((c for c in ranked if _cycle_order(inst, c[2].vertices) is not None), ranked[0])
 
 
 def dump_structure(inst: Instance) -> str:

@@ -438,7 +438,7 @@ def process_reducible_circuit(inst: Instance, log: ReductionLog, eid: int):
     from .search import circuit_procedure  # search builds on this module
 
     comp = inst.component_of(inst.eu[eid])
-    circuit = next(c for c in conn.circuit_partition(inst, comp) if eid in c.edges)
+    circuit = conn.circuit_through(inst, comp, eid)
     return circuit_procedure(inst, log, comp, circuit, eid, "include")
 
 

@@ -1,3 +1,4 @@
+import collections
 import itertools
 import random
 
@@ -196,6 +197,40 @@ def test_label_users_match_brute_force():
             assert circuits == {frozenset(c) for c in classes.values()}
             checked += 1
     assert checked >= 45 and bridged >= 100
+
+
+def test_circuit_through_is_the_partition_entry():
+    # each edge of every 2-edge-connected component gets the circuit of the
+    # whole partition that holds it, with the same blocks; a bridge, found
+    # by flood fill, raises
+    rng = random.Random(17)
+    draws = [random_degree3_multigraph(rng, rng.choice([8, 12, 20, 30])) for _ in range(600)]
+    seen = collections.Counter()
+    for inst in [*cut_search_family(), *draws]:
+        for comp in inst.u_components():
+            if comp.trivial:
+                continue
+            verts, eset = sorted(comp.vertices), set(comp.edges)
+            bridges = [e for e in comp.edges if _disconnects(inst, verts, eset, e, e)]
+            for e in bridges:
+                with pytest.raises(GraphError):
+                    conn.circuit_through(inst, comp, e)
+                seen["bridge"] += 1
+            if bridges:
+                continue
+            for circuit in circuit_partition(inst, comp):
+                for e in circuit.edges:
+                    got = conn.circuit_through(inst, comp, e)
+                    assert got == circuit
+                    assert (got.preorder, got.slices) == (circuit.preorder, circuit.slices)
+                if circuit.trivial:
+                    seen["trivial"] += 1
+                elif len({frozenset(inst.endpoints(e)) for e in circuit.edges}) == 1:
+                    seen["parallel"] += 1
+                else:
+                    seen["longer" if len(circuit.edges) > 2 else "two"] += 1
+    assert seen["trivial"] >= 300 and seen["parallel"] >= 20 and seen["bridge"] >= 1000, seen
+    assert seen["two"] >= 80 and seen["longer"] >= 30, seen
 
 
 def test_bridges_from_labels_match_flood_fill():
@@ -691,7 +726,7 @@ def test_minimal_normal_block_prefers_lowest_vertices():
     comp = inst.component_of(0)
     circuit, _, block = find_minimal_normal_block(inst, normal_candidates(inst, comp))
     assert classify_block(inst, block) == NORMAL
-    assert not conn._has_normal_subblock(inst, block.vertices)
+    assert not _has_normal_subblock_by_partition(inst, block.vertices)
     assert block.vertices == frozenset({0, 1, 2, 3})
     assert set(circuit.edges) == {0, 1}
 
@@ -783,30 +818,34 @@ def nested_block_instance():
 def _eager_minimal_normal_block(inst, comp):
     """Filter every normal candidate, then sort; None without candidates."""
     candidates = normal_candidates(inst, comp)
-    minimal = [c for c in candidates if not conn._has_normal_subblock(inst, c[2].vertices)]
+    minimal = [c for c in candidates if not _has_normal_subblock_by_partition(inst, c[2].vertices)]
     pool = minimal if minimal else candidates
-    pool.sort(key=lambda c: (len(c[2].vertices), tuple(sorted(c[2].vertices))))
+    pool.sort(key=_by_size_then_ids)
     return pool[0] if pool else None
 
 
 def _has_normal_subblock_by_partition(inst, verts):
-    """``_has_normal_subblock`` from the standalone piece's whole circuit
-    partition and blocks, kept as its reference."""
-    sub = conn._standalone_component(inst, verts)
-    if sub.trivial or len(sub.vertices) < 2:
+    """Whether a block nests a normal block: the unforced edges inside it,
+    taken as a standalone component, have a circuit with a block of two or
+    more vertices that is not two-pendent critical.  Read off that piece's
+    whole circuit partition and blocks; the reference for the cycle rule of
+    ``find_minimal_normal_block``."""
+    inner = tuple(sorted(conn._edges_inside(inst, verts, False)))
+    sub = UComponent(frozenset(verts), inner, 0)
+    if sub.trivial:
         return False
     for circuit in circuit_partition(inst, sub):
         if circuit.trivial:
             continue
         for block in blocks_along(inst, sub, circuit):
-            if block.vertices == verts:
-                continue
-            if len(block.vertices) == 1:
-                continue
-            if conn._is_two_pendent_critical(inst, block.vertices):
-                continue
-            return True
+            if len(block.vertices) > 1 and not conn._is_two_pendent_critical(inst, block.vertices):
+                return True
     return False
+
+
+def _by_size_then_ids(candidate):
+    vertices = candidate[2].vertices
+    return len(vertices), tuple(sorted(vertices))
 
 
 def critical_inner_block_instance():
@@ -832,12 +871,17 @@ def critical_inner_block_instance():
 
 
 def test_nested_block_test_matches_circuit_partition(monkeypatch):
-    # on every normal block of the test families, and on every candidate the
-    # search meets in forced n = 80 solves, the slice-size test must answer
-    # as the whole partition does, also where it skips critical blocks
-    seen = {True: 0, False: 0, 6: 0, 8: 0}
+    # a normal block nests another iff its inner unforced edges are not one
+    # cycle through it: on every normal block of the test families, and on
+    # every candidate of each pick in forced n = 80 solves and in unforced
+    # n = 30 to 50 solves, the cycle rule answers as the whole standalone
+    # partition does, also where that skips critical blocks; and the pick is
+    # the first candidate, by size and vertex ids, that the partition finds
+    # nesting none, else the first of all
+    answers = {True: 0, False: 0}
+    critical_sizes = collections.Counter()
     tested = []  # (size, result) of each two-pendent critical test
-    real_test, real_critical = conn._has_normal_subblock, conn._is_two_pendent_critical
+    real_critical, real_pick = conn._is_two_pendent_critical, find_minimal_normal_block
 
     def critical(inst, verts):
         out = real_critical(inst, verts)
@@ -846,11 +890,18 @@ def test_nested_block_test_matches_circuit_partition(monkeypatch):
 
     def check(inst, verts):
         tested.clear()
-        got = real_test(inst, verts)
+        want = _has_normal_subblock_by_partition(inst, verts)
         for size, out in tested:
-            seen[size] += out
-        assert got == _has_normal_subblock_by_partition(inst, verts)
-        seen[got] += 1
+            critical_sizes[size] += out
+        assert (conn._cycle_order(inst, verts) is None) == want
+        answers[want] += 1
+        return want
+
+    def pick(inst, candidates):
+        ranked = sorted(candidates, key=_by_size_then_ids)
+        nested = [check(inst, c[2].vertices) for c in ranked]
+        got = real_pick(inst, candidates)
+        assert got == next((c for c, n in zip(ranked, nested) if not n), ranked[0])
         return got
 
     monkeypatch.setattr(conn, "_is_two_pendent_critical", critical)
@@ -864,14 +915,17 @@ def test_nested_block_test_matches_circuit_partition(monkeypatch):
                 for block in blocks_along(inst, comp, circuit):
                     if classify_block(inst, block) == NORMAL:
                         check(inst, block.vertices)
-    in_family = seen[True] + seen[False]
-    monkeypatch.setattr(conn, "_has_normal_subblock", check)
+    in_family = sum(answers.values())
+    monkeypatch.setattr(conn, "find_minimal_normal_block", pick)
     for seed in range(8):
         base = generate(GeneratorSpec(kind="random_cubic", n=80, seed=seed, weights="random"))
         solve(inject_forced(base, 20, seed=seed))
-    assert in_family >= 100 and seen[True] + seen[False] - in_family >= 200
-    assert seen[False] >= 20
-    assert seen[6] >= 1 and seen[8] >= 1
+    unforced = [(30, "unit"), (40, "random"), (50, "unit"), (50, "random")]
+    for seed, (n, weights) in enumerate(unforced):
+        solve(generate(GeneratorSpec(kind="random_cubic", n=n, seed=seed, weights=weights)))
+    assert in_family >= 100 and sum(answers.values()) - in_family >= 200
+    assert answers[False] >= 20
+    assert critical_sizes[6] >= 1 and critical_sizes[8] >= 1
 
 
 def test_minimal_normal_block_matches_eager_rule():
@@ -879,7 +933,7 @@ def test_minimal_normal_block_matches_eager_rule():
     comp = inst.component_of(0)
     circuit, i, block = find_minimal_normal_block(inst, normal_candidates(inst, comp))
     assert block.vertices == frozenset({4, 5, 6, 7}) and set(circuit.edges) == {5, 6}
-    assert conn._has_normal_subblock(inst, frozenset({0, 1, 2, 3}))
+    assert _has_normal_subblock_by_partition(inst, frozenset({0, 1, 2, 3}))
     assert (circuit, i, block) == _eager_minimal_normal_block(inst, comp)
 
     rng = random.Random(7)
@@ -902,6 +956,6 @@ def test_minimal_normal_block_matches_eager_rule():
                     find_minimal_normal_block(inst, candidates)
                 continue
             assert find_minimal_normal_block(inst, candidates) == want
-            nested = conn._has_normal_subblock(inst, want[2].vertices)
+            nested = _has_normal_subblock_by_partition(inst, want[2].vertices)
             seen["all_nested" if nested else "minimal"] += 1
     assert seen["minimal"] >= 20 and seen["all_nested"] >= 20

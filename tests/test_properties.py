@@ -3,10 +3,12 @@
 import random
 from fractions import Fraction
 
-from hypothesis import given, note, settings, strategies as st
+import pytest
+from hypothesis import event, given, note, settings, strategies as st
 
 import cubictsp.connectivity as conn
 import cubictsp.reductions as red
+import cubictsp.search as search
 from cubictsp.analysis import DEFAULT_CONFIG, MeasureAudit, measure
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import format_instance
@@ -14,6 +16,7 @@ from cubictsp.oracles import exhaustive_forced, held_karp
 from cubictsp.search import solve
 
 from conftest import build, random_degree3_multigraph
+from test_connectivity import _has_normal_subblock_by_partition, normal_candidates
 
 seeds = st.integers(min_value=0, max_value=10**9)
 
@@ -208,3 +211,32 @@ def test_solver_matches_exhaustive_on_drawn_unusual_shapes(inst):
         assert got.cost == want.cost
         assert inst.is_tour(got.edges) and inst.tour_cost(got.edges) == got.cost
     solve(inst, audit=MeasureAudit())  # raises on a measure violation
+
+
+def _check_cycle_rule(inst, where):
+    """Each normal block of every 2-edge-connected component nests another
+    iff its inner unforced edges are not one cycle through it."""
+    for comp in inst.u_components():
+        if comp.trivial or not conn.is_2_edge_connected(inst, comp):
+            continue
+        for _, _, block in normal_candidates(inst, comp):
+            want = _has_normal_subblock_by_partition(inst, block.vertices)
+            assert (conn._cycle_order(inst, block.vertices) is None) == want
+            event(f"{where}: normal block nests one: {want}")
+
+
+@settings(max_examples=1000, deadline=None)
+@given(inst=unusual_shapes())
+def test_cycle_rule_matches_the_partition_on_drawn_unusual_shapes(inst):
+    # on the drawn instance, and at every branch pick of its solve
+    note(format_instance(inst))
+    _check_cycle_rule(inst, "drawn")
+    pick = search.select_branch_circuit
+
+    def checked(state):
+        _check_cycle_rule(state, "pick")
+        return pick(state)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(search, "select_branch_circuit", checked)
+        solve(inst)

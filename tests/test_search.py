@@ -238,10 +238,8 @@ def _three_pass_minimal_normal_block(inst, comp):
     if not candidates:
         raise GraphError("no normal block in component")
     candidates.sort(key=lambda cb: (len(cb[1].vertices), tuple(sorted(cb[1].vertices))))
-    return next(
-        (cb for cb in candidates if not conn._has_normal_subblock(inst, cb[1].vertices)),
-        candidates[0],
-    )
+    nests = families_of._has_normal_subblock_by_partition
+    return next((cb for cb in candidates if not nests(inst, cb[1].vertices)), candidates[0])
 
 
 def _three_pass_pivot(circuit, blocks, target):
@@ -270,7 +268,7 @@ def _three_pass_branch_circuit(inst):
         if nontrivial:
             circuit, block = _three_pass_minimal_normal_block(inst, comp)
             blocks = conn.blocks_along(inst, comp, circuit)
-            nested = conn._has_normal_subblock(inst, block.vertices)
+            nested = families_of._has_normal_subblock_by_partition(inst, block.vertices)
             pick = (comp, circuit, _three_pass_pivot(circuit, blocks, block))
             return pick, "nested" if nested else "minimal"
         return (comp, circuits[0], circuits[0].edges[0]), "edge"
