@@ -405,20 +405,7 @@ class MeasureAudit(Observer):
         }
 
     def format_report(self) -> str:
-        rep = self.report()
-        lines = []
-        for key in (
-            "mu0",
-            "nodes",
-            "leaves",
-            "branches",
-            "leaf_bound",
-            "leaf_bound_ok",
-            "min_child_delta",
-            "violations",
-            "warnings",
-        ):
-            lines.append(f"{key}: {rep[key]}")
+        lines = [f"{key}: {value}" for key, value in self.report().items()]
         for kind in sorted(self.steps):
             st = self.steps[kind]
             lines.append(

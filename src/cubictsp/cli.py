@@ -28,14 +28,16 @@ def _read_instance(path: str):
     return parse_instance(text)
 
 
-def _tour_lines(inst, edges) -> list[str]:
-    pairs = []
-    for e in sorted(edges):
-        u, v = inst.endpoints(e)
-        u, v = min(u, v) + 1, max(u, v) + 1
-        pairs.append((u, v))
-    pairs.sort()
-    return [f"{u} {v}" for u, v in pairs]
+def _print_result(inst, result) -> int:
+    """Print ``OPTIMAL <cost>`` and the tour's edges, one sorted, 1-indexed
+    ``u v`` line each, or ``INFEASIBLE``; return the exit code, 0 or 1."""
+    if not result.optimal:
+        print("INFEASIBLE")
+        return 1
+    print(f"OPTIMAL {format_weight(result.cost)}")
+    for u, v in sorted(sorted((inst.eu[e] + 1, inst.ev[e] + 1)) for e in result.edges):
+        print(u, v)
+    return 0
 
 
 def cmd_solve(args) -> int:
@@ -48,15 +50,10 @@ def cmd_solve(args) -> int:
     result = search.solve(inst, strategy=args.strategy, audit=audit)
     if args.stats:
         sys.stdout.write(connectivity.dump_structure(inst))
-    if result.optimal:
-        print(f"OPTIMAL {format_weight(result.cost)}")
-        for line in _tour_lines(inst, result.edges):
-            print(line)
-    else:
-        print("INFEASIBLE")
+    code = _print_result(inst, result)
     if args.audit or args.trace_reductions:
         sys.stdout.write(audit.format_report())
-    return 0 if result.optimal else 1
+    return code
 
 
 class _TracingAudit(analysis.MeasureAudit):
@@ -81,13 +78,7 @@ def cmd_oracle(args) -> int:
         result = oracles.held_karp(inst)
     else:
         result = oracles.exhaustive_forced(inst)
-    if result.optimal:
-        print(f"OPTIMAL {format_weight(result.cost)}")
-        for line in _tour_lines(inst, result.edges):
-            print(line)
-        return 0
-    print("INFEASIBLE")
-    return 1
+    return _print_result(inst, result)
 
 
 def cmd_gen(args) -> int:

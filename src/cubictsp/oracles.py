@@ -27,7 +27,6 @@ from .graph import GraphError, Instance, UComponent
 from .reductions import (
     DeleteEdge,
     IncludeEdge,
-    ReductionLog,
     Rewrite,
     contract_path,
     reduce_3cut,
@@ -352,21 +351,21 @@ def brute_force_4cycles(inst: Instance, limit: int = 20) -> TourResult:
     return best if best is not None else INFEASIBLE_RESULT
 
 
-def replay(log: ReductionLog, inst: Instance) -> Instance:
+def replay(log: list, inst: Instance) -> Instance:
     """Re-apply the log forward on a copy of the original instance: each
     decision again, and each rewrite by the production rewrite of its kind
     on the vertices it logged; ids of created edges must come out identical."""
     out = inst.copy()
-    scratch = ReductionLog()
+    scratch: list = []
     rewrites = {"contract": contract_path, "3cut": reduce_3cut, "4cut": reduce_4cut}
-    for entry in log.entries:
+    for entry in log:
         if isinstance(entry, IncludeEdge):
             out.include_edge(entry.eid)
         elif isinstance(entry, DeleteEdge):
             out.delete_edge(entry.eid)
         elif isinstance(entry, Rewrite):
             rewrites[entry.kind](out, scratch, entry.vertices)
-            if scratch.entries[-1].new_edges != entry.new_edges:
+            if scratch[-1].new_edges != entry.new_edges:
                 raise GraphError("replay id drift")
         else:
             raise GraphError(f"unknown log entry {entry!r}")

@@ -18,7 +18,7 @@ degree deficit, contraction keeps every cut and every component's boundary
 parity, and a spanning forced cycle is a tour.
 
 The vertex-local rules (saturation, contraction, the parallel rule) and the
-screen's degree sweep and forced-cycle scan visit only the vertices that
+screen's degree sweep and forced-path walk visit only the vertices that
 ``Instance.pending`` reports: those whose edges changed since the fixpoint
 last found all of them with nothing to do and called ``Instance.rest``.  A
 vertex nothing touched since then still has nothing to do, so each rule
@@ -26,8 +26,10 @@ acts on the same vertices, bundles and cycles, in the same order, as a
 sweep of the whole graph would.  The rest is called only in a pass where
 saturation and the parallel rule changed nothing and the screen passed.
 
-Forced cycles are found by walking the forced paths through pending
-vertices.  An unforced bridge is an edge its component's labels
+Forced cycles and forced paths come from one walk of the forced components
+through pending vertices (``_forced_paths``): the screen reads its cycle,
+and contraction replaces its paths, so no path is walked twice.  An
+unforced bridge is an edge its component's labels
 (``connectivity._cover_labels``) mark 0, and its side is read off the
 component's DFS tree (``connectivity._dfs_tree``).  A reducible edge is an
 unforced edge whose whole-graph label (``graph.whole_labels``) another edge
@@ -36,14 +38,16 @@ forced partner of a component's cut pair, or the unforced edge that closes
 a triple (``connectivity.component_cut_structure``).  Each small side is
 read off the whole graph's tree (``connectivity.side_size``,
 ``connectivity.tree_side``) from a start vertex that a component's cut
-structure gives.  The forced-cycle scan and the whole graph's tree, its
+structure gives.  The forced-path walk and the whole graph's tree, its
 index and labels are asked through ``Instance.memo``, so a pass that
 rewrites nothing between two questions walks the graph once.
+
+A log is a plain list that the caller owns and every rule appends to.
 Every decision appends an ``IncludeEdge`` or a ``DeleteEdge``, and every
 forced-path contraction, 3-cut and 4-cut a ``Rewrite``: the vertices it
 replaced, the edges it made, and for each set of those edges a tour may use,
 the old edges that take their place.  ``expand_solution`` walks the log
-backwards and lifts a tour through each rewrite by that one rule.
+backwards and lifts a tour's edges through each rewrite by that one rule.
 
 A 3-cut side is rewritten once, on a copy that ``_measure_safe_3cut``
 measures: if the measure does not rise, the instance takes over the copy's
@@ -123,19 +127,6 @@ class Rewrite:
     lifts: tuple  # ((frozenset of new edge ids, tuple of old edge ids), ...)
 
 
-class ReductionLog:
-    """Ordered record of rewrites, enough to replay forward or lift back."""
-
-    def __init__(self) -> None:
-        self.entries: list = []
-
-    def append(self, entry) -> None:
-        self.entries.append(entry)
-
-    def __len__(self) -> int:
-        return len(self.entries)
-
-
 # -- feasibility ----------------------------------------------------------------
 
 
@@ -157,7 +148,7 @@ def check_feasibility(inst: Instance) -> Feasibility:
             return Feasibility(INFEASIBLE, "degree_deficit")
     if not inst.is_2_edge_connected_graph():
         return Feasibility(INFEASIBLE, "not_2ec")
-    if inst.memo(_forced_cycle_scan) == "partial":
+    if inst.memo(_forced_paths)[0] == "partial":
         return Feasibility(INFEASIBLE, "forced_subcycle")
     for comp in inst.u_components():
         if comp.odd:
@@ -165,9 +156,13 @@ def check_feasibility(inst: Instance) -> Feasibility:
     return OK
 
 
-def _forced_cycle_scan(inst: Instance):
-    """Classify the forced subgraph: None, 'spanning' (a forced cycle through
-    every vertex) or 'partial' (a forced cycle missing some vertex).  No
+def _forced_paths(inst: Instance):
+    """Walk the forced components through pending vertices: ``_forced_walk``
+    from each pending vertex with two forced edges that no earlier walk
+    passed through, in ascending order.  Returns ``(cycle, paths)``:
+    ``cycle`` is None, 'spanning' (a forced cycle through every vertex) or
+    'partial' (a forced cycle missing some vertex), and ``paths`` holds the
+    walks in that order when ``cycle`` is None and is empty otherwise.  No
     vertex may carry more than two forced edges; both callers reject that
     first.
 
@@ -175,31 +170,53 @@ def _forced_cycle_scan(inst: Instance):
     cycle, and a spanning cycle is the only one, so the first cycle found
     decides.  A cycle runs through vertices of forced degree 2 only, and one
     the last ``Instance.rest`` did not see (it saw none) through a pending
-    vertex, so only the forced components of those are walked, both ways
-    from each until the walk closes or meets a path end.
+    vertex, so these walks meet every cycle there is to find.
     """
-    fdeg, adj, eforced = inst.fdeg, inst.adj, inst.eforced
+    fdeg = inst.fdeg
     seen: set[int] = set()
+    paths = []
     for v in inst.pending():
         if fdeg[v] != 2 or v in seen:
             continue
-        seen.add(v)
-        for e in [e for e in adj[v] if eforced[e]]:
-            k, cur = 1, inst.other_end(e, v)
-            while cur != v and fdeg[cur] == 2:
-                seen.add(cur)
-                k += 1
-                e = next(g for g in adj[cur] if eforced[g] and g != e)
-                cur = inst.other_end(e, cur)
+        path = _forced_walk(inst, v)
+        _, inner, ends = path
+        if ends is None:
+            return ("spanning" if len(inner) == inst.n_alive() else "partial"), ()
+        seen.update(inner)
+        paths.append(path)
+    return None, tuple(paths)
+
+
+def _forced_walk(inst: Instance, v: int):
+    """The forced path or cycle through ``v``, a vertex with two forced
+    edges, walked both ways from ``v``, starting with its forced edges in
+    ``adj`` order, through vertices of forced degree 2.
+
+    Returns (edges end to end, interior vertices in that order, ends).  A
+    path runs from the end its first half reaches to the end its second
+    half reaches.  A cycle has ``ends`` None; it runs from ``v`` along the
+    first edge back to ``v``, and every vertex on it is interior.
+    """
+    fdeg, adj, eforced, other_end = inst.fdeg, inst.adj, inst.eforced, inst.other_end
+    halves = []
+    for e in [e for e in adj[v] if eforced[e]]:
+        edges, inner, cur = [e], [], other_end(e, v)
+        while fdeg[cur] == 2:
             if cur == v:
-                return "spanning" if k == inst.n_alive() else "partial"
-    return None
+                return edges, [v] + inner, None
+            inner.append(cur)
+            e = next(g for g in adj[cur] if eforced[g] and g != e)
+            edges.append(e)
+            cur = other_end(e, cur)
+        halves.append((edges, inner, cur))
+    (left, left_inner, a), (right, right_inner, b) = halves
+    return left[::-1] + right, left_inner[::-1] + [v] + right_inner, (a, b)
 
 
 # -- basic rewrites --------------------------------------------------------------
 
 
-def _include(inst: Instance, log: ReductionLog, eid: int) -> Feasibility:
+def _include(inst: Instance, log: list, eid: int) -> Feasibility:
     for v in inst.endpoints(eid):
         if inst.degrees(v)[1] >= 2:
             return Feasibility(INFEASIBLE, "degree_deficit")
@@ -208,7 +225,7 @@ def _include(inst: Instance, log: ReductionLog, eid: int) -> Feasibility:
     return OK
 
 
-def _delete(inst: Instance, log: ReductionLog, eid: int) -> Feasibility:
+def _delete(inst: Instance, log: list, eid: int) -> Feasibility:
     u, v = inst.endpoints(eid)
     inst.delete_edge(eid)
     log.append(DeleteEdge(eid))
@@ -217,7 +234,7 @@ def _delete(inst: Instance, log: ReductionLog, eid: int) -> Feasibility:
     return OK
 
 
-def apply_decision(inst: Instance, log: ReductionLog, eid: int, action: str) -> Feasibility:
+def apply_decision(inst: Instance, log: list, eid: int, action: str) -> Feasibility:
     if action == "include":
         return _include(inst, log, eid)
     if action == "delete":
@@ -225,11 +242,19 @@ def apply_decision(inst: Instance, log: ReductionLog, eid: int, action: str) -> 
     raise GraphError(f"unknown action {action!r}")
 
 
-def saturation_and_contraction(inst: Instance, log: ReductionLog):
+def saturation_and_contraction(inst: Instance, log: list):
     """Drop the remaining unforced edge at vertices with two forced edges,
-    then contract every maximal forced path to one forced edge.  Both loops
-    visit the pending vertices in ascending order; the second reads them
-    after the first's deletions.
+    then contract every maximal forced path to one forced edge.  The first
+    loop visits the pending vertices in ascending order; the second
+    contracts the paths ``_forced_paths`` walked after its deletions, in its
+    order.
+
+    Those walks pass only through vertices with two forced edges, and each
+    such vertex has no other edge: saturation has just deleted the unforced
+    ones at every pending vertex, and a vertex that is not pending had none
+    at the last ``Instance.rest``.  The paths are disjoint, and contracting
+    one leaves the other paths' edges and interiors as they were, so every
+    walk stays valid for the whole loop.
 
     Returns (changed, verdict-or-None).  A forced cycle through every vertex
     is an optimal ``TourResult``; through a proper subset, an infeasible
@@ -247,30 +272,32 @@ def saturation_and_contraction(inst: Instance, log: ReductionLog):
                 changed = True
                 if st.infeasible:
                     return True, st
-    scan = inst.memo(_forced_cycle_scan)
-    if scan == "spanning":
+    cycle, paths = inst.memo(_forced_paths)
+    if cycle == "spanning":
         edges = frozenset(inst.forced_edges())
         return True, TourResult(OPTIMAL, inst.tour_cost(edges), edges)
-    if scan == "partial":
+    if cycle == "partial":
         return True, Feasibility(INFEASIBLE, "forced_subcycle")
-    for v in inst.pending():
-        if not inst.valive[v]:
-            continue  # removed as some earlier chain's interior
-        d, df, _ = inst.degrees(v)
-        if d == 2 and df == 2:
-            contract_path(inst, log, (v,))
-            changed = True
-    return changed, None
+    for path in paths:
+        _contract(inst, log, path)
+    return changed or bool(paths), None
 
 
-def contract_path(inst: Instance, log: ReductionLog, vertices) -> None:
+def contract_path(inst: Instance, log: list, vertices) -> None:
     """Contract the maximal forced path through ``vertices[0]``, a vertex
-    with two edges, both forced, to one forced edge between its ends.
+    with two edges, both forced, to one forced edge between its ends: the
+    rewrite a contraction's log entry names, re-run by ``oracles.replay``.
 
-    The path's interior is logged sorted: the fixpoint reaches a path at its
-    lowest interior vertex, so a replay from ``vertices[0]`` walks it the
-    same way round."""
-    edges, inner, ends = _forced_chain_through(inst, vertices[0])
+    The path's interior is logged sorted, and the new edge's id depends only
+    on the order of the contractions, so a replay from the lowest interior
+    vertex makes the edge the log names."""
+    _contract(inst, log, _forced_walk(inst, vertices[0]))
+
+
+def _contract(inst: Instance, log: list, path) -> None:
+    """Replace a forced path, as ``_forced_walk`` returns it, by one forced
+    edge from its first end to its second."""
+    edges, inner, ends = path
     weight = sum((inst.ew[e] for e in edges), Fraction(0))
     for e in edges:
         inst.delete_edge(e)
@@ -280,35 +307,6 @@ def contract_path(inst: Instance, log: ReductionLog, vertices) -> None:
     lifts = ((frozenset((new_e,)), tuple(edges)),)
     log.append(Rewrite("contract", tuple(sorted(inner)), (new_e,), lifts))
 
-
-def _forced_chain_through(inst: Instance, v: int):
-    """Maximal forced path through interior vertex v.  Forced cycles were
-    screened out before.  Returns (ordered edges, interior vertices, ends)."""
-    e_left, e_right = [e for e in inst.adj[v] if inst.eforced[e]]
-    halves = []
-    ends = []
-    for first in (e_left, e_right):
-        acc = [first]
-        prev_edge = first
-        cur = inst.other_end(first, v)
-        while True:
-            d, df, _ = inst.degrees(cur)
-            if not (d == 2 and df == 2):
-                ends.append(cur)
-                break
-            g = next(g for g in inst.adj[cur] if inst.eforced[g] and g != prev_edge)
-            acc.append(g)
-            prev_edge = g
-            cur = inst.other_end(g, cur)
-        halves.append(acc)
-    edges = list(reversed(halves[0])) + halves[1]
-    ends = [ends[0], ends[1]]
-    inner = []
-    cur = ends[0]
-    for g in edges[:-1]:
-        cur = inst.other_end(g, cur)
-        inner.append(cur)
-    return edges, inner, ends
 
 
 def solve_two_vertices(inst: Instance) -> Feasibility | TourResult:
@@ -328,7 +326,7 @@ def solve_two_vertices(inst: Instance) -> Feasibility | TourResult:
     return TourResult(OPTIMAL, inst.tour_cost(chosen), chosen)
 
 
-def reduce_parallel(inst: Instance, log: ReductionLog):
+def reduce_parallel(inst: Instance, log: list):
     """Resolve parallel bundles: two forced copies are fatal (beyond two
     vertices); all-unforced bundles keep only the cheapest copy.  A mixed
     forced+unforced bundle is settled by the saturation and reducible-edge
@@ -366,7 +364,7 @@ def determine_eliminable(inst: Instance, piece_vertices) -> str:
     return "include" if len(cf) % 2 == 1 else "delete"
 
 
-def eliminate_bridges(inst: Instance, log: ReductionLog):
+def eliminate_bridges(inst: Instance, log: list):
     """Determine unforced bridges until every component is 2-edge-connected,
     cascading through saturation cleanup.  One audit step.
 
@@ -433,7 +431,7 @@ def find_reducible_edge(inst: Instance) -> Optional[int]:
     )
 
 
-def process_reducible_circuit(inst: Instance, log: ReductionLog, eid: int):
+def process_reducible_circuit(inst: Instance, log: list, eid: int):
     """Include a cut-forced edge and propagate along its circuit."""
     from .search import circuit_procedure  # search builds on this module
 
@@ -545,7 +543,7 @@ def _internal_edges(inst: Instance, xs) -> list[int]:
 # -- 3-cut replacement ----------------------------------------------------------------
 
 
-def reduce_3cut(inst: Instance, log: ReductionLog, x_vertices):
+def reduce_3cut(inst: Instance, log: list, x_vertices):
     """Replace a subgraph behind a 3-edge boundary by a single vertex whose
     three edges encode the optimal internal traversals."""
     xs = frozenset(x_vertices)
@@ -644,7 +642,7 @@ def is_4cut_reducible(inst: Instance, x_vertices) -> bool:
     return False
 
 
-def reduce_4cut(inst: Instance, log: ReductionLog, x_vertices):
+def reduce_4cut(inst: Instance, log: list, x_vertices):
     """Replace a 4-forced-boundary subgraph by nothing, a pair of forced
     edges, or a 4-cycle, depending on which internal pairings survive."""
     xs = frozenset(x_vertices)
@@ -829,22 +827,20 @@ def _connected_subsets(adjacency: dict, weights: list, cap: int) -> set:
 # -- fixpoint driver --------------------------------------------------------------------
 
 
-def reduce_to_fixpoint(inst: Instance, log: Optional[ReductionLog] = None, audit=None):
-    """Apply every reduction until none fires.  Returns (instance, log,
-    verdict); the instance is mutated in place and ``audit`` (an
-    ``analysis.Observer``) sees every step.  The verdict is None while the
-    node is still open, the infeasible ``Feasibility`` that stopped it, or
-    an optimal ``TourResult`` of the reduced instance."""
-    if log is None:
-        log = ReductionLog()
+def reduce_to_fixpoint(inst: Instance, log: list, audit=None):
+    """Apply every reduction until none fires, and return the verdict: None
+    while the node is still open, the infeasible ``Feasibility`` that
+    stopped it, or an optimal ``TourResult`` of the reduced instance.  The
+    instance is mutated in place, every entry is appended to ``log``, and
+    ``audit`` (an ``analysis.Observer``) sees every step."""
     if audit is None:
         audit = analysis.NO_OBSERVER
-    inst, log, outcome = _reduce_loop(inst, log, audit)
+    outcome = _reduce_loop(inst, log, audit)
     audit.settle_cascade(inst, outcome)
-    return inst, log, outcome
+    return outcome
 
 
-def _reduce_loop(inst: Instance, log: ReductionLog, audit):
+def _reduce_loop(inst: Instance, log: list, audit):
     while True:
         # A pass ends at the first rule that changes the instance, and no
         # rule or check touches it without reporting a change (a 3-cut is
@@ -860,9 +856,9 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
         if not changed:
             feas = check_feasibility(inst)
             if feas.infeasible:
-                return inst, log, feas
+                return feas
             if inst.n_alive() == 2:
-                return inst, log, solve_two_vertices(inst)
+                return solve_two_vertices(inst)
             kind = "parallel"
             changed, outcome = reduce_parallel(inst, log)
         if not changed:
@@ -875,7 +871,7 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
         if changed:
             audit.step(kind, before, inst, outcome)
             if outcome is not None:
-                return inst, log, outcome
+                return outcome
             continue
 
         red = find_reducible_edge(inst)
@@ -885,14 +881,14 @@ def _reduce_loop(inst: Instance, log: ReductionLog, audit):
             outcome = feas if feas.infeasible else None
             audit.step("reducible_circuit", before, inst, outcome)
             if outcome is not None:
-                return inst, log, outcome
+                return outcome
             continue
 
         if not _apply_small_cut(inst, log, audit, before):
-            return inst, log, None
+            return None
 
 
-def _apply_small_cut(inst: Instance, log: ReductionLog, audit, before) -> bool:
+def _apply_small_cut(inst: Instance, log: list, audit, before) -> bool:
     """Apply the first small-cut rewrite that does not raise the measure;
     False when there is none.  ``before`` is the observer's reading of mu
     for ``inst``."""
@@ -912,7 +908,7 @@ def _apply_small_cut(inst: Instance, log: ReductionLog, audit, before) -> bool:
         return True
 
 
-def _measure_safe_3cut(inst: Instance, log: ReductionLog, xs) -> bool:
+def _measure_safe_3cut(inst: Instance, log: list, xs) -> bool:
     """Rewrite a 3-cut only if that does not raise the search measure, and
     say whether it did.
 
@@ -923,13 +919,13 @@ def _measure_safe_3cut(inst: Instance, log: ReductionLog, xs) -> bool:
     measure memoized, becomes the instance's, and its log entry is appended
     to ``log``; a rejected one leaves the instance and the log untouched.
     """
-    probe, scratch = inst.copy(), ReductionLog()
+    probe, scratch = inst.copy(), []
     reduce_3cut(probe, scratch, xs)
     cfg = analysis.DEFAULT_CONFIG
     if analysis.measure(cfg, probe) > analysis.measure(cfg, inst):
         return False
     inst.take_over(probe)
-    (rewrite,) = scratch.entries
+    (rewrite,) = scratch
     log.append(rewrite)
     return True
 
@@ -937,13 +933,14 @@ def _measure_safe_3cut(inst: Instance, log: ReductionLog, xs) -> bool:
 # -- solution lifting --------------------------------------------------------------------
 
 
-def expand_solution(log: ReductionLog, tour_edges, cost: Fraction):
-    """Replay the log backwards, mapping a tour of the rewritten instance to
-    a tour of the instance the log started from.  Decisions rename nothing;
-    through each rewrite, the new edges the tour uses give way to the old
-    edges their lift names."""
+def expand_solution(log: list, tour_edges) -> frozenset:
+    """Replay the log backwards, mapping the edges of a tour of the
+    rewritten instance to those of a tour, of the same cost, of the instance
+    the log started from.  Decisions rename nothing; through each rewrite,
+    the new edges the tour uses give way to the old edges their lift
+    names."""
     edges = set(tour_edges)
-    for entry in reversed(log.entries):
+    for entry in reversed(log):
         if not isinstance(entry, Rewrite):
             continue
         used = frozenset(e for e in entry.new_edges if e in edges)
@@ -952,4 +949,4 @@ def expand_solution(log: ReductionLog, tour_edges, cost: Fraction):
             raise GraphError(f"tour crosses a replaced {entry.kind} in a way with no lift")
         edges -= used
         edges.update(old)
-    return frozenset(edges), cost
+    return frozenset(edges)

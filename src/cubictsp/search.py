@@ -27,7 +27,7 @@ INFEASIBLE_RESULT = TourResult(INFEASIBLE)
 
 def circuit_procedure(
     inst: Instance,
-    log: red.ReductionLog,
+    log: list,
     comp: UComponent,
     circuit: conn.Circuit,
     pivot: int,
@@ -221,8 +221,8 @@ def solve(inst: Instance, strategy: str = "full", audit=None) -> TourResult:
 def _solve_rec(inst: Instance, strategy, audit):
     """Returns (result, measure of this node's reduced instance)."""
     audit.enter_node()
-    log = red.ReductionLog()
-    inst, log, outcome = red.reduce_to_fixpoint(inst, log, audit)
+    log: list = []
+    outcome = red.reduce_to_fixpoint(inst, log, audit)
     mu = audit.measure_of(inst, outcome)
     if outcome is None and _base_case_ready(inst):
         outcome = solve_all_4cycles(inst)
@@ -230,8 +230,7 @@ def _solve_rec(inst: Instance, strategy, audit):
         audit.leaf()
         if outcome.infeasible:
             return INFEASIBLE_RESULT, mu
-        edges, cost = red.expand_solution(log, outcome.edges, outcome.cost)
-        return TourResult(OPTIMAL, cost, edges), mu
+        return TourResult(OPTIMAL, outcome.cost, red.expand_solution(log, outcome.edges)), mu
 
     if strategy == "simple":
         comp, circuit, pivot = select_branch_circuit_simple(inst)
@@ -244,7 +243,7 @@ def _solve_rec(inst: Instance, strategy, audit):
         child = inst.copy()
         # the child's log holds only decisions, which rename no edge, so a
         # tour of the child is a tour of this node's instance as it stands
-        feas = circuit_procedure(child, red.ReductionLog(), comp, circuit, pivot, action)
+        feas = circuit_procedure(child, [], comp, circuit, pivot, action)
         if feas.infeasible:
             results.append(INFEASIBLE_RESULT)
             child_mus.append(Fraction(0))
@@ -262,5 +261,4 @@ def _solve_rec(inst: Instance, strategy, audit):
             best = sub
     if best is None:
         return INFEASIBLE_RESULT, mu
-    edges, cost = red.expand_solution(log, best.edges, best.cost)
-    return TourResult(OPTIMAL, cost, edges), mu
+    return TourResult(OPTIMAL, best.cost, red.expand_solution(log, best.edges)), mu

@@ -1,9 +1,21 @@
+import os
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from cubictsp.graph import Instance
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
+
+
+def src_env():
+    """The environment for a child Python process, with the checkout's
+    ``src`` first on its path, so that it imports ``cubictsp`` uninstalled."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (SRC, env.get("PYTHONPATH")) if p)
+    return env
 
 
 def build(n, edges, forced=()):

@@ -220,7 +220,7 @@ def test_criterion_6_structural_properties():
         )
         inst = inject_forced(base, count=seed % 5, seed=seed)
         seed += 1
-        _, _, outcome = red.reduce_to_fixpoint(inst, red.ReductionLog())
+        outcome = red.reduce_to_fixpoint(inst, [])
         if outcome is not None:
             continue
         reduced_seen += 1
@@ -245,7 +245,8 @@ def test_criterion_6_structural_properties():
             assert got == _naive_circuit_partition(inst, comp)
         # idempotence
         probe = inst.copy()
-        _, log2, out2 = red.reduce_to_fixpoint(probe, red.ReductionLog())
+        log2: list = []
+        out2 = red.reduce_to_fixpoint(probe, log2)
         assert len(log2) == 0 and out2 is None
         assert probe.ealive == inst.ealive and probe.eforced == inst.eforced
     assert reduced_seen == 200

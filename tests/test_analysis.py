@@ -230,6 +230,9 @@ def test_audit_report_format_keys():
     text = audit.format_report()
     for key in ("mu0:", "nodes:", "leaves:", "leaf_bound:", "violations:"):
         assert key in text
+    report = audit.report()
+    assert len(report) == 9
+    assert text.splitlines()[:9] == [f"{k}: {v}" for k, v in report.items()]
 
 
 def tight_six_cycle_instance():
@@ -261,7 +264,7 @@ def test_tight_six_cycle_branch_decreases_exactly_ten_thirds():
     inst = tight_six_cycle_instance()
     mu0 = measure(CFG, inst)
     probe = inst.copy()
-    _, _, outcome = red.reduce_to_fixpoint(probe, red.ReductionLog())
+    outcome = red.reduce_to_fixpoint(probe, [])
     assert outcome is None
     assert sorted(probe.alive_edges()) == sorted(inst.alive_edges())
 
@@ -269,7 +272,7 @@ def test_tight_six_cycle_branch_decreases_exactly_ten_thirds():
     assert set(circuit.edges) == set(range(6))
     for action in ("include", "delete"):
         child = inst.copy()
-        clog = red.ReductionLog()
+        clog: list = []
         search.circuit_procedure(child, clog, comp, circuit, pivot, action)
         red.reduce_to_fixpoint(child, clog)
         assert mu0 - measure(CFG, child) == Fraction(10, 3)
@@ -286,7 +289,7 @@ def test_branch_children_meet_global_floor():
             GeneratorSpec(kind="random_cubic", n=14, seed=800 + seed, weights="random")
         )
         inst = base.copy()
-        _, _, outcome = red.reduce_to_fixpoint(inst, red.ReductionLog())
+        outcome = red.reduce_to_fixpoint(inst, [])
         if outcome is not None:
             continue
         comps = inst.u_components()
@@ -296,11 +299,11 @@ def test_branch_children_meet_global_floor():
         comp, circuit, pivot = search.select_branch_circuit(inst)
         for action in ("include", "delete"):
             child = inst.copy()
-            clog = red.ReductionLog()
+            clog: list = []
             feas = search.circuit_procedure(child, clog, comp, circuit, pivot, action)
             if feas.infeasible:
                 continue
-            _, _, sub = red.reduce_to_fixpoint(child, clog)
+            sub = red.reduce_to_fixpoint(child, clog)
             if isinstance(sub, red.TourResult):
                 child_mu = Fraction(0)
             else:

@@ -11,6 +11,8 @@ from cubictsp.cli import main
 from cubictsp.generators import GeneratorSpec, generate
 from cubictsp.graph import GraphError, format_instance
 
+from conftest import src_env
+
 
 @pytest.fixture
 def petersen_file(tmp_path):
@@ -130,10 +132,12 @@ def test_trace_reductions(capsys, prism_file):
 
 
 def test_oracle_methods(capsys, prism_file):
-    code, out, _ = run_cli(capsys, "oracle", prism_file, "--method", "exhaustive")
-    assert code == 0 and out.startswith("OPTIMAL 6")
-    code, out, _ = run_cli(capsys, "oracle", prism_file, "--method", "dp")
-    assert code == 0 and out.startswith("OPTIMAL 6")
+    for method in ("exhaustive", "dp"):
+        code, out, _ = run_cli(capsys, "oracle", prism_file, "--method", method)
+        assert code == 0 and out.startswith("OPTIMAL 6")
+        pairs = [tuple(map(int, line.split())) for line in out.splitlines()[1:]]
+        assert all(len(p) == 2 and p[0] < p[1] for p in pairs), out
+        assert pairs == sorted(pairs) and len(pairs) == 6  # one edge per vertex
 
 
 def test_gen_roundtrip(capsys, tmp_path):
@@ -310,6 +314,7 @@ def test_console_entry_point():
         [sys.executable, "-m", "cubictsp.cli", "--help"],
         capture_output=True,
         text=True,
+        env=src_env(),
     )
     assert proc.returncode == 0
     assert "solve" in proc.stdout
@@ -326,6 +331,7 @@ def test_closed_output_pipe_exits_2_without_traceback(tmp_path):
         stdout=subprocess.PIPE,
         stderr=subprocess.PIPE,
         text=True,
+        env=src_env(),
     )
     proc.stdout.close()
     err = proc.stderr.read()

@@ -311,7 +311,7 @@ def _fill_memo(inst):
     inst.is_connected()
     inst.memo(conn.whole_labels)
     inst.memo(conn.whole_tree_index)
-    inst.memo(red._forced_cycle_scan)
+    inst.memo(red._forced_paths)
 
 
 def _assert_memo_is_fresh(inst):

@@ -64,13 +64,14 @@ def test_reduction_is_idempotent_and_monotone(seed):
     base = generate(GeneratorSpec(kind="random_cubic", n=10, seed=seed, weights="random"))
     inst = inject_forced(base, count=seed % 5, seed=seed)
     mu_before = measure(DEFAULT_CONFIG, inst)
-    _, _, outcome = red.reduce_to_fixpoint(inst, red.ReductionLog())
+    outcome = red.reduce_to_fixpoint(inst, [])
     infeasible = outcome is not None and outcome.infeasible
     mu_after = measure(DEFAULT_CONFIG, inst, infeasible=infeasible)
     assert mu_after <= mu_before
     if outcome is None:
         probe = inst.copy()
-        _, log2, _ = red.reduce_to_fixpoint(probe, red.ReductionLog())
+        log2: list = []
+        red.reduce_to_fixpoint(probe, log2)
         assert len(log2) == 0
 
 

@@ -12,7 +12,6 @@ from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance, format_instance
 from cubictsp.oracles import _disconnects, exhaustive_forced, exhaustive_internal_paths, replay
 from cubictsp.reductions import (
-    ReductionLog,
     check_feasibility,
     determine_eliminable,
     expand_solution,
@@ -63,11 +62,42 @@ def _forced_cycle_scan_by_walks(inst):
     return None
 
 
+def _forced_chain_through(inst, v):
+    """The earlier path walk: the maximal forced path through v, a vertex
+    with two edges, both forced, passing through vertices of the same kind.
+    Returns (edges end to end, interior vertices, ends)."""
+    e_left, e_right = [e for e in inst.adj[v] if inst.eforced[e]]
+    halves = []
+    ends = []
+    for first in (e_left, e_right):
+        acc = [first]
+        prev_edge = first
+        cur = inst.other_end(first, v)
+        while True:
+            d, df, _ = inst.degrees(cur)
+            if not (d == 2 and df == 2):
+                ends.append(cur)
+                break
+            g = next(g for g in inst.adj[cur] if inst.eforced[g] and g != prev_edge)
+            acc.append(g)
+            prev_edge = g
+            cur = inst.other_end(g, cur)
+        halves.append(acc)
+    edges = list(reversed(halves[0])) + halves[1]
+    inner = []
+    cur = ends[0]
+    for g in edges[:-1]:
+        cur = inst.other_end(g, cur)
+        inner.append(cur)
+    return edges, inner, ends
+
+
 def test_forced_cycle_scan_matches_chain_walk():
     # random forced subgraphs of forced degree <= 2: random edges, some of
     # them doubled, on top of a forced cycle in every third trial
     rng = random.Random(6)
     seen = {None: 0, "spanning": 0, "partial": 0}
+    compared = 0
     for trial in range(600):
         n = rng.randint(2, 9)
         inst = Instance()
@@ -87,10 +117,17 @@ def test_forced_cycle_scan_matches_chain_walk():
                     inst.add_edge(u, v, 1)  # a parallel forced pair
         for e in inst.alive_edges():
             inst.include_edge(e)
-        got = red._forced_cycle_scan(inst)
+        got, paths = red._forced_paths(inst)
         assert got == _forced_cycle_scan_by_walks(inst), (n, inst.eu, inst.ev)
         seen[got] += 1
+        # every vertex is pending here, so each walk starts at its path's
+        # lowest interior vertex
+        for edges, inner, ends in paths:
+            want = _forced_chain_through(inst, min(inner))
+            assert (edges, inner, list(ends)) == want, (n, inst.eu, inst.ev)
+            compared += 1
     assert min(seen.values()) > 50, seen
+    assert compared > 100, compared
 
 
 def test_bridge_graph_is_infeasible():
@@ -175,7 +212,7 @@ def test_determine_eliminable_requires_one_pendent():
 
 def test_two_vertices_three_parallel_edges():
     inst = build(2, [(0, 1, 1), (0, 1, 2), (0, 1, 3)])
-    _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
+    outcome = reduce_to_fixpoint(inst, [])
     assert outcome.optimal
     assert outcome.cost == 3  # the two cheapest copies
 
@@ -183,7 +220,7 @@ def test_two_vertices_three_parallel_edges():
 def test_parallel_keeps_min_weight():
     # square with a doubled edge: the heavier copy goes
     inst = build(4, [(0, 1, 5), (0, 1, 7), (1, 2, 1), (2, 3, 1), (3, 0, 1), (2, 0, 1)])
-    changed, outcome = reduce_parallel(inst, ReductionLog())
+    changed, outcome = reduce_parallel(inst, [])
     assert changed and outcome is None
     assert not inst.ealive[1] and inst.ealive[0]
 
@@ -192,7 +229,7 @@ def test_two_forced_parallels_infeasible():
     inst = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (2, 0)])
     inst.include_edge(0)
     inst.include_edge(1)
-    changed, outcome = reduce_parallel(inst, ReductionLog())
+    changed, outcome = reduce_parallel(inst, [])
     assert outcome is not None and outcome.infeasible
 
 
@@ -362,9 +399,9 @@ def test_reduce_3cut_case4_half_sum():
             (0, 3, 0), (1, 4, 0), (2, 5, 0),
         ],
     )
-    log = ReductionLog()
+    log: list = []
     reduce_3cut(inst, log, {0, 1, 2})
-    entry = log.entries[-1]
+    entry = log[-1]
     for eid in entry.new_edges:
         assert inst.ew[eid] == s / 2
         assert not inst.eforced[eid]
@@ -373,7 +410,7 @@ def test_reduce_3cut_case4_half_sum():
 def test_reduce_3cut_single_vertex_identity():
     inst = generate(GeneratorSpec(kind="named", name="k4"))
     before = [(tuple(sorted(inst.endpoints(e))), inst.ew[e]) for e in inst.alive_edges()]
-    log = ReductionLog()
+    log: list = []
     reduce_3cut(inst, log, {0})
     after = [(tuple(sorted(inst.endpoints(e))), inst.ew[e]) for e in inst.alive_edges()]
     # vertex 0 replaced by a fresh vertex with identical attachments
@@ -402,7 +439,7 @@ def test_reduce_3cut_all_infeasible_flags_instance():
         for a, b in [(5, 6), (4, 6), (4, 5)]
     ]
     if all(s is None for s in sols):
-        log = ReductionLog()
+        log: list = []
         reduce_3cut(inst, log, xs)
         assert check_feasibility(inst).infeasible
 
@@ -461,9 +498,9 @@ def test_reduce_4cut_single_pairing_gives_forced_pair():
     inst = four_cut_host([(0, 1), (1, 2), (2, 3)])
     xs = {0, 1, 2, 3}
     assert is_4cut_reducible(inst, xs)
-    log = ReductionLog()
+    log: list = []
     reduce_4cut(inst, log, xs)
-    entry = log.entries[-1]
+    entry = log[-1]
     assert len(entry.lifts) == 1
     assert len(entry.new_edges) == 2
     assert all(inst.eforced[e] for e in entry.new_edges)
@@ -473,9 +510,9 @@ def test_reduce_4cut_two_pairings_give_4cycle():
     inst = four_cut_host([(0, 1), (1, 2), (2, 3), (3, 0)])
     xs = {0, 1, 2, 3}
     assert is_4cut_reducible(inst, xs)
-    log = ReductionLog()
+    log: list = []
     reduce_4cut(inst, log, xs)
-    entry = log.entries[-1]
+    entry = log[-1]
     assert len(entry.lifts) == 2
     assert len(entry.new_edges) == 4
     assert all(not inst.eforced[e] for e in entry.new_edges)
@@ -496,9 +533,9 @@ def test_reduce_4cut_none_feasible_isolates_anchors():
         ]
     ]
     assert sols == [None, None, None]
-    log = ReductionLog()
+    log: list = []
     reduce_4cut(inst, log, xs)
-    assert log.entries[-1].lifts == ()
+    assert log[-1].lifts == ()
     assert check_feasibility(inst).infeasible
 
 
@@ -688,11 +725,10 @@ def test_three_cut_candidates_match_brute_force(monkeypatch):
 
 def test_k4_reduces_to_solved_cost_four():
     inst = generate(GeneratorSpec(kind="named", name="k4"))
-    log = ReductionLog()
-    _, log, outcome = reduce_to_fixpoint(inst, log)
-    assert outcome.optimal
-    edges, cost = expand_solution(log, outcome.edges, outcome.cost)
-    assert cost == 4
+    log: list = []
+    outcome = reduce_to_fixpoint(inst, log)
+    assert outcome.optimal and outcome.cost == 4
+    edges = expand_solution(log, outcome.edges)
     orig = generate(GeneratorSpec(kind="named", name="k4"))
     assert orig.is_tour(edges)
     assert orig.tour_cost(edges) == 4
@@ -704,7 +740,7 @@ def test_fixpoint_idempotent_and_reduced_properties(rng):
             GeneratorSpec(kind="random_cubic", n=rng.choice([8, 10, 12, 14]), seed=trial, weights="random")
         )
         inst = inject_forced(base, count=rng.randint(0, 4), seed=trial)
-        _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
+        outcome = reduce_to_fixpoint(inst, [])
         if outcome is not None:
             continue
         # no degree-2 vertex, no parallel edges, no triangle
@@ -724,7 +760,8 @@ def test_fixpoint_idempotent_and_reduced_properties(rng):
                 assert b not in adj[a], "triangle survived reduction"
         # second application is the identity
         probe = inst.copy()
-        _, log2, out2 = reduce_to_fixpoint(probe, ReductionLog())
+        log2: list = []
+        out2 = reduce_to_fixpoint(probe, log2)
         assert out2 is None
         assert len(log2) == 0
         assert sorted(probe.alive_edges()) == sorted(inst.alive_edges())
@@ -734,8 +771,9 @@ def _fixpoint_result(inst):
     """Reduce a copy of ``inst`` (pending record included) and return what
     the fixpoint left: the instance's arrays, the log and the outcome."""
     probe = inst.copy()
-    _, log, outcome = reduce_to_fixpoint(probe, ReductionLog())
-    return (probe.ealive, probe.eforced, probe.valive, probe.ew), log.entries, outcome
+    log: list = []
+    outcome = reduce_to_fixpoint(probe, log)
+    return (probe.ealive, probe.eforced, probe.valive, probe.ew), log, outcome
 
 
 def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch):
@@ -760,7 +798,7 @@ def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch):
     # every node of seeded solves, each with the record its parent left
     fixpoint = red.reduce_to_fixpoint
 
-    def capturing(inst, log=None, audit=None):
+    def capturing(inst, log, audit=None):
         starts.append(inst.copy())
         return fixpoint(inst, log, audit)
 
@@ -797,8 +835,8 @@ def test_fixpoint_verdict_is_none_an_infeasible_feasibility_or_an_optimal_tour(m
     fixpoint = red.reduce_to_fixpoint
     kinds = Counter()
 
-    def checked(inst, log=None, audit=None):
-        inst, log, outcome = fixpoint(inst, log, audit)
+    def checked(inst, log, audit=None):
+        outcome = fixpoint(inst, log, audit)
         if outcome is None:
             kinds["open"] += 1
         elif isinstance(outcome, red.Feasibility):
@@ -809,7 +847,7 @@ def test_fixpoint_verdict_is_none_an_infeasible_feasibility_or_an_optimal_tour(m
             assert inst.is_tour(outcome.edges)
             assert inst.tour_cost(outcome.edges) == outcome.cost
             kinds["tour"] += 1
-        return inst, log, outcome
+        return outcome
 
     monkeypatch.setattr(red, "reduce_to_fixpoint", checked)
     for seed in range(16):
@@ -841,7 +879,7 @@ def test_measure_never_increases_through_reductions(rng):
         )
         inst = inject_forced(base, count=rng.randint(0, 5), seed=trial)
         before = measure(DEFAULT_CONFIG, inst)
-        _, _, outcome = reduce_to_fixpoint(inst, ReductionLog())
+        outcome = reduce_to_fixpoint(inst, [])
         infeasible = outcome is not None and outcome.infeasible
         after = measure(DEFAULT_CONFIG, inst, infeasible=infeasible)
         assert after <= before
@@ -868,13 +906,13 @@ def test_each_probed_3cut_is_rewritten_once(monkeypatch):
 
     def checked_probe(inst, log, xs):
         calls["probe"] += 1
-        before, entries = _state(inst), list(log.entries)
+        before, entries = _state(inst), list(log)
         accepted = probe(inst, log, xs)
         if accepted:
-            assert log.entries[:-1] == entries and log.entries[-1].kind == "3cut"
+            assert log[:-1] == entries and log[-1].kind == "3cut"
         else:
             calls["rejected"] += 1
-            assert _state(inst) == before and log.entries == entries
+            assert _state(inst) == before and log == entries
         return accepted
 
     monkeypatch.setattr(red, "reduce_3cut", counted_rewrite)
@@ -906,7 +944,7 @@ def test_4cut_on_whole_component_decreases_by_its_weight():
     w = sum(vertex_weight(DEFAULT_CONFIG, inst, v) for v in xs)
     c = component_weight(DEFAULT_CONFIG, inst, comp)
     before = measure(DEFAULT_CONFIG, inst)
-    reduce_4cut(inst, ReductionLog(), xs)
+    reduce_4cut(inst, [], xs)
     after = measure(DEFAULT_CONFIG, inst)
     assert before - after == w + c
 
@@ -917,12 +955,12 @@ def test_4cut_on_whole_component_decreases_by_its_weight():
 def test_replay_reproduces_reduction():
     inst = generate(GeneratorSpec(kind="named", name="k4"))
     original = inst.copy()
-    log = ReductionLog()
-    reduced, log, outcome = reduce_to_fixpoint(inst, log)
+    log: list = []
+    reduce_to_fixpoint(inst, log)
     again = replay(log, original)
-    assert again.ealive == reduced.ealive
-    assert again.eforced == reduced.eforced
-    assert again.valive == reduced.valive
+    assert again.ealive == inst.ealive
+    assert again.eforced == inst.eforced
+    assert again.valive == inst.valive
 
 
 def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch):
@@ -931,9 +969,9 @@ def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch):
     fixpoint = red.reduce_to_fixpoint
     replayed = Counter()
 
-    def checked(inst, log=None, audit=None):
+    def checked(inst, log, audit=None):
         start = inst.copy()
-        inst, log, outcome = fixpoint(inst, log, audit)
+        outcome = fixpoint(inst, log, audit)
         again = replay(log, start)
         assert (again.ealive, again.eforced, again.valive, again.ew) == (
             inst.ealive,
@@ -941,8 +979,8 @@ def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch):
             inst.valive,
             inst.ew,
         )
-        replayed.update(e.kind for e in log.entries if isinstance(e, red.Rewrite))
-        return inst, log, outcome
+        replayed.update(e.kind for e in log if isinstance(e, red.Rewrite))
+        return outcome
 
     monkeypatch.setattr(red, "reduce_to_fixpoint", checked)
     for seed in range(20):
@@ -958,18 +996,16 @@ def test_fixpoint_appends_to_the_callers_log():
     inst = inject_forced(
         generate(GeneratorSpec(kind="random_cubic", n=12, seed=5, weights="random")), 2, seed=1
     )
-    log = ReductionLog()
-    _, returned, _ = reduce_to_fixpoint(inst, log)
-    assert returned is log and len(log) > 0
-    first = list(log.entries)
-    _, returned, _ = reduce_to_fixpoint(inst.copy(), log)
-    assert returned is log and log.entries[: len(first)] == first
+    log: list = []
+    reduce_to_fixpoint(inst, log)
+    assert len(log) > 0
+    first = list(log)
+    reduce_to_fixpoint(inst.copy(), log)
+    assert log[: len(first)] == first
 
 
 def test_expand_solution_empty_log_is_identity():
-    log = ReductionLog()
-    edges, cost = expand_solution(log, {1, 2, 3}, Fraction(5))
-    assert edges == {1, 2, 3} and cost == 5
+    assert expand_solution([], {1, 2, 3}) == {1, 2, 3}
 
 
 def _made_since(inst, first):
@@ -978,14 +1014,14 @@ def _made_since(inst, first):
 
 
 def _lift(log, tour):
-    return expand_solution(log, tour, Fraction(0))[0]
+    return expand_solution(log, tour)
 
 
 def test_expand_rejects_a_tour_without_the_contracted_edge():
     inst = cycle_instance(6)
     inst.include_edge(0)
     inst.include_edge(1)
-    log = ReductionLog()
+    log: list = []
     red.saturation_and_contraction(inst, log)
     (new,) = _made_since(inst, 6)
     rest = [e for e in inst.alive_edges() if e != new]
@@ -998,7 +1034,7 @@ def test_expand_rejects_3cut_crossings_with_no_lift():
     # prism with one forced triangle edge: X = {0, 1, 2} has no path from
     # 0 to 1 through 2 that uses the forced edge 0-1
     inst = build(6, [(0, 1), (1, 2), (2, 0), (3, 4), (4, 5), (5, 3), (0, 3), (1, 4), (2, 5)], forced=(0,))
-    log = ReductionLog()
+    log: list = []
     first = len(inst.ealive)
     reduce_3cut(inst, log, {0, 1, 2})
     x = len(inst.valive) - 1
@@ -1012,7 +1048,7 @@ def test_expand_rejects_3cut_crossings_with_no_lift():
 
 def test_expand_rejects_a_4cut_crossing_one_edge_of_each_pairing():
     inst = four_cut_host([(0, 1), (1, 2), (2, 3), (3, 0)])
-    log = ReductionLog()
+    log: list = []
     first = len(inst.ealive)
     reduce_4cut(inst, log, {0, 1, 2, 3})
     a, *rest = _made_since(inst, first)

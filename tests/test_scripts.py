@@ -1,26 +1,23 @@
 """Smoke runs of the scripts under scripts/, so an API change that breaks
 them fails here."""
 
-import os
 import subprocess
 import sys
 from pathlib import Path
 
 import pytest
 
+from conftest import src_env
+
 ROOT = Path(__file__).resolve().parents[1]
 
 
 def run_script(name, *args):
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(ROOT / "src"), env.get("PYTHONPATH")) if p
-    )
     return subprocess.run(
         [sys.executable, str(ROOT / "scripts" / name), *args],
         capture_output=True,
         text=True,
-        env=env,
+        env=src_env(),
         timeout=120,
     )
 

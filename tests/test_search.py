@@ -31,7 +31,7 @@ def test_six_cycle_alternates_include_delete():
     inst = six_cycle_with_pendants()
     comp = inst.component_of(0)
     (circuit,) = conn.circuit_partition(inst, comp)
-    log = red.ReductionLog()
+    log: list = []
     feas = circuit_procedure(inst, log, comp, circuit, circuit.edges[0], "include")
     assert not feas.infeasible
     states = [
@@ -45,7 +45,7 @@ def test_six_cycle_delete_start_flips_pattern():
     inst = six_cycle_with_pendants()
     comp = inst.component_of(0)
     (circuit,) = conn.circuit_partition(inst, comp)
-    circuit_procedure(inst, red.ReductionLog(), comp, circuit, circuit.edges[0], "delete")
+    circuit_procedure(inst, [], comp, circuit, circuit.edges[0], "delete")
     states = [
         "F" if inst.eforced[e] else ("dead" if not inst.ealive[e] else "U")
         for e in circuit.edges
@@ -79,7 +79,7 @@ def test_chain2_include_deletes_partner():
     inst = chain2_instance()
     comp = inst.component_of(0)
     chain = next(c for c in conn.circuit_partition(inst, comp) if set(c.edges) == {0, 1})
-    circuit_procedure(inst, red.ReductionLog(), comp, chain, 0, "include")
+    circuit_procedure(inst, [], comp, chain, 0, "include")
     assert inst.eforced[0] and not inst.ealive[1]
 
 
@@ -87,7 +87,7 @@ def test_chain2_delete_includes_partner():
     inst = chain2_instance()
     comp = inst.component_of(0)
     chain = next(c for c in conn.circuit_partition(inst, comp) if set(c.edges) == {0, 1})
-    circuit_procedure(inst, red.ReductionLog(), comp, chain, 0, "delete")
+    circuit_procedure(inst, [], comp, chain, 0, "delete")
     assert not inst.ealive[0] and inst.eforced[1]
 
 
@@ -117,11 +117,11 @@ def test_chain3_propagation():
         c for c in conn.circuit_partition(inst, comp) if set(c.edges) == {0, 1, 2}
     )
     probe = inst.copy()
-    circuit_procedure(probe, red.ReductionLog(), comp, chain, 0, "include")
+    circuit_procedure(probe, [], comp, chain, 0, "include")
     # odd single-vertex blocks flip the decision at every step
     assert probe.eforced[0] and not probe.ealive[1] and probe.eforced[2]
     probe = inst.copy()
-    circuit_procedure(probe, red.ReductionLog(), comp, chain, 0, "delete")
+    circuit_procedure(probe, [], comp, chain, 0, "delete")
     assert not probe.ealive[0] and probe.eforced[1] and not probe.ealive[2]
 
 
@@ -137,7 +137,7 @@ def test_circuit_procedure_keeps_blocks_as_components():
     before_others = [
         c.vertices for c in inst.u_components() if c.vertices != comp.vertices
     ]
-    circuit_procedure(inst, red.ReductionLog(), comp, chain, 0, "include")
+    circuit_procedure(inst, [], comp, chain, 0, "include")
     comps_after = {c.vertices: c for c in inst.u_components()}
     for block in blocks:
         assert block.vertices in comps_after
@@ -154,7 +154,7 @@ def test_circuit_procedure_parity_of_blocks():
     comp = inst.component_of(0)
     (circuit,) = conn.circuit_partition(inst, comp)
     blocks = conn.blocks_along(inst, comp, circuit)
-    circuit_procedure(inst, red.ReductionLog(), comp, circuit, circuit.edges[0], "include")
+    circuit_procedure(inst, [], comp, circuit, circuit.edges[0], "include")
     for block in blocks:
         cf, _ = inst.cut(block.vertices)
         assert len(cf) % 2 == 0
@@ -175,7 +175,7 @@ def test_wraparound_contradiction_reported():
         c for c in conn.circuit_partition(inst, comp) if len(c.edges) == 3
     ]
     feas = circuit_procedure(
-        inst.copy(), red.ReductionLog(), comp, circuit, circuit.edges[0], "include"
+        inst.copy(), [], comp, circuit, circuit.edges[0], "include"
     )
     assert feas.infeasible
 
@@ -483,8 +483,7 @@ def test_branch_children_cover_include_and_delete():
             GeneratorSpec(kind="random_cubic", n=12, seed=seed, weights="random")
         )
         inst = base.copy()
-        log = red.ReductionLog()
-        inst, log, outcome = red.reduce_to_fixpoint(inst, log)
+        outcome = red.reduce_to_fixpoint(inst, [])
         if outcome is not None:
             continue
         comps = inst.u_components()
@@ -494,16 +493,16 @@ def test_branch_children_cover_include_and_delete():
         best = None
         for action in ("include", "delete"):
             child = inst.copy()
-            clog = red.ReductionLog()
+            clog: list = []
             feas = circuit_procedure(child, clog, comp, circuit, pivot, action)
             assert child.eforced[pivot] == (action == "include") or feas.infeasible
             if feas.infeasible:
                 continue
             sub = solve(child)
             if sub.optimal:
-                edges, cost = red.expand_solution(clog, sub.edges, sub.cost)
-                if best is None or cost < best:
-                    best = cost
+                assert inst.is_tour(red.expand_solution(clog, sub.edges))
+                if best is None or sub.cost < best:
+                    best = sub.cost
         whole = solve(base)
         want = held_karp(base)
         assert whole.status == want.status
@@ -519,16 +518,32 @@ def test_branch_children_cover_include_and_delete():
 # -- pinned search -----------------------------------------------------------------
 
 # sha256 over each corpus below; a change that moves one changes the search
-SEARCH_DIGEST = "211ffe848721dc11b647f90f18cf2d6db850031d25b18397ef7ed03c0a00f2f5"
-FORCED_SEARCH_DIGEST = "4c0aed6aeaa3f9d7a547406a0643cb1d60ed28be90fa5647fa73b2fe24e05165"
+SEARCH_DIGEST = "fa6d1eafcabee4559c310d1eefd5471f8db410845959ea7caa5ad0c1e1ebd6d8"
+FORCED_SEARCH_DIGEST = "cd79ac5744e98f5a3ac9069af15c9c752249d8eeca29f50564cc887d2499146b"
+
+
+def _log_entry_key(entry):
+    """A log entry in a form whose repr does not depend on set order."""
+    if isinstance(entry, red.Rewrite):
+        lifts = tuple((tuple(sorted(new)), old) for new, old in entry.lifts)
+        return (entry.kind, entry.vertices, entry.new_edges, lifts)
+    return (type(entry).__name__, entry.eid)
 
 
 def _search_digest(monkeypatch, instances) -> str:
-    """sha256 over every small-cut pick, branch pick and answer of solving
-    each instance in turn."""
+    """sha256 over every fixpoint's log entries, small-cut pick, branch pick
+    and answer of solving each instance in turn."""
     digest = hashlib.sha256()
+    fixpoint = red.reduce_to_fixpoint
     find_cut = red.find_small_cut_candidate
     pick = search.select_branch_circuit
+
+    def reduce_to_fixpoint(inst, log, audit=None):
+        start = len(log)
+        got = fixpoint(inst, log, audit)
+        for entry in log[start:]:
+            digest.update(repr(_log_entry_key(entry)).encode())
+        return got
 
     def find_small_cut_candidate(inst, rejected=frozenset()):
         got = find_cut(inst, rejected)
@@ -540,6 +555,7 @@ def _search_digest(monkeypatch, instances) -> str:
         digest.update(repr((min(comp.vertices), tuple(circuit.edges), pivot)).encode())
         return comp, circuit, pivot
 
+    monkeypatch.setattr(red, "reduce_to_fixpoint", reduce_to_fixpoint)
     monkeypatch.setattr(red, "find_small_cut_candidate", find_small_cut_candidate)
     monkeypatch.setattr(search, "select_branch_circuit", select_branch_circuit)
     for inst in instances:
