@@ -9,11 +9,9 @@ common integer denominator first.
 The slow references that tests hold the solver's own primitives against
 live here too: ``exhaustive_internal_paths`` for the paths inside a small
 cut side, ``brute_force_4cycles`` for the 4-cycle base case,
-``replay``, which re-runs a reduction log forward through the production
-rewrites and checks that they make the edges it logged, ``_disconnects``
-for cut pairs, ``_subgraph_pieces``, the flood fill that splits a vertex
-set into its connected pieces, and ``_circuit_cycle``, which orders a
-circuit and its blocks by those pieces.
+``_disconnects`` for cut pairs, ``_subgraph_pieces``, the flood fill that
+splits a vertex set into its connected pieces, and ``_circuit_cycle``, which
+orders a circuit and its blocks by those pieces.
 """
 
 from __future__ import annotations
@@ -24,15 +22,7 @@ from typing import Optional
 
 from . import connectivity as conn
 from .graph import GraphError, Instance, UComponent
-from .reductions import (
-    DeleteEdge,
-    IncludeEdge,
-    Rewrite,
-    contract_path,
-    reduce_3cut,
-    reduce_4cut,
-    solve_two_vertices,
-)
+from .reductions import solve_two_vertices
 from .search import INFEASIBLE_RESULT, OPTIMAL, TourResult, _four_cycle_matchings
 
 try:  # the integer DP table is 100x faster through numpy when it fits
@@ -349,27 +339,6 @@ def brute_force_4cycles(inst: Instance, limit: int = 20) -> TourResult:
             if best is None or cost < best.cost:
                 best = TourResult(OPTIMAL, cost, frozenset(edges))
     return best if best is not None else INFEASIBLE_RESULT
-
-
-def replay(log: list, inst: Instance) -> Instance:
-    """Re-apply the log forward on a copy of the original instance: each
-    decision again, and each rewrite by the production rewrite of its kind
-    on the vertices it logged; ids of created edges must come out identical."""
-    out = inst.copy()
-    scratch: list = []
-    rewrites = {"contract": contract_path, "3cut": reduce_3cut, "4cut": reduce_4cut}
-    for entry in log:
-        if isinstance(entry, IncludeEdge):
-            out.include_edge(entry.eid)
-        elif isinstance(entry, DeleteEdge):
-            out.delete_edge(entry.eid)
-        elif isinstance(entry, Rewrite):
-            rewrites[entry.kind](out, scratch, entry.vertices)
-            if scratch[-1].new_edges != entry.new_edges:
-                raise GraphError("replay id drift")
-        else:
-            raise GraphError(f"unknown log entry {entry!r}")
-    return out
 
 
 def _disconnects(inst: Instance, verts, eset, a, b) -> bool:

@@ -1,5 +1,5 @@
-"""Polynomial-time instance rewrites and the replayable log that lifts a
-tour of the rewritten instance back to the original graph.
+"""Polynomial-time instance rewrites and the log that lifts a tour of the
+rewritten instance back to the original graph.
 
 The fixpoint driver applies, in a fixed priority:
 
@@ -42,12 +42,16 @@ structure gives.  The forced-path walk and the whole graph's tree, its
 index and labels are asked through ``Instance.memo``, so a pass that
 rewrites nothing between two questions walks the graph once.
 
-A log is a plain list that the caller owns and every rule appends to.
-Every decision appends an ``IncludeEdge`` or a ``DeleteEdge``, and every
-forced-path contraction, 3-cut and 4-cut a ``Rewrite``: the vertices it
-replaced, the edges it made, and for each set of those edges a tour may use,
-the old edges that take their place.  ``expand_solution`` walks the log
-backwards and lifts a tour's edges through each rewrite by that one rule.
+A log is a plain list that the caller owns and that holds only
+``Rewrite``s: every forced-path contraction, 3-cut and 4-cut appends one,
+naming the vertices it replaced, the edges it made, and for each set of
+those edges a tour may use, the old edges that take their place.
+``expand_solution`` walks the log backwards and lifts a tour's edges through
+each rewrite by that one rule.  A decision (``_include``, ``_delete``)
+renames no edge, so a tour needs no lift through it and it leaves no entry.
+Every call of ``_include`` and ``_delete`` goes through the module's
+globals, never a local alias, so that a wrapper set on the module sees each
+decision; the tests record decisions that way.
 
 A 3-cut side is rewritten once, on a copy that ``_measure_safe_3cut``
 measures: if the measure does not rise, the instance takes over the copy's
@@ -103,16 +107,6 @@ class TourResult:
 
 
 # -- log entries ---------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class IncludeEdge:
-    eid: int
-
-
-@dataclass(frozen=True)
-class DeleteEdge:
-    eid: int
 
 
 @dataclass(frozen=True)
@@ -216,29 +210,27 @@ def _forced_walk(inst: Instance, v: int):
 # -- basic rewrites --------------------------------------------------------------
 
 
-def _include(inst: Instance, log: list, eid: int) -> Feasibility:
+def _include(inst: Instance, eid: int) -> Feasibility:
     for v in inst.endpoints(eid):
         if inst.degrees(v)[1] >= 2:
             return Feasibility(INFEASIBLE, "degree_deficit")
     inst.include_edge(eid)
-    log.append(IncludeEdge(eid))
     return OK
 
 
-def _delete(inst: Instance, log: list, eid: int) -> Feasibility:
+def _delete(inst: Instance, eid: int) -> Feasibility:
     u, v = inst.endpoints(eid)
     inst.delete_edge(eid)
-    log.append(DeleteEdge(eid))
     if len(inst.adj[u]) < 2 or len(inst.adj[v]) < 2:
         return Feasibility(INFEASIBLE, "degree_deficit")
     return OK
 
 
-def apply_decision(inst: Instance, log: list, eid: int, action: str) -> Feasibility:
+def apply_decision(inst: Instance, eid: int, action: str) -> Feasibility:
     if action == "include":
-        return _include(inst, log, eid)
+        return _include(inst, eid)
     if action == "delete":
-        return _delete(inst, log, eid)
+        return _delete(inst, eid)
     raise GraphError(f"unknown action {action!r}")
 
 
@@ -268,7 +260,7 @@ def saturation_and_contraction(inst: Instance, log: list):
             return True, Feasibility(INFEASIBLE, "degree_deficit")
         if df == 2 and du > 0:
             for e in [e for e in inst.adj[v] if not inst.eforced[e]]:
-                st = _delete(inst, log, e)
+                st = _delete(inst, e)
                 changed = True
                 if st.infeasible:
                     return True, st
@@ -283,17 +275,6 @@ def saturation_and_contraction(inst: Instance, log: list):
     return changed or bool(paths), None
 
 
-def contract_path(inst: Instance, log: list, vertices) -> None:
-    """Contract the maximal forced path through ``vertices[0]``, a vertex
-    with two edges, both forced, to one forced edge between its ends: the
-    rewrite a contraction's log entry names, re-run by ``oracles.replay``.
-
-    The path's interior is logged sorted, and the new edge's id depends only
-    on the order of the contractions, so a replay from the lowest interior
-    vertex makes the edge the log names."""
-    _contract(inst, log, _forced_walk(inst, vertices[0]))
-
-
 def _contract(inst: Instance, log: list, path) -> None:
     """Replace a forced path, as ``_forced_walk`` returns it, by one forced
     edge from its first end to its second."""
@@ -306,7 +287,6 @@ def _contract(inst: Instance, log: list, path) -> None:
     new_e = inst.add_edge(ends[0], ends[1], weight, forced=True)
     lifts = ((frozenset((new_e,)), tuple(edges)),)
     log.append(Rewrite("contract", tuple(sorted(inner)), (new_e,), lifts))
-
 
 
 def solve_two_vertices(inst: Instance) -> Feasibility | TourResult:
@@ -326,7 +306,7 @@ def solve_two_vertices(inst: Instance) -> Feasibility | TourResult:
     return TourResult(OPTIMAL, inst.tour_cost(chosen), chosen)
 
 
-def reduce_parallel(inst: Instance, log: list):
+def reduce_parallel(inst: Instance):
     """Resolve parallel bundles: two forced copies are fatal (beyond two
     vertices); all-unforced bundles keep only the cheapest copy.  A mixed
     forced+unforced bundle is settled by the saturation and reducible-edge
@@ -348,7 +328,7 @@ def reduce_parallel(inst: Instance, log: list):
             continue
         group.sort(key=lambda e: (inst.ew[e], e))
         for e in group[1:]:
-            st = _delete(inst, log, e)
+            st = _delete(inst, e)
             changed = True
             if st.infeasible:
                 return True, st
@@ -391,7 +371,7 @@ def eliminate_bridges(inst: Instance, log: list):
         i = tree_edge.index(bridge)
         below = frozenset(pre[i : i + size[i]])
         side = below if inst.eu[bridge] in below else host.vertices - below
-        st = apply_decision(inst, log, bridge, determine_eliminable(inst, side))
+        st = apply_decision(inst, bridge, determine_eliminable(inst, side))
         changed = True
         if st.infeasible:
             return True, st
@@ -431,13 +411,13 @@ def find_reducible_edge(inst: Instance) -> Optional[int]:
     )
 
 
-def process_reducible_circuit(inst: Instance, log: list, eid: int):
+def process_reducible_circuit(inst: Instance, eid: int):
     """Include a cut-forced edge and propagate along its circuit."""
     from .search import circuit_procedure  # search builds on this module
 
     comp = inst.component_of(inst.eu[eid])
     circuit = conn.circuit_through(inst, comp, eid)
-    return circuit_procedure(inst, log, comp, circuit, eid, "include")
+    return circuit_procedure(inst, None, comp, circuit, eid, "include")
 
 
 # -- exhaustive path problems inside a small replaced subgraph ----------------------
@@ -624,36 +604,47 @@ def _four_cut_problems(anchors):
     ]
 
 
+def _solved_pairings(inst: Instance) -> dict:
+    """The per-state store of ``_four_cut_pairings``: side -> its answer."""
+    return {}
+
+
+def _four_cut_pairings(inst: Instance, xs: frozenset):
+    """For a side behind exactly four forced edges with distinct
+    attachments: (its anchors, the three pairings, each pairing's
+    ``solve_internal_paths`` answer).  None for any other side.  Solved once
+    per side and instance state, so the candidate search and the rewrite
+    that follows it share the work."""
+    known = inst.memo(_solved_pairings)
+    if xs not in known:
+        cf, cu = inst.cut(xs)
+        anchors = _four_cut_anchors(inst, xs, cf)
+        if len(cf) != 4 or cu or len(set(anchors)) != 4:
+            known[xs] = None
+        else:
+            probs = _four_cut_problems(anchors)
+            known[xs] = anchors, probs, [solve_internal_paths(inst, xs, p) for p in probs]
+    return known[xs]
+
+
 def is_4cut_reducible(inst: Instance, x_vertices) -> bool:
     """True iff the vertex set sits behind four forced edges with distinct
     attachments and at least one of the three pairings has no solution."""
     xs = frozenset(x_vertices)
     if len(xs) > conn.SMALL_SIDE:
         return False
-    cf, cu = inst.cut(xs)
-    if len(cf) != 4 or cu:
-        return False
-    anchors = _four_cut_anchors(inst, xs, cf)
-    if len(set(anchors)) != 4:
-        return False
-    for pairs in _four_cut_problems(anchors):
-        if solve_internal_paths(inst, xs, pairs) is None:
-            return True
-    return False
+    pairings = _four_cut_pairings(inst, xs)
+    return pairings is not None and None in pairings[2]
 
 
 def reduce_4cut(inst: Instance, log: list, x_vertices):
     """Replace a 4-forced-boundary subgraph by nothing, a pair of forced
     edges, or a 4-cycle, depending on which internal pairings survive."""
     xs = frozenset(x_vertices)
-    cf, cu = inst.cut(xs)
-    if len(cf) != 4 or cu:
-        raise GraphError("not a pure forced 4-cut")
-    anchors = _four_cut_anchors(inst, xs, cf)
-    if len(set(anchors)) != 4:
-        raise GraphError("attachments not distinct")
-    probs = _four_cut_problems(anchors)
-    sols = [solve_internal_paths(inst, xs, p) for p in probs]
+    pairings = _four_cut_pairings(inst, xs)
+    if pairings is None:
+        raise GraphError("not a pure forced 4-cut with distinct attachments")
+    anchors, probs, sols = pairings
     feas = [i for i in range(3) if sols[i] is not None]
     if len(feas) >= 3:
         raise GraphError("subgraph is not 4-cut reducible")
@@ -831,7 +822,7 @@ def reduce_to_fixpoint(inst: Instance, log: list, audit=None):
     """Apply every reduction until none fires, and return the verdict: None
     while the node is still open, the infeasible ``Feasibility`` that
     stopped it, or an optimal ``TourResult`` of the reduced instance.  The
-    instance is mutated in place, every entry is appended to ``log``, and
+    instance is mutated in place, every rewrite is appended to ``log``, and
     ``audit`` (an ``analysis.Observer``) sees every step."""
     if audit is None:
         audit = analysis.NO_OBSERVER
@@ -860,7 +851,7 @@ def _reduce_loop(inst: Instance, log: list, audit):
             if inst.n_alive() == 2:
                 return solve_two_vertices(inst)
             kind = "parallel"
-            changed, outcome = reduce_parallel(inst, log)
+            changed, outcome = reduce_parallel(inst)
         if not changed:
             # saturation, the screen and the parallel rule hold at every
             # vertex now, so from here on they need visit only the
@@ -877,7 +868,7 @@ def _reduce_loop(inst: Instance, log: list, audit):
         red = find_reducible_edge(inst)
         if red is not None:
             audit.reducible_circuit(inst, red, before)
-            feas = process_reducible_circuit(inst, log, red)
+            feas = process_reducible_circuit(inst, red)
             outcome = feas if feas.infeasible else None
             audit.step("reducible_circuit", before, inst, outcome)
             if outcome is not None:
@@ -936,13 +927,10 @@ def _measure_safe_3cut(inst: Instance, log: list, xs) -> bool:
 def expand_solution(log: list, tour_edges) -> frozenset:
     """Replay the log backwards, mapping the edges of a tour of the
     rewritten instance to those of a tour, of the same cost, of the instance
-    the log started from.  Decisions rename nothing; through each rewrite,
-    the new edges the tour uses give way to the old edges their lift
-    names."""
+    the log started from.  Through each rewrite, the new edges the tour
+    uses give way to the old edges their lift names."""
     edges = set(tour_edges)
     for entry in reversed(log):
-        if not isinstance(entry, Rewrite):
-            continue
         used = frozenset(e for e in entry.new_edges if e in edges)
         old = dict(entry.lifts).get(used)
         if old is None:

@@ -2,9 +2,11 @@ import os
 import random
 from fractions import Fraction
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
+import cubictsp.reductions as red
 from cubictsp.graph import Instance
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -94,3 +96,50 @@ def vertex_budget(monkeypatch):
 
     monkeypatch.setattr(Instance, "add_vertex", add_vertex)
     return made
+
+
+@pytest.fixture
+def decisions_logged(monkeypatch):
+    """Record the decisions that each ``reductions.reduce_to_fixpoint`` call
+    makes, which its log does not hold.  A decision is
+    ``("IncludeEdge", eid)`` for an include that took effect or
+    ``("DeleteEdge", eid)`` for any delete.  After each call, ``.last`` holds
+    that call's log entries with its decisions merged in where they were
+    made.  Decisions made outside a fixpoint, such as a branch's, are not
+    recorded."""
+    rec = SimpleNamespace(last=None)
+    open_calls = []  # per open fixpoint: its log and [(log length, decision)]
+    fixpoint, include, delete = red.reduce_to_fixpoint, red._include, red._delete
+
+    def note(kind, eid):
+        if open_calls:
+            log, made = open_calls[-1]
+            made.append((len(log), (kind, eid)))
+
+    def _include(inst, eid):
+        feas = include(inst, eid)
+        if not feas.infeasible:
+            note("IncludeEdge", eid)
+        return feas
+
+    def _delete(inst, eid):
+        note("DeleteEdge", eid)
+        return delete(inst, eid)
+
+    def reduce_to_fixpoint(inst, log, audit=None):
+        start, made = len(log), []
+        open_calls.append((log, made))
+        try:
+            outcome = fixpoint(inst, log, audit)
+        finally:
+            open_calls.pop()
+        # a decision made at log length k comes before entry k
+        keyed = [((k, 0), d) for k, d in made]
+        keyed += [((k, 1), e) for k, e in enumerate(log[start:], start)]
+        rec.last = [x for _, x in sorted(keyed, key=lambda t: t[0])]
+        return outcome
+
+    monkeypatch.setattr(red, "_include", _include)
+    monkeypatch.setattr(red, "_delete", _delete)
+    monkeypatch.setattr(red, "reduce_to_fixpoint", reduce_to_fixpoint)
+    return rec

@@ -272,9 +272,8 @@ def test_tight_six_cycle_branch_decreases_exactly_ten_thirds():
     assert set(circuit.edges) == set(range(6))
     for action in ("include", "delete"):
         child = inst.copy()
-        clog: list = []
-        search.circuit_procedure(child, clog, comp, circuit, pivot, action)
-        red.reduce_to_fixpoint(child, clog)
+        search.circuit_procedure(child, None, comp, circuit, pivot, action)
+        red.reduce_to_fixpoint(child, [])
         assert mu0 - measure(CFG, child) == Fraction(10, 3)
 
 
@@ -299,11 +298,10 @@ def test_branch_children_meet_global_floor():
         comp, circuit, pivot = search.select_branch_circuit(inst)
         for action in ("include", "delete"):
             child = inst.copy()
-            clog: list = []
-            feas = search.circuit_procedure(child, clog, comp, circuit, pivot, action)
+            feas = search.circuit_procedure(child, None, comp, circuit, pivot, action)
             if feas.infeasible:
                 continue
-            sub = red.reduce_to_fixpoint(child, clog)
+            sub = red.reduce_to_fixpoint(child, [])
             if isinstance(sub, red.TourResult):
                 child_mu = Fraction(0)
             else:
@@ -377,7 +375,7 @@ def test_default_observer_runs_no_audit_code(monkeypatch):
     real_process = red.process_reducible_circuit
 
     def process(*args):
-        fired.append(args[2])
+        fired.append(args[1])
         return real_process(*args)
 
     monkeypatch.setattr(red, "process_reducible_circuit", process)

@@ -73,6 +73,8 @@ def test_reduction_is_idempotent_and_monotone(seed):
         log2: list = []
         red.reduce_to_fixpoint(probe, log2)
         assert len(log2) == 0
+        # and makes no decision
+        assert probe.ealive == inst.ealive and probe.eforced == inst.eforced
 
 
 @settings(max_examples=20, deadline=None)

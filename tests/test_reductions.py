@@ -10,7 +10,7 @@ import cubictsp.reductions as red
 from cubictsp.analysis import DEFAULT_CONFIG, component_weight, measure, vertex_weight
 from cubictsp.generators import GeneratorSpec, generate, inject_forced
 from cubictsp.graph import GraphError, Instance, format_instance
-from cubictsp.oracles import _disconnects, exhaustive_forced, exhaustive_internal_paths, replay
+from cubictsp.oracles import _disconnects, exhaustive_forced, exhaustive_internal_paths
 from cubictsp.reductions import (
     check_feasibility,
     determine_eliminable,
@@ -220,7 +220,7 @@ def test_two_vertices_three_parallel_edges():
 def test_parallel_keeps_min_weight():
     # square with a doubled edge: the heavier copy goes
     inst = build(4, [(0, 1, 5), (0, 1, 7), (1, 2, 1), (2, 3, 1), (3, 0, 1), (2, 0, 1)])
-    changed, outcome = reduce_parallel(inst, [])
+    changed, outcome = reduce_parallel(inst)
     assert changed and outcome is None
     assert not inst.ealive[1] and inst.ealive[0]
 
@@ -229,7 +229,7 @@ def test_two_forced_parallels_infeasible():
     inst = build(4, [(0, 1), (0, 1), (1, 2), (2, 3), (3, 0), (2, 0)])
     inst.include_edge(0)
     inst.include_edge(1)
-    changed, outcome = reduce_parallel(inst, [])
+    changed, outcome = reduce_parallel(inst)
     assert outcome is not None and outcome.infeasible
 
 
@@ -764,22 +764,24 @@ def test_fixpoint_idempotent_and_reduced_properties(rng):
         out2 = reduce_to_fixpoint(probe, log2)
         assert out2 is None
         assert len(log2) == 0
-        assert sorted(probe.alive_edges()) == sorted(inst.alive_edges())
+        # and makes no decision
+        assert probe.ealive == inst.ealive and probe.eforced == inst.eforced
 
 
-def _fixpoint_result(inst):
+def _fixpoint_result(inst, decisions):
     """Reduce a copy of ``inst`` (pending record included) and return what
-    the fixpoint left: the instance's arrays, the log and the outcome."""
+    the fixpoint left: the instance's arrays, its rewrites and decisions in
+    order (``decisions`` is the ``decisions_logged`` recorder) and the
+    outcome."""
     probe = inst.copy()
-    log: list = []
-    outcome = reduce_to_fixpoint(probe, log)
-    return (probe.ealive, probe.eforced, probe.valive, probe.ew), log, outcome
+    outcome = red.reduce_to_fixpoint(probe, [])
+    return (probe.ealive, probe.eforced, probe.valive, probe.ew), decisions.last, outcome
 
 
-def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch):
+def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch, decisions_logged):
     # every rule that visits only pending vertices must leave the same
-    # instance, log and outcome (witness included) as one that sweeps every
-    # alive vertex in every pass
+    # instance, rewrites, decisions and outcome (witness included) as one
+    # that sweeps every alive vertex in every pass
     rng = random.Random(19)
     starts = []
     for trial in range(60):
@@ -811,10 +813,10 @@ def test_pending_vertex_rules_match_whole_graph_sweeps(monkeypatch):
             solve(inject_forced(base, seed % 4, seed=seed))
     assert sum(inst._pending is not None for inst in starts) > 150
 
-    pending = [_fixpoint_result(inst) for inst in starts]
+    pending = [_fixpoint_result(inst, decisions_logged) for inst in starts]
     with monkeypatch.context() as patch:
         patch.setattr(Instance, "pending", Instance.alive_vertices)
-        swept = [_fixpoint_result(inst) for inst in starts]
+        swept = [_fixpoint_result(inst, decisions_logged) for inst in starts]
     witnesses = Counter()
     for inst, got, want in zip(starts, pending, swept):
         assert got == want, format_instance(inst)
@@ -952,34 +954,64 @@ def test_4cut_on_whole_component_decreases_by_its_weight():
 # -- log replay and expansion -----------------------------------------------------------
 
 
-def test_replay_reproduces_reduction():
+def replay(entries, inst: Instance) -> Instance:
+    """Re-apply a fixpoint's rewrites and decisions, as ``decisions_logged``
+    merges them, forward on a copy of the instance it started from: each
+    decision again, and each rewrite by the production rewrite of its kind
+    on the vertices it logged.  The edges each rewrite makes must get the
+    ids it logged.
+
+    A contraction logs its path's interior sorted, and the new edge's id
+    depends only on the order of the contractions, so it is re-run as the
+    forced path through the lowest interior vertex."""
+    out = inst.copy()
+    scratch: list = []
+    rewrites = {
+        "contract": lambda i, log, vs: red._contract(i, log, red._forced_walk(i, vs[0])),
+        "3cut": reduce_3cut,
+        "4cut": reduce_4cut,
+    }
+    for entry in entries:
+        if isinstance(entry, red.Rewrite):
+            rewrites[entry.kind](out, scratch, entry.vertices)
+            assert scratch[-1].new_edges == entry.new_edges, "replay id drift"
+        else:
+            kind, eid = entry
+            {"IncludeEdge": out.include_edge, "DeleteEdge": out.delete_edge}[kind](eid)
+    return out
+
+
+def test_replay_reproduces_reduction(decisions_logged):
     inst = generate(GeneratorSpec(kind="named", name="k4"))
     original = inst.copy()
-    log: list = []
-    reduce_to_fixpoint(inst, log)
-    again = replay(log, original)
+    red.reduce_to_fixpoint(inst, [])
+    again = replay(decisions_logged.last, original)
     assert again.ealive == inst.ealive
     assert again.eforced == inst.eforced
     assert again.valive == inst.valive
 
 
-def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch):
-    # every node of seeded solves: its rewrites, replayed on a copy of its
-    # input, must leave the same instance as the fixpoint did
+def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch, decisions_logged):
+    # every node of seeded solves: its log holds only rewrites, and its
+    # rewrites and decisions, replayed on a copy of its input, must leave
+    # the same instance as the fixpoint did
     fixpoint = red.reduce_to_fixpoint
     replayed = Counter()
 
     def checked(inst, log, audit=None):
-        start = inst.copy()
+        start, first = inst.copy(), len(log)
         outcome = fixpoint(inst, log, audit)
-        again = replay(log, start)
+        assert all(isinstance(e, red.Rewrite) for e in log[first:])
+        again = replay(decisions_logged.last, start)
         assert (again.ealive, again.eforced, again.valive, again.ew) == (
             inst.ealive,
             inst.eforced,
             inst.valive,
             inst.ew,
         )
-        replayed.update(e.kind for e in log if isinstance(e, red.Rewrite))
+        replayed.update(
+            e.kind if isinstance(e, red.Rewrite) else e[0] for e in decisions_logged.last
+        )
         return outcome
 
     monkeypatch.setattr(red, "reduce_to_fixpoint", checked)
@@ -989,6 +1021,8 @@ def test_replay_reproduces_every_rewrite_kind_inside_solves(monkeypatch):
         )
         solve(inject_forced(base, seed % 4, seed=seed))
     assert replayed["contract"] and replayed["3cut"] and replayed["4cut"] >= 5
+    # the recorder saw both kinds of decision
+    assert replayed["IncludeEdge"] and replayed["DeleteEdge"]
 
 
 def test_fixpoint_appends_to_the_callers_log():

@@ -31,8 +31,7 @@ def test_six_cycle_alternates_include_delete():
     inst = six_cycle_with_pendants()
     comp = inst.component_of(0)
     (circuit,) = conn.circuit_partition(inst, comp)
-    log: list = []
-    feas = circuit_procedure(inst, log, comp, circuit, circuit.edges[0], "include")
+    feas = circuit_procedure(inst, None, comp, circuit, circuit.edges[0], "include")
     assert not feas.infeasible
     states = [
         "F" if inst.eforced[e] else ("dead" if not inst.ealive[e] else "U")
@@ -45,7 +44,7 @@ def test_six_cycle_delete_start_flips_pattern():
     inst = six_cycle_with_pendants()
     comp = inst.component_of(0)
     (circuit,) = conn.circuit_partition(inst, comp)
-    circuit_procedure(inst, [], comp, circuit, circuit.edges[0], "delete")
+    circuit_procedure(inst, None, comp, circuit, circuit.edges[0], "delete")
     states = [
         "F" if inst.eforced[e] else ("dead" if not inst.ealive[e] else "U")
         for e in circuit.edges
@@ -79,7 +78,7 @@ def test_chain2_include_deletes_partner():
     inst = chain2_instance()
     comp = inst.component_of(0)
     chain = next(c for c in conn.circuit_partition(inst, comp) if set(c.edges) == {0, 1})
-    circuit_procedure(inst, [], comp, chain, 0, "include")
+    circuit_procedure(inst, None, comp, chain, 0, "include")
     assert inst.eforced[0] and not inst.ealive[1]
 
 
@@ -87,7 +86,7 @@ def test_chain2_delete_includes_partner():
     inst = chain2_instance()
     comp = inst.component_of(0)
     chain = next(c for c in conn.circuit_partition(inst, comp) if set(c.edges) == {0, 1})
-    circuit_procedure(inst, [], comp, chain, 0, "delete")
+    circuit_procedure(inst, None, comp, chain, 0, "delete")
     assert not inst.ealive[0] and inst.eforced[1]
 
 
@@ -117,11 +116,11 @@ def test_chain3_propagation():
         c for c in conn.circuit_partition(inst, comp) if set(c.edges) == {0, 1, 2}
     )
     probe = inst.copy()
-    circuit_procedure(probe, [], comp, chain, 0, "include")
+    circuit_procedure(probe, None, comp, chain, 0, "include")
     # odd single-vertex blocks flip the decision at every step
     assert probe.eforced[0] and not probe.ealive[1] and probe.eforced[2]
     probe = inst.copy()
-    circuit_procedure(probe, [], comp, chain, 0, "delete")
+    circuit_procedure(probe, None, comp, chain, 0, "delete")
     assert not probe.ealive[0] and probe.eforced[1] and not probe.ealive[2]
 
 
@@ -137,7 +136,7 @@ def test_circuit_procedure_keeps_blocks_as_components():
     before_others = [
         c.vertices for c in inst.u_components() if c.vertices != comp.vertices
     ]
-    circuit_procedure(inst, [], comp, chain, 0, "include")
+    circuit_procedure(inst, None, comp, chain, 0, "include")
     comps_after = {c.vertices: c for c in inst.u_components()}
     for block in blocks:
         assert block.vertices in comps_after
@@ -154,7 +153,7 @@ def test_circuit_procedure_parity_of_blocks():
     comp = inst.component_of(0)
     (circuit,) = conn.circuit_partition(inst, comp)
     blocks = conn.blocks_along(inst, comp, circuit)
-    circuit_procedure(inst, [], comp, circuit, circuit.edges[0], "include")
+    circuit_procedure(inst, None, comp, circuit, circuit.edges[0], "include")
     for block in blocks:
         cf, _ = inst.cut(block.vertices)
         assert len(cf) % 2 == 0
@@ -175,7 +174,7 @@ def test_wraparound_contradiction_reported():
         c for c in conn.circuit_partition(inst, comp) if len(c.edges) == 3
     ]
     feas = circuit_procedure(
-        inst.copy(), [], comp, circuit, circuit.edges[0], "include"
+        inst.copy(), None, comp, circuit, circuit.edges[0], "include"
     )
     assert feas.infeasible
 
@@ -493,14 +492,13 @@ def test_branch_children_cover_include_and_delete():
         best = None
         for action in ("include", "delete"):
             child = inst.copy()
-            clog: list = []
-            feas = circuit_procedure(child, clog, comp, circuit, pivot, action)
+            feas = circuit_procedure(child, None, comp, circuit, pivot, action)
             assert child.eforced[pivot] == (action == "include") or feas.infeasible
             if feas.infeasible:
                 continue
             sub = solve(child)
             if sub.optimal:
-                assert inst.is_tour(red.expand_solution(clog, sub.edges))
+                assert inst.is_tour(sub.edges)
                 if best is None or sub.cost < best:
                     best = sub.cost
         whole = solve(base)
@@ -523,25 +521,26 @@ FORCED_SEARCH_DIGEST = "cd79ac5744e98f5a3ac9069af15c9c752249d8eeca29f50564cc887d
 
 
 def _log_entry_key(entry):
-    """A log entry in a form whose repr does not depend on set order."""
+    """A rewrite or a recorded decision in a form whose repr does not depend
+    on set order."""
     if isinstance(entry, red.Rewrite):
         lifts = tuple((tuple(sorted(new)), old) for new, old in entry.lifts)
         return (entry.kind, entry.vertices, entry.new_edges, lifts)
-    return (type(entry).__name__, entry.eid)
+    return entry
 
 
-def _search_digest(monkeypatch, instances) -> str:
-    """sha256 over every fixpoint's log entries, small-cut pick, branch pick
-    and answer of solving each instance in turn."""
+def _search_digest(monkeypatch, decisions, instances) -> str:
+    """sha256 over every fixpoint's rewrites and decisions in order
+    (``decisions`` is the ``decisions_logged`` recorder), small-cut pick,
+    branch pick and answer of solving each instance in turn."""
     digest = hashlib.sha256()
     fixpoint = red.reduce_to_fixpoint
     find_cut = red.find_small_cut_candidate
     pick = search.select_branch_circuit
 
     def reduce_to_fixpoint(inst, log, audit=None):
-        start = len(log)
         got = fixpoint(inst, log, audit)
-        for entry in log[start:]:
+        for entry in decisions.last:
             digest.update(repr(_log_entry_key(entry)).encode())
         return got
 
@@ -564,7 +563,7 @@ def _search_digest(monkeypatch, instances) -> str:
     return digest.hexdigest()
 
 
-def test_search_digest_is_pinned(monkeypatch):
+def test_search_digest_is_pinned(monkeypatch, decisions_logged):
     """Every small-cut pick, branch pick and answer over a seeded corpus
     hashes to a pinned digest, so a refactor that means to keep the search
     as it is can show that it did."""
@@ -578,10 +577,10 @@ def test_search_digest_is_pinned(monkeypatch):
         )
         for seed in range(12)
     )
-    assert _search_digest(monkeypatch, corpus) == SEARCH_DIGEST
+    assert _search_digest(monkeypatch, decisions_logged, corpus) == SEARCH_DIGEST
 
 
-def test_forced_search_digest_is_pinned(monkeypatch):
+def test_forced_search_digest_is_pinned(monkeypatch, decisions_logged):
     """The same digest over larger graphs with many forced edges, where the
     reductions do most of the work and many states are infeasible."""
     corpus = (
@@ -592,4 +591,4 @@ def test_forced_search_digest_is_pinned(monkeypatch):
         )
         for seed in range(8)
     )
-    assert _search_digest(monkeypatch, corpus) == FORCED_SEARCH_DIGEST
+    assert _search_digest(monkeypatch, decisions_logged, corpus) == FORCED_SEARCH_DIGEST
